@@ -7,8 +7,8 @@
  * --out) with:
  *   - events_per_sec     headline kernel events per wall second, best
  *                        of N repetitions of the 9-port GUPS scenario
- *   - scenarios[]        per-scenario events/sec (classic single cube
- *                        and a 4-cube ring chain)
+ *   - scenarios[]        per-scenario events/sec (classic single cube,
+ *                        4- and 8-cube ring chains)
  *   - profile            the same scenario with obs.profile=1: class
  *                        attribution and observed profiling overhead
  *   - figures_of_merit   fig. 6/8 summary numbers so a perf change
@@ -34,7 +34,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/report.h"
@@ -275,48 +274,23 @@ main(int argc, char **argv)
                   << " events/sec\n";
     }
 
-    // ----- parallel engine: 8-cube ring, serial vs 4 threads -----
-    // Same config modulo sim.parallel/sim.threads (power probes are
-    // off in both so the comparison is engine-only: the parallel core
-    // gates the power model).  The speedup is real only with >= 2
-    // hardware threads; on smaller machines this records the
-    // engine's overhead honestly rather than a win.
+    // ----- chain scenario: 8-cube ring, power probes off -----
     {
         SystemConfig cfg;
         cfg.hmc.chain.numCubes = 8;
         cfg.hmc.chain.topology = "ring";
         cfg.hmc.power.enabled = false;
-        PerfPoint serial8;
+        PerfPoint chain8;
         for (int r = 0; r < reps; ++r) {
             const PerfPoint pt = measureScenario("chain8_ring_gups",
                                                  cfg, warmup, window);
-            if (r == 0 || pt.eventsPerSec() > serial8.eventsPerSec())
-                serial8 = pt;
+            if (r == 0 || pt.eventsPerSec() > chain8.eventsPerSec())
+                chain8 = pt;
         }
-        scenarios.push_back(serial8);
-        std::cout << "  " << serial8.name << ": "
-                  << static_cast<std::uint64_t>(serial8.eventsPerSec())
+        scenarios.push_back(chain8);
+        std::cout << "  " << chain8.name << ": "
+                  << static_cast<std::uint64_t>(chain8.eventsPerSec())
                   << " events/sec\n";
-
-        cfg.sim.parallel = "on";
-        cfg.sim.threads = 4;
-        PerfPoint par8;
-        for (int r = 0; r < reps; ++r) {
-            const PerfPoint pt = measureScenario(
-                "chain8_ring_gups_par4", cfg, warmup, window);
-            if (r == 0 || pt.eventsPerSec() > par8.eventsPerSec())
-                par8 = pt;
-        }
-        scenarios.push_back(par8);
-        std::cout << "  " << par8.name << ": "
-                  << static_cast<std::uint64_t>(par8.eventsPerSec())
-                  << " events/sec ("
-                  << jsonNumber(serial8.eventsPerSec() > 0.0
-                                    ? par8.eventsPerSec() /
-                                          serial8.eventsPerSec()
-                                    : 0.0)
-                  << "x serial, " << std::thread::hardware_concurrency()
-                  << " hw threads)\n";
     }
 
     // ----- self-profiled run: class attribution + overhead -----

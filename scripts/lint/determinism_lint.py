@@ -2,10 +2,9 @@
 """Determinism linter for the hmcsim source tree.
 
 The simulator promises bit-identical results for identical configs --
-that promise is what makes the figure CSVs regression-testable and what
-the future partitioned-parallel core will be validated against.  This
-linter statically rejects the constructs that historically break that
-promise:
+that promise is what makes the figure CSVs and the benchmark's result
+digests regression-testable.  This linter statically rejects the
+constructs that historically break that promise:
 
   wall-clock        std::chrono::{system,steady,high_resolution}_clock,
                     time(), gettimeofday, clock_gettime, localtime, ...

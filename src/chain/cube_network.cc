@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "sim/kernel.h"
 
 namespace hmcsim {
 
@@ -293,48 +292,6 @@ CubeNetwork::applyAuxLinkThrottle()
         for (auto &lk : hostLinks_[h])
             lk->setThrottle(slowdown);
     }
-}
-
-void
-CubeNetwork::assignPartitions()
-{
-    if (!kernel().parallelEnabled())
-        return;
-    const std::uint32_t n = numCubes();
-    auto part = [this](CubeId c) { return kernel().partition(c); };
-
-    if (routes_.topology() == ChainTopology::Star) {
-        // No pass-through fabric: the host (executing in cube 0's
-        // partition) drives every cube-owned link's host end directly.
-        for (CubeId c = 0; c < n; ++c) {
-            for (LinkId l = 0; l < cfg_.numLinks; ++l) {
-                SerdesLink &lk = cubes_[c]->link(l);
-                lk.setPartitions(LinkDir::HostToCube, part(0), part(c));
-                lk.setPartitions(LinkDir::CubeToHost, part(c), part(0));
-            }
-        }
-        return;
-    }
-
-    for (CubeId c = 0; c < n; ++c) {
-        // Cube c's own cables: upstream end at the host (c == 0, which
-        // shares cube 0's partition) or the previous cube's switch.
-        Partition *up = c == 0 ? part(0) : part(c - 1);
-        for (LinkId l = 0; l < cfg_.numLinks; ++l) {
-            SerdesLink &lk = cubes_[c]->link(l);
-            lk.setPartitions(LinkDir::HostToCube, up, part(c));
-            lk.setPartitions(LinkDir::CubeToHost, part(c), up);
-        }
-    }
-    for (auto &lk : wrapLinks_) {
-        // Ring closure; orientation per wireChain: HostToCube runs
-        // cube 0 -> cube N-1.
-        lk->setPartitions(LinkDir::HostToCube, part(0), part(n - 1));
-        lk->setPartitions(LinkDir::CubeToHost, part(n - 1), part(0));
-    }
-    // Dedicated host links (multi-host): intentionally left
-    // unassigned -- host h executes in its entry cube's partition, so
-    // both ends of its links are partition-local already.
 }
 
 HmcDevice &

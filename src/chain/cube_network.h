@@ -59,21 +59,6 @@ class CubeNetwork : public Component
     /** Pass-through switch of cube @p c; null for star topologies. */
     ChainSwitch *switchAt(CubeId c);
 
-    /**
-     * Partitioned-parallel wiring: declare, per link direction, which
-     * partition drives the transmit end and which the receive end, so
-     * the SerDes boundary routes deliveries and token refunds through
-     * the destination partition's mailbox.  Direction state belongs to
-     * the end that executes it: a cube-owned cable's HostToCube end is
-     * driven upstream (host or previous cube's switch), its CubeToHost
-     * end by the owning cube; wrap links run cube 0 <-> cube N-1; star
-     * topologies put every host-end event in the host's partition
-     * (cube 0).  Dedicated host links stay unassigned -- the host
-     * controller executes inside its entry cube's partition, so both
-     * ends are already partition-local.  No-op when sim.parallel=off.
-     */
-    void assignPartitions();
-
     // ----- host attachment -----
 
     std::uint32_t numHosts() const { return routes_.numHosts(); }

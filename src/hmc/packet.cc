@@ -1,7 +1,5 @@
 #include "hmc/packet.h"
 
-#include <atomic>
-
 #include "common/log.h"
 #include "hmc/packet_pool.h"
 
@@ -9,12 +7,12 @@ namespace hmcsim {
 
 namespace {
 
-std::atomic<PacketId> g_next_packet_id{1};
+PacketId g_next_packet_id = 1;
 
 PacketId
 nextPacketId()
 {
-    return g_next_packet_id.fetch_add(1, std::memory_order_relaxed);
+    return g_next_packet_id++;
 }
 
 /** Packet + shared_ptr control block in one (recycled) allocation. */

@@ -1,11 +1,8 @@
 #include "hmc/packet_pool.h"
 
-#include <atomic>
 #include <new>
 
 #include "common/log.h"
-#include "common/partition_mutex.h"
-#include "common/thread_annotations.h"
 
 namespace hmcsim {
 
@@ -16,117 +13,42 @@ struct FreeNode {
     FreeNode *next;
 };
 
-constexpr int kMaxBins = 8;
-
 /**
  * One freelist per distinct block size.  allocate_shared produces a
  * single control-block-plus-packet size per packet type, so in
  * practice one bin is live; the small table keeps the pool correct if
- * another pooled type ever appears.  Counts are signed: with the
- * parallel core a packet can be acquired on one thread and released on
- * another (packets migrate across partitions), so a single thread's
- * live count may legitimately go negative -- only the sum over all
- * pools is meaningful.
+ * another pooled type ever appears.  Trivial types only: the bins are
+ * never destroyed, so blocks still in flight at static destruction
+ * cannot touch a dead freelist.
  */
 struct Bin {
-    std::size_t size = 0;
-    FreeNode *head = nullptr;
-    FreeNode *tail = nullptr;
-    long long freeBlocks = 0;
-    long long liveBlocks = 0;
+    std::size_t size;
+    FreeNode *head;
+    std::size_t freeBlocks;
+    std::size_t liveBlocks;
 };
 
-struct BinTable {
-    Bin bins[kMaxBins];
-    int numBins = 0;
+constexpr int kMaxBins = 8;
+Bin g_bins[kMaxBins];
+int g_numBins = 0;
 
-    Bin &
-    binFor(std::size_t size)
-    {
-        for (int i = 0; i < numBins; ++i) {
-            if (bins[i].size == size)
-                return bins[i];
-        }
-        if (numBins == kMaxBins)
-            panic("packet pool: too many distinct block sizes");
-        Bin &b = bins[numBins++];
-        b.size = size;
-        return b;
-    }
-};
+bool g_enabled = true;
 
-/** Pooling decision for future allocations; read lock-free from the
- *  allocator constructor on any thread. */
-std::atomic<bool> g_enabled{true};
-
-struct ThreadPool;
-
-/**
- * Cross-thread state: the registry of live per-thread pools (stats
- * walk it) and the orphan bins that adopt a dead thread's freelists so
- * its blocks stay reachable (leak checkers) and reusable.  Guarded by
- * a real mutex -- this is the pool's only contended surface, touched
- * at thread birth/death, on a local freelist miss, and by stats.
- */
-RealMutex g_regMu;
-ThreadPool *g_pools HMCSIM_GUARDED_BY(g_regMu) = nullptr;
-BinTable g_orphans HMCSIM_GUARDED_BY(g_regMu);
-
-/**
- * The calling thread's freelists.  Every acquire/release touches only
- * this -- no locks, no sharing -- which is the sharding the global
- * single-threaded pool always anticipated: under the parallel core
- * each worker churns its partitions' packets through its own bins.
- */
-struct ThreadPool {
-    BinTable table;
-    ThreadPool *next = nullptr;  // registry link
-    ThreadPool *prev = nullptr;
-
-    ThreadPool()
-    {
-        RealLock lock(g_regMu);
-        next = g_pools;
-        if (g_pools)
-            g_pools->prev = this;
-        g_pools = this;
-    }
-
-    /**
-     * Thread exit: fold the freelists and counts into the orphan
-     * bins.  Without this a worker's parked blocks would become
-     * unreachable-but-allocated memory the moment its thread dies --
-     * a leak-checker report and, over many runs, a real leak.
-     */
-    ~ThreadPool()
-    {
-        RealLock lock(g_regMu);
-        for (int i = 0; i < table.numBins; ++i) {
-            Bin &b = table.bins[i];
-            Bin &o = g_orphans.binFor(b.size);
-            if (b.head) {
-                b.tail->next = o.head;
-                o.head = b.head;
-                if (!o.tail)
-                    o.tail = b.tail;
-            }
-            o.freeBlocks += b.freeBlocks;
-            o.liveBlocks += b.liveBlocks;
-        }
-        if (prev)
-            prev->next = next;
-        else
-            g_pools = next;
-        if (next)
-            next->prev = prev;
-    }
-};
-
-ThreadPool &
-localPool()
+Bin &
+binFor(std::size_t size)
 {
-    thread_local ThreadPool tp;
-    return tp;
+    for (int i = 0; i < g_numBins; ++i) {
+        if (g_bins[i].size == size)
+            return g_bins[i];
+    }
+    if (g_numBins == kMaxBins)
+        panic("packet pool: too many distinct block sizes");
+    Bin &b = g_bins[g_numBins++];
+    b.size = size;
+    b.head = nullptr;
+    b.freeBlocks = 0;
+    b.liveBlocks = 0;
+    return b;
 }
 
 }  // namespace
@@ -134,44 +56,31 @@ localPool()
 void
 setPacketPoolEnabled(bool enabled)
 {
-    g_enabled.store(enabled, std::memory_order_relaxed);
+    g_enabled = enabled;
 }
 
 bool
 packetPoolEnabled()
 {
-    return g_enabled.load(std::memory_order_relaxed);
+    return g_enabled;
 }
 
 std::size_t
 packetPoolFreeBlocks()
 {
-    // Stats walk every live thread's bins; callers hold the same
-    // quiescence the parallel core's barriers establish (no worker is
-    // inside acquire/release while the main thread reads stats).
-    RealLock lock(g_regMu);
-    long long n = 0;
-    for (const ThreadPool *p = g_pools; p; p = p->next) {
-        for (int i = 0; i < p->table.numBins; ++i)
-            n += p->table.bins[i].freeBlocks;
-    }
-    for (int i = 0; i < g_orphans.numBins; ++i)
-        n += g_orphans.bins[i].freeBlocks;
-    return static_cast<std::size_t>(n < 0 ? 0 : n);
+    std::size_t n = 0;
+    for (int i = 0; i < g_numBins; ++i)
+        n += g_bins[i].freeBlocks;
+    return n;
 }
 
 std::size_t
 packetPoolLiveBlocks()
 {
-    RealLock lock(g_regMu);
-    long long n = 0;
-    for (const ThreadPool *p = g_pools; p; p = p->next) {
-        for (int i = 0; i < p->table.numBins; ++i)
-            n += p->table.bins[i].liveBlocks;
-    }
-    for (int i = 0; i < g_orphans.numBins; ++i)
-        n += g_orphans.bins[i].liveBlocks;
-    return static_cast<std::size_t>(n < 0 ? 0 : n);
+    std::size_t n = 0;
+    for (int i = 0; i < g_numBins; ++i)
+        n += g_bins[i].liveBlocks;
+    return n;
 }
 
 void *
@@ -179,26 +88,11 @@ packetPoolAcquire(std::size_t size, std::size_t align)
 {
     if (align > alignof(std::max_align_t) || size < sizeof(FreeNode))
         panic("packet pool: unsupported block geometry");
-    Bin &b = localPool().table.binFor(size);
+    Bin &b = binFor(size);
     ++b.liveBlocks;
-    if (b.head == nullptr) {
-        // Local miss: adopt a dead thread's entire freelist for this
-        // size before touching the system allocator.
-        RealLock lock(g_regMu);
-        Bin &o = g_orphans.binFor(size);
-        if (o.head) {
-            b.head = o.head;
-            b.tail = o.tail;
-            b.freeBlocks += o.freeBlocks;
-            o.head = o.tail = nullptr;
-            o.freeBlocks = 0;
-        }
-    }
     if (b.head != nullptr) {
         FreeNode *n = b.head;
         b.head = n->next;
-        if (b.head == nullptr)
-            b.tail = nullptr;
         --b.freeBlocks;
         n->~FreeNode();
         return n;
@@ -209,10 +103,8 @@ packetPoolAcquire(std::size_t size, std::size_t align)
 void
 packetPoolRelease(void *p, std::size_t size)
 {
-    Bin &b = localPool().table.binFor(size);
+    Bin &b = binFor(size);
     FreeNode *n = new (p) FreeNode{b.head};
-    if (b.head == nullptr)
-        b.tail = n;
     b.head = n;
     ++b.freeBlocks;
     --b.liveBlocks;

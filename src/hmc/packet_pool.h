@@ -11,19 +11,9 @@
  * recycled block and steady-state packet churn never touches the
  * system allocator.
  *
- * The pool is sharded per thread: every acquire/release touches only
- * the calling thread's freelists (no locks on the hot path), which is
- * what makes it safe under the partitioned-parallel event core --
- * each worker churns its partitions' packets through its own bins,
- * and a packet freed on a different thread than it was allocated on
- * simply migrates between bins (the per-thread live counts are signed
- * for exactly this reason; only their sum is meaningful).  The only
- * locked surface is the registry of per-thread pools plus the orphan
- * bins that adopt a dying thread's freelists, touched at thread
- * birth/death, on a local freelist miss, and by the stats accessors
- * below (which expect the quiescence the core's barriers provide).
- * Freed blocks are kept on an intrusive freelist inside the block
- * memory itself and reused LIFO for cache warmth.
+ * The pool is process-global and not thread-safe (the simulator is
+ * single-threaded).  Freed blocks are kept on an intrusive freelist
+ * inside the block memory itself and reused LIFO for cache warmth.
  *
  * Whether a given packet came from the pool is captured in its
  * control block at allocation time, so toggling the pool while

@@ -124,12 +124,7 @@ SerdesLink::transmit(LinkDir d, const HmcPacketPtr &pkt, Tick earliest)
         return;
     }
 
-    // Delivery executes in the receiver's partition.  deliverAt is at
-    // least flit serialization + wire + SerDes pipeline past now(), so
-    // it satisfies the parallel core's lookahead contract by
-    // construction (the lookahead is the minimum of exactly this sum).
-    kernel().postCross(dd.rxPart, deliverAt,
-                       [this, d, pkt] { arrive(d, pkt); });
+    kernel().scheduleAt(deliverAt, [this, d, pkt] { arrive(d, pkt); });
 }
 
 void
@@ -232,11 +227,8 @@ SerdesLink::rxPop(LinkDir d)
     HmcPacketPtr pkt = dd.rxQ.front();
     dd.rxQ.pop_front();
     const std::uint32_t flits = pkt->flits();
-    // The token bucket is transmit-side state, so the refund executes
-    // in the sender's partition; tokenReturnLatency is part of the
-    // parallel core's lookahead floor.
-    kernel().postCross(dd.txPart, now() + params_.tokenReturnLatency,
-                       [&dd, flits] { dd.tokens.refund(flits); });
+    kernel().scheduleIn(params_.tokenReturnLatency,
+                        [&dd, flits] { dd.tokens.refund(flits); });
     return pkt;
 }
 

@@ -25,7 +25,6 @@
 namespace hmcsim {
 
 class PacketTracer;
-class Partition;
 class SelfProfiler;
 
 /** Traffic direction over one link. */
@@ -152,23 +151,6 @@ class SerdesLink : public Component
 
     double throttleSlowdown() const { return slowdown_; }
 
-    // ----- partitioned-parallel boundary -----
-
-    /**
-     * Declare which partition drives each end of direction @p d:
-     * @p sender executes the transmit side (send/serialize/tokens) and
-     * @p receiver executes the RX side (arrive/rxPop).  Deliveries and
-     * token refunds then cross via the destination partition's
-     * mailbox.  Unset (serial mode, or a same-partition dedicated host
-     * link) means all events stay on the local queue.
-     */
-    void
-    setPartitions(LinkDir d, Partition *sender, Partition *receiver)
-    {
-        dir(d).txPart = sender;
-        dir(d).rxPart = receiver;
-    }
-
   protected:
     void reportOwnStats(std::map<std::string, double> &out) const override;
     void resetOwnStats() override;
@@ -189,10 +171,6 @@ class SerdesLink : public Component
         Counter flits;
         Tick busyBase = 0;  // channel busy at last stats reset
         Tick throttleFreeAt = 0;  // duty-cycle gap end (throttling only)
-        /** Partition executing each end of this direction (null =
-         *  serial / same-partition: events stay local). */
-        Partition *txPart = nullptr;
-        Partition *rxPart = nullptr;
     };
 
     LinkId id_;

@@ -1,8 +1,5 @@
 #include "host/system.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -41,28 +38,6 @@ SystemConfig::validate() const
     }
     // Resolves the even spread and checks bounds / distinctness.
     host.resolvedEntryCubes(hmc.chain.numCubes);
-    if (sim.parallelEnabled()) {
-        // The parallel core shards per cube; everything it cannot
-        // shard is rejected loudly rather than raced quietly.
-        if (hmc.chain.numCubes < 2)
-            fatal("system: sim.parallel=on needs a multi-cube chain "
-                  "(one partition per cube; hmc.num_cubes >= 2)");
-        if (hmc.power.enabled)
-            fatal("system: sim.parallel=on requires "
-                  "hmc.power.enabled=false (power probes aggregate "
-                  "across partition boundaries)");
-        if (hmc.crcErrorProb > 0.0)
-            fatal("system: sim.parallel=on cannot inject CRC errors "
-                  "(the per-link retry RNG is shared by both "
-                  "directions, which execute in different partitions)");
-        if (obs.profile)
-            fatal("system: sim.parallel=on is incompatible with "
-                  "obs.profile (profiler scopes are single-threaded)");
-        if (obs.anatomy && host.numHosts > 1)
-            fatal("system: sim.parallel=on with multiple hosts cannot "
-                  "run obs.anatomy (hosts in different partitions "
-                  "would race on the collector)");
-    }
 }
 
 SystemConfig
@@ -106,31 +81,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // tests), so this cannot affect simulation results.
     kernel_.queue().configure(cfg_.sim);
     setPacketPoolEnabled(cfg_.sim.packetPool);
-    if (cfg_.sim.parallelEnabled()) {
-        // Conservative lookahead: the cheapest cross-partition
-        // interaction.  A packet handoff costs at least one flit
-        // serialization + wire + SerDes pipeline before the remote
-        // arrive() fires; a token refund costs the token-return
-        // latency.  Both are fixed by the link config, so the horizon
-        // is exact, not an estimate.
-        const Tick flit = serializationTicks(
-            kFlitBytes, cfg_.hmc.linkGbps, cfg_.hmc.lanesPerLink);
-        const Tick hop =
-            flit + cfg_.hmc.linkWireLatency + cfg_.hmc.serdesLatency;
-        const Tick lookahead =
-            std::min(hop, cfg_.hmc.tokenReturnLatency);
-        std::uint32_t threads =
-            static_cast<std::uint32_t>(cfg_.sim.threads);
-        if (threads == 0) {
-            threads = cfg_.hmc.chain.numCubes;
-            const unsigned hw = std::thread::hardware_concurrency();
-            if (hw > 0)
-                threads = std::min<std::uint32_t>(
-                    threads, static_cast<std::uint32_t>(hw));
-        }
-        kernel_.enableParallel(cfg_.sim, cfg_.hmc.chain.numCubes,
-                               threads, lookahead);
-    }
     // Published on the kernel before the tree is built so components
     // can register metrics / cache tracer pointers in their ctors.
     // With all obs.* knobs off the layer is never constructed and
@@ -138,13 +88,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     if (cfg_.obs.anyEnabled()) {
         obs_ = std::make_unique<Observability>(cfg_.obs);
         kernel_.setObservability(obs_.get());
-        if (kernel_.parallelEnabled()) {
-            // One trace-ring shard per partition (+ the global
-            // observer partition) so record() never crosses threads;
-            // dumps merge the shards back into tick order.
-            if (PacketTracer *t = obs_->tracer())
-                t->setNumShards(cfg_.hmc.chain.numCubes + 1);
-        }
     }
     root_ = std::make_unique<RootComponent>(kernel_);
     if (cfg_.hmc.chain.numCubes == 1) {
@@ -156,7 +99,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
         chain_ = std::make_unique<CubeNetwork>(kernel_, root_.get(),
                                                "chain", cfg_.hmc,
                                                entryCubes_);
-        chain_->assignPartitions();
     }
     const bool multi_host = cfg_.host.numHosts > 1;
     for (HostId h = 0; h < cfg_.host.numHosts; ++h) {
@@ -170,17 +112,8 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
                                                 name, hostConfigFor(h),
                                                 makeAttach(h)));
     }
-    for (HostId h = 0; h < hosts_.size(); ++h) {
-        // A host controller executes inside its entry cube's partition
-        // (its links' host-end state lives there); the scope pins the
-        // controller's first self-scheduled tick -- and therefore its
-        // whole event chain -- to that partition.  Null scope (serial
-        // mode) leaves scheduling on the plain kernel queue.
-        ScopedSchedulePartition scope(
-            kernel_.parallelEnabled() ? kernel_.partition(entryCubes_[h])
-                                      : nullptr);
-        hosts_[h]->start();
-    }
+    for (auto &host : hosts_)
+        host->start();
     for (CubeId c = 0; c < numCubes(); ++c) {
         if (PowerModel *pm = device(c).powerModel())
             pm->start();

@@ -117,7 +117,6 @@ void
 MetricsRegistry::addCounter(const std::string &path, const Counter *c,
                             const void *owner)
 {
-    PartitionLock lock(mu_);
     Entry e;
     e.kind = MetricKind::Counter;
     e.counter = c;
@@ -129,7 +128,6 @@ void
 MetricsRegistry::addGauge(const std::string &path,
                           std::function<double()> fn, const void *owner)
 {
-    PartitionLock lock(mu_);
     Entry e;
     e.kind = MetricKind::Gauge;
     e.gauge = std::move(fn);
@@ -141,7 +139,6 @@ void
 MetricsRegistry::addSampler(const std::string &path, const SampleStats *s,
                             const void *owner)
 {
-    PartitionLock lock(mu_);
     Entry e;
     e.kind = MetricKind::Sampler;
     e.sampler = s;
@@ -153,7 +150,6 @@ void
 MetricsRegistry::addHistogram(const std::string &path, const Histogram *h,
                               const void *owner)
 {
-    PartitionLock lock(mu_);
     Entry e;
     e.kind = MetricKind::Histogram;
     e.histogram = h;
@@ -164,7 +160,6 @@ MetricsRegistry::addHistogram(const std::string &path, const Histogram *h,
 void
 MetricsRegistry::remove(const std::string &path, const void *owner)
 {
-    PartitionLock lock(mu_);
     const auto it = entries_.find(path);
     if (it == entries_.end())
         return;
@@ -176,14 +171,12 @@ MetricsRegistry::remove(const std::string &path, const void *owner)
 bool
 MetricsRegistry::has(const std::string &path) const
 {
-    PartitionLock lock(mu_);
     return entries_.count(path) != 0;
 }
 
 std::vector<std::string>
 MetricsRegistry::paths() const
 {
-    PartitionLock lock(mu_);
     std::vector<std::string> out;
     out.reserve(entries_.size());
     for (const auto &[path, entry] : entries_) {
@@ -224,7 +217,6 @@ MetricsRegistry::materialize(const Entry &e)
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    PartitionLock lock(mu_);
     MetricsSnapshot out;
     for (const auto &[path, entry] : entries_)
         out.mutablePoints().emplace(path, materialize(entry));
@@ -234,7 +226,6 @@ MetricsRegistry::snapshot() const
 MetricsSnapshot
 MetricsRegistry::snapshotSubtree(const std::string &prefix) const
 {
-    PartitionLock lock(mu_);
     MetricsSnapshot out;
     for (auto it = entries_.lower_bound(prefix); it != entries_.end();
          ++it) {

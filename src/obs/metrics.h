@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/partition_mutex.h"
 #include "common/stats.h"
-#include "common/thread_annotations.h"
 
 namespace hmcsim {
 
@@ -114,14 +112,9 @@ class MetricSet;
  * gauge callback).  Registration overwrites an existing path -- a
  * replacement port re-registers before its predecessor is destroyed,
  * and the owner token keeps the predecessor's unregistration from
- * tearing down the successor's entries.
- *
- * The entry table is guarded by an assert-only PartitionMutex: under
- * the partitioned-parallel core, per-partition component trees will
- * register into one shared registry whose snapshot() races against
- * registration unless locked.  Gauge callbacks run while the
- * capability is held (snapshot iterates the table), so a gauge must
- * never call back into the registry.
+ * tearing down the successor's entries.  Gauge callbacks run while
+ * snapshot() iterates the table, so a gauge must never call back into
+ * the registry.
  */
 class MetricsRegistry
 {
@@ -144,12 +137,7 @@ class MetricsRegistry
     void remove(const std::string &path, const void *owner = nullptr);
 
     bool has(const std::string &path) const;
-    std::size_t
-    size() const
-    {
-        PartitionLock lock(mu_);
-        return entries_.size();
-    }
+    std::size_t size() const { return entries_.size(); }
 
     /** All registered paths in sorted order. */
     std::vector<std::string> paths() const;
@@ -170,10 +158,7 @@ class MetricsRegistry
         const void *owner = nullptr;
     };
 
-    /** Capability over the entry table (see class comment). */
-    mutable PartitionMutex mu_;
-
-    std::map<std::string, Entry> entries_ HMCSIM_GUARDED_BY(mu_);
+    std::map<std::string, Entry> entries_;
 
     static MetricPoint materialize(const Entry &e);
 };

@@ -19,16 +19,13 @@ TimeSeriesSampler::TimeSeriesSampler(Kernel &kernel,
 void
 TimeSeriesSampler::start()
 {
-    {
-        PartitionLock lock(mu_);
-        if (started_)
-            return;
-        started_ = true;
-        out_.open(path_);
-        if (!out_)
-            fatal("obs: cannot open sample csv '" + path_ + "'");
-        prev_ = registry_.snapshot();
-    }
+    if (started_)
+        return;
+    started_ = true;
+    out_.open(path_);
+    if (!out_)
+        fatal("obs: cannot open sample csv '" + path_ + "'");
+    prev_ = registry_.snapshot();
     kernel_.scheduleIn(interval_, [this] { fire(); });
 }
 
@@ -68,17 +65,13 @@ TimeSeriesSampler::writeRow()
 void
 TimeSeriesSampler::fire()
 {
-    {
-        PartitionLock lock(mu_);
-        writeRow();
-    }
+    writeRow();
     kernel_.scheduleIn(interval_, [this] { fire(); });
 }
 
 void
 TimeSeriesSampler::flushNow()
 {
-    PartitionLock lock(mu_);
     if (!started_)
         return;
     writeRow();

@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/partition_mutex.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "sim/kernel.h"
 
@@ -49,12 +47,7 @@ class TimeSeriesSampler
      */
     void flushNow();
 
-    std::uint64_t
-    rowsWritten() const
-    {
-        PartitionLock lock(mu_);
-        return rows_;
-    }
+    std::uint64_t rowsWritten() const { return rows_; }
     const std::string &csvPath() const { return path_; }
 
   private:
@@ -62,24 +55,15 @@ class TimeSeriesSampler
     const MetricsRegistry &registry_;
     Tick interval_;
     std::string path_;
-
-    /**
-     * Guards the CSV writer state: under the parallel core the
-     * sampling event fires on one partition while panic()'s
-     * flushNow() may run on another.  Held across
-     * registry_.snapshot() (sampler -> registry lock order, never the
-     * reverse) but never across kernel event execution.
-     */
-    mutable PartitionMutex mu_;
-    std::ofstream out_ HMCSIM_GUARDED_BY(mu_);
-    bool started_ HMCSIM_GUARDED_BY(mu_) = false;
-    std::vector<std::string> columns_ HMCSIM_GUARDED_BY(mu_);
-    MetricsSnapshot prev_ HMCSIM_GUARDED_BY(mu_);
-    std::uint64_t rows_ HMCSIM_GUARDED_BY(mu_) = 0;
+    std::ofstream out_;
+    bool started_ = false;
+    std::vector<std::string> columns_;
+    MetricsSnapshot prev_;
+    std::uint64_t rows_ = 0;
 
     void fire();
-    void writeRow() HMCSIM_REQUIRES(mu_);
-    void writeHeader(const MetricsSnapshot &snap) HMCSIM_REQUIRES(mu_);
+    void writeRow();
+    void writeHeader(const MetricsSnapshot &snap);
 };
 
 }  // namespace hmcsim

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/log.h"
-#include "sim/partition.h"
 
 namespace hmcsim {
 
@@ -39,40 +38,20 @@ PacketTracer::PacketTracer(TraceMode mode, std::uint64_t sample_every,
     : mode_(mode), sampleEvery_(sample_every == 0 ? 1 : sample_every),
       cap_(capacity == 0 ? 1 : capacity)
 {
-    setNumShards(1);
+    ring_.reserve(std::min<std::size_t>(cap_, 4096));
 }
 
 void
-PacketTracer::setNumShards(std::size_t n)
+PacketTracer::push(const TraceEvent &ev)
 {
-    if (eventsRecorded() != 0)
-        panic("PacketTracer::setNumShards: tracer already recorded");
-    shards_.clear();
-    for (std::size_t i = 0; i < std::max<std::size_t>(n, 1); ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-        PartitionLock lock(shards_.back()->mu);
-        shards_.back()->ring.reserve(std::min<std::size_t>(cap_, 4096));
-    }
-}
-
-PacketTracer::Shard &
-PacketTracer::currentShard() const
-{
-    const std::size_t s = currentPartitionShard();
-    return s < shards_.size() ? *shards_[s] : *shards_[0];
-}
-
-void
-PacketTracer::push(Shard &s, const TraceEvent &ev)
-{
-    ++s.total;
-    if (s.ring.size() < cap_) {
-        s.ring.push_back(ev);
+    ++total_;
+    if (ring_.size() < cap_) {
+        ring_.push_back(ev);
         return;
     }
-    s.ring[s.next] = ev;
-    s.next = (s.next + 1) % cap_;
-    s.wrapped = true;
+    ring_[next_] = ev;
+    next_ = (next_ + 1) % cap_;
+    wrapped_ = true;
 }
 
 void
@@ -88,26 +67,7 @@ PacketTracer::record(Tick tick, const HmcPacket &pkt, TraceStage stage,
     ev.cmd = pkt.cmd;
     ev.cube = cube;
     ev.where = where;
-    Shard &s = currentShard();
-    PartitionLock lock(s.mu);
-    push(s, ev);
-}
-
-void
-PacketTracer::pushStage(Shard &s, const HmcPacket &pkt, Tick t,
-                        TraceStage stage, std::uint32_t cube,
-                        std::uint32_t where)
-{
-    if (t == 0)
-        return;  // stage never reached / not stamped
-    TraceEvent ev;
-    ev.tick = t;
-    ev.packet = lifeId(pkt);
-    ev.stage = stage;
-    ev.cmd = pkt.cmd;
-    ev.cube = cube;
-    ev.where = where;
-    push(s, ev);
+    push(ev);
 }
 
 void
@@ -115,79 +75,49 @@ PacketTracer::recordLifecycle(const HmcPacket &pkt, std::uint32_t port)
 {
     if (!wants(pkt))
         return;
-    Shard &s = currentShard();
-    PartitionLock lock(s.mu);
-    pushStage(s, pkt, pkt.createdAt, TraceStage::Inject, kTraceNoWhere,
-              port);
-    pushStage(s, pkt, pkt.linkTxAt, TraceStage::LinkTx, kTraceNoWhere,
-              pkt.link);
-    pushStage(s, pkt, pkt.chainIngressAt, TraceStage::ChainIngress,
-              kTraceNoWhere, pkt.link);
-    pushStage(s, pkt, pkt.vaultArriveAt, TraceStage::VaultEnqueue,
-              pkt.cube, pkt.vault);
-    pushStage(s, pkt, pkt.dataReadyAt, TraceStage::DramDone, pkt.cube,
-              pkt.vault);
-    pushStage(s, pkt, pkt.respInjectAt, TraceStage::RespInject, pkt.cube,
-              pkt.vault);
-    pushStage(s, pkt, pkt.hostArriveAt, TraceStage::Eject, kTraceNoWhere,
-              port);
-}
-
-std::vector<TraceEvent>
-PacketTracer::eventsLocked(const Shard &s) const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(s.ring.size());
-    if (s.wrapped && s.ring.size() == cap_) {
-        for (std::size_t i = 0; i < s.ring.size(); ++i)
-            out.push_back(s.ring[(s.next + i) % cap_]);
-    } else {
-        out = s.ring;
-    }
-    return out;
-}
-
-std::uint64_t
-PacketTracer::eventsRecorded() const
-{
-    std::uint64_t total = 0;
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        total += s->total;
-    }
-    return total;
+    const auto at = [&](Tick t, TraceStage stage, std::uint32_t cube,
+                        std::uint32_t where) {
+        if (t == 0)
+            return;  // stage never reached / not stamped
+        TraceEvent ev;
+        ev.tick = t;
+        ev.packet = lifeId(pkt);
+        ev.stage = stage;
+        ev.cmd = pkt.cmd;
+        ev.cube = cube;
+        ev.where = where;
+        push(ev);
+    };
+    at(pkt.createdAt, TraceStage::Inject, kTraceNoWhere, port);
+    at(pkt.linkTxAt, TraceStage::LinkTx, kTraceNoWhere, pkt.link);
+    at(pkt.chainIngressAt, TraceStage::ChainIngress, kTraceNoWhere,
+       pkt.link);
+    at(pkt.vaultArriveAt, TraceStage::VaultEnqueue, pkt.cube, pkt.vault);
+    at(pkt.dataReadyAt, TraceStage::DramDone, pkt.cube, pkt.vault);
+    at(pkt.respInjectAt, TraceStage::RespInject, pkt.cube, pkt.vault);
+    at(pkt.hostArriveAt, TraceStage::Eject, kTraceNoWhere, port);
 }
 
 std::vector<TraceEvent>
 PacketTracer::events() const
 {
-    // Merge: concatenate in shard order, then stable-sort by tick.
-    // One shard (serial mode) is already chronological, so the sort is
-    // the identity and the pre-shard output is preserved bit-for-bit;
-    // with many shards exact-tick ties resolve by shard index --
-    // deterministic for any thread count.
     std::vector<TraceEvent> out;
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        const std::vector<TraceEvent> evs = eventsLocked(*s);
-        out.insert(out.end(), evs.begin(), evs.end());
+    out.reserve(ring_.size());
+    if (wrapped_ && ring_.size() == cap_) {
+        for (std::size_t i = 0; i < ring_.size(); ++i)
+            out.push_back(ring_[(next_ + i) % cap_]);
+    } else {
+        out = ring_;
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.tick < b.tick;
-                     });
     return out;
 }
 
 void
 PacketTracer::clear()
 {
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        s->ring.clear();
-        s->next = 0;
-        s->wrapped = false;
-    }
+    ring_.clear();
+    next_ = 0;
+    wrapped_ = false;
 }
 
 void
@@ -203,7 +133,7 @@ void
 PacketTracer::emitChromeEvents(std::ostream &os, bool &first) const
 {
     // Group the buffer per packet; within a packet events are already
-    // chronological because events() merges the shards by tick.
+    // chronological because each packet records its stages in order.
     std::map<PacketId, std::vector<TraceEvent>> perPacket;
     for (const TraceEvent &ev : events())
         perPacket[ev.packet].push_back(ev);
@@ -253,7 +183,7 @@ PacketTracer::dumpLastEvents(std::ostream &os, std::size_t n) const
     const std::vector<TraceEvent> evs = events();
     const std::size_t start = evs.size() > n ? evs.size() - n : 0;
     os << "packet trace: last " << (evs.size() - start) << " of "
-       << eventsRecorded() << " recorded events\n";
+       << total_ << " recorded events\n";
     for (std::size_t i = start; i < evs.size(); ++i) {
         const TraceEvent &ev = evs[i];
         os << "  t=" << ev.tick << "ps pkt=" << ev.packet << " "

@@ -25,12 +25,9 @@
 #define HMCSIM_OBS_TRACE_H_
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <vector>
 
-#include "common/partition_mutex.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "hmc/packet.h"
 #include "obs/obs_config.h"
@@ -92,17 +89,6 @@ class PacketTracer
     /** Sampling decision on the packet's lifecycle identity. */
     bool wants(const HmcPacket &pkt) const { return wants(lifeId(pkt)); }
 
-    /**
-     * Shard the ring per partition (sim.parallel=on): each recording
-     * thread writes the shard of the partition it is executing, so
-     * hook sites never contend, and dumps merge the shards back into
-     * tick order.  Must be called before anything records.  The
-     * default single shard is the serial flight recorder, bit-for-bit.
-     */
-    void setNumShards(std::size_t n);
-
-    std::size_t numShards() const { return shards_.size(); }
-
     /** Record one live event (full mode hooks). */
     void record(Tick tick, const HmcPacket &pkt, TraceStage stage,
                 std::uint32_t cube = kTraceNoWhere,
@@ -116,10 +102,9 @@ class PacketTracer
     void recordLifecycle(const HmcPacket &pkt, std::uint32_t port);
 
     /** Events recorded over the tracer's lifetime (incl. overwritten). */
-    std::uint64_t eventsRecorded() const;
+    std::uint64_t eventsRecorded() const { return total_; }
 
-    /** Buffer contents in chronological order (shards merged by tick,
-     *  shard index breaking exact ties). */
+    /** Buffer contents, oldest recorded first. */
     std::vector<TraceEvent> events() const;
 
     void clear();
@@ -144,36 +129,15 @@ class PacketTracer
     void dumpLastEvents(std::ostream &os, std::size_t n) const;
 
   private:
-    // mode_/sampleEvery_/cap_ are immutable after construction, so
-    // hook-site sampling tests (wants()) stay lock-free; each shard's
-    // ring and cursors are the mutable state, guarded by the shard's
-    // capability.  Under the parallel core a shard is only ever
-    // written by the thread executing its partition, so the locks
-    // never contend -- they exist for the reader-side merges.
     TraceMode mode_;
     std::uint64_t sampleEvery_;
-    std::size_t cap_;  // ring capacity *per shard*
+    std::vector<TraceEvent> ring_;
+    std::size_t cap_;
+    std::size_t next_ = 0;
+    bool wrapped_ = false;
+    std::uint64_t total_ = 0;
 
-    struct Shard {
-        mutable PartitionMutex mu;
-        std::vector<TraceEvent> ring HMCSIM_GUARDED_BY(mu);
-        std::size_t next HMCSIM_GUARDED_BY(mu) = 0;
-        bool wrapped HMCSIM_GUARDED_BY(mu) = false;
-        std::uint64_t total HMCSIM_GUARDED_BY(mu) = 0;
-    };
-
-    std::vector<std::unique_ptr<Shard>> shards_;
-
-    /** The executing partition's shard (shard 0 in serial mode). */
-    Shard &currentShard() const;
-
-    void push(Shard &s, const TraceEvent &ev) HMCSIM_REQUIRES(s.mu);
-    /** One lifecycle stage from a packet timestamp (0 = not stamped). */
-    void pushStage(Shard &s, const HmcPacket &pkt, Tick t,
-                   TraceStage stage, std::uint32_t cube,
-                   std::uint32_t where) HMCSIM_REQUIRES(s.mu);
-    std::vector<TraceEvent> eventsLocked(const Shard &s) const
-        HMCSIM_REQUIRES(s.mu);
+    void push(const TraceEvent &ev);
 };
 
 }  // namespace hmcsim

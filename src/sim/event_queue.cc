@@ -48,7 +48,6 @@ void
 EventQueue::configure(EventQueueKind kind, std::uint64_t bucketWidth,
                       std::uint64_t numBuckets)
 {
-    PartitionLock lock(mu_);
     if (size_ != 0)
         panic("EventQueue::configure with events pending");
     kind_ = kind;
@@ -85,7 +84,6 @@ EventQueue::panicEmptyExecute()
 void
 EventQueue::clear()
 {
-    PartitionLock lock(mu_);
     heap_.clear();
     for (Bucket &b : ring_) {
         b.v.clear();

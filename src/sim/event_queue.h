@@ -36,8 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/partition_mutex.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "sim/inline_event.h"
 #include "sim/sim_config.h"
@@ -56,15 +54,6 @@ struct EventPriority {
     static constexpr int kStop = 1000;
 };
 
-/**
- * Thread-safety discipline (machine-checked under
- * -DHMCSIM_THREAD_SAFETY=ON with Clang): every piece of queue state is
- * guarded by mu_, the capability a per-cube partition will lock once
- * the parallel core lands.  Public entry points acquire it; private
- * helpers require it.  Event callbacks run OUTSIDE the locked region
- * -- they re-enter schedule() (and would deadlock a real mutex), which
- * the assert-only PartitionMutex enforces today.
- */
 class EventQueue
 {
   public:
@@ -87,12 +76,7 @@ class EventQueue
         configure(cfg.queueKind(), cfg.calendarBucketPs, cfg.calendarBuckets);
     }
 
-    EventQueueKind
-    kind() const
-    {
-        PartitionLock lock(mu_);
-        return kind_;
-    }
+    EventQueueKind kind() const { return kind_; }
 
     /**
      * Schedule @p fn at absolute time @p when.
@@ -106,7 +90,6 @@ class EventQueue
     {
         if (!fn)
             panicNullEvent();
-        PartitionLock lock(mu_);
         const std::uint64_t seq = nextSeq_++;
         ++size_;
         if (kind_ == EventQueueKind::Calendar) {
@@ -147,26 +130,15 @@ class EventQueue
     }
 
     /** True if no events are pending. */
-    bool
-    empty() const
-    {
-        PartitionLock lock(mu_);
-        return size_ == 0;
-    }
+    bool empty() const { return size_ == 0; }
 
     /** Number of pending events. */
-    std::size_t
-    size() const
-    {
-        PartitionLock lock(mu_);
-        return size_;
-    }
+    std::size_t size() const { return size_; }
 
     /** Time of the earliest pending event; kTickNever if empty. */
     Tick
     nextTime() const
     {
-        PartitionLock lock(mu_);
         if (size_ == 0)
             return kTickNever;
         if (kind_ == EventQueueKind::Calendar) {
@@ -190,49 +162,40 @@ class EventQueue
     Tick
     executeNext()
     {
+        if (size_ == 0)
+            panicEmptyExecute();
+        --size_;
+        ++executed_;
         InlineEvent fn;
         Tick when = 0;
-        {
-            PartitionLock lock(mu_);
-            if (size_ == 0)
-                panicEmptyExecute();
-            --size_;
-            ++executed_;
-            if (kind_ == EventQueueKind::Calendar) {
-                Bucket *b = &ring_[curIdx_];
-                if (!b->sorted) {
-                    calendarPeek();  // advance + sort; may move the ring
-                    b = &ring_[curIdx_];
-                }
-                Entry &head = b->v[b->head];
-                when = head.when;
-                fn = std::move(head.fn);
-                if (++b->head == b->v.size()) {
-                    b->v.clear();
-                    b->head = 0;
-                    b->sorted = false;
-                }
-                --ringCount_;
-            } else {
-                Entry e = heapPop();
-                when = e.when;
-                fn = std::move(e.fn);
+        if (kind_ == EventQueueKind::Calendar) {
+            Bucket *b = &ring_[curIdx_];
+            if (!b->sorted) {
+                calendarPeek();  // advance + sort; may move the ring
+                b = &ring_[curIdx_];
             }
+            Entry &head = b->v[b->head];
+            when = head.when;
+            fn = std::move(head.fn);
+            if (++b->head == b->v.size()) {
+                b->v.clear();
+                b->head = 0;
+                b->sorted = false;
+            }
+            --ringCount_;
+        } else {
+            Entry e = heapPop();
+            when = e.when;
+            fn = std::move(e.fn);
         }
-        // The callback runs OUTSIDE the locked region: event handlers
-        // re-enter schedule(), which re-acquires mu_ -- holding the
-        // capability across the call would deadlock the parallel core.
+        // The queue is fully updated before the callback runs: event
+        // handlers re-enter schedule().
         fn();
         return when;
     }
 
     /** Total events executed so far (for engine micro-benchmarks). */
-    std::uint64_t
-    executedCount() const
-    {
-        PartitionLock lock(mu_);
-        return executed_;
-    }
+    std::uint64_t executedCount() const { return executed_; }
 
     /** Drop every pending event. */
     void clear();
@@ -262,8 +225,8 @@ class EventQueue
     }
 
     // -- heap mode (move-based sift; no Entry copies) ------------------
-    void heapPush(Entry &&e) HMCSIM_REQUIRES(mu_);
-    Entry heapPop() HMCSIM_REQUIRES(mu_);
+    void heapPush(Entry &&e);
+    Entry heapPop();
 
     // -- calendar mode -------------------------------------------------
     /**
@@ -284,52 +247,36 @@ class EventQueue
 
     /** Clamped-to-now and beyond-horizon inserts. */
     void calendarPushSlow(Tick when, int priority, std::uint64_t seq,
-                          InlineEvent &&fn) HMCSIM_REQUIRES(mu_);
+                          InlineEvent &&fn);
     /** Rare out-of-order insert into the sorted current bucket. */
     void calendarInsertSorted(Bucket &b, Tick when, int priority,
-                              std::uint64_t seq, InlineEvent &&fn)
-        HMCSIM_REQUIRES(mu_);
+                              std::uint64_t seq, InlineEvent &&fn);
     /** Earliest pending entry; advances the ring to its bucket. */
-    Entry *calendarPeek() HMCSIM_REQUIRES(mu_);
+    Entry *calendarPeek();
     /** Move far-future entries now below the ring horizon into it. */
-    void pullFar() HMCSIM_REQUIRES(mu_);
+    void pullFar();
     /** Re-anchor an empty ring at the earliest far-future entry. */
-    void jumpToFar() HMCSIM_REQUIRES(mu_);
+    void jumpToFar();
 
-    Tick
-    ringSpan() const HMCSIM_REQUIRES(mu_)
-    {
-        return Tick(ring_.size()) << shift_;
-    }
+    Tick ringSpan() const { return Tick(ring_.size()) << shift_; }
 
     [[noreturn]] static void panicNullEvent();
     [[noreturn]] static void panicEmptyExecute();
 
-    /**
-     * The queue's capability: one per partition once the parallel core
-     * shards the simulation per cube.  Assert-only today (the simulator
-     * is single-threaded); mutable so const queries can acquire it.
-     */
-    mutable PartitionMutex mu_;
+    EventQueueKind kind_ = EventQueueKind::Heap;
+    std::uint64_t nextSeq_ = 0;
+    std::uint64_t executed_ = 0;
+    std::size_t size_ = 0;
 
-    EventQueueKind kind_ HMCSIM_GUARDED_BY(mu_) = EventQueueKind::Heap;
-    std::uint64_t nextSeq_ HMCSIM_GUARDED_BY(mu_) = 0;
-    std::uint64_t executed_ HMCSIM_GUARDED_BY(mu_) = 0;
-    std::size_t size_ HMCSIM_GUARDED_BY(mu_) = 0;
+    std::vector<Entry> heap_;
 
-    std::vector<Entry> heap_ HMCSIM_GUARDED_BY(mu_);
-
-    std::vector<Bucket> ring_ HMCSIM_GUARDED_BY(mu_);
-    std::size_t ringMask_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** log2(bucket width in ticks). */
-    unsigned shift_ HMCSIM_GUARDED_BY(mu_) = 0;
-    std::size_t curIdx_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Inclusive start of the current bucket. */
-    Tick curBucketStart_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Pending entries resident in the ring. */
-    std::size_t ringCount_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Min-heap of entries beyond the ring. */
-    std::vector<Entry> far_ HMCSIM_GUARDED_BY(mu_);
+    std::vector<Bucket> ring_;
+    std::size_t ringMask_ = 0;
+    unsigned shift_ = 0;        ///< log2(bucket width in ticks)
+    std::size_t curIdx_ = 0;
+    Tick curBucketStart_ = 0;   ///< inclusive start of the current bucket
+    std::size_t ringCount_ = 0; ///< pending entries resident in the ring
+    std::vector<Entry> far_;    ///< min-heap of entries beyond the ring
 };
 
 }  // namespace hmcsim

@@ -46,11 +46,6 @@ SimConfig::validate() const
         fatal("sim: calendar_buckets must be a power of two");
     if (calendarBuckets < 2)
         fatal("sim: calendar_buckets must be >= 2");
-    if (parallel != "off" && parallel != "on")
-        fatal("sim: unknown parallel mode '" + parallel +
-              "' (expected off|on)");
-    if (threads > 256)
-        fatal("sim: threads must be <= 256");
 }
 
 SimConfig
@@ -62,8 +57,6 @@ SimConfig::fromConfig(const Config &cfg)
         cfg.getU64("sim.calendar_bucket_ps", c.calendarBucketPs);
     c.calendarBuckets = cfg.getU64("sim.calendar_buckets", c.calendarBuckets);
     c.packetPool = cfg.getBool("sim.packet_pool", c.packetPool);
-    c.parallel = cfg.getString("sim.parallel", c.parallel);
-    c.threads = cfg.getU64("sim.threads", c.threads);
     c.validate();
     return c;
 }
@@ -75,8 +68,6 @@ SimConfig::toConfig(Config &cfg) const
     cfg.setU64("sim.calendar_bucket_ps", calendarBucketPs);
     cfg.setU64("sim.calendar_buckets", calendarBuckets);
     cfg.setBool("sim.packet_pool", packetPool);
-    cfg.set("sim.parallel", parallel);
-    cfg.setU64("sim.threads", threads);
 }
 
 }  // namespace hmcsim

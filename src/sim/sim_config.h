@@ -25,17 +25,6 @@
  *                                  pool (default true; false restores
  *                                  plain make_shared for differential
  *                                  testing)
- *   sim.parallel             off|on  partitioned-parallel event core:
- *                                  one partition + local clock per
- *                                  cube, conservative chain-link
- *                                  lookahead windows (default off --
- *                                  the serial run loop, bit-identical
- *                                  to every prior release)
- *   sim.threads              u64   worker threads for sim.parallel=on;
- *                                  0 (default) means one per cube,
- *                                  capped at hardware concurrency.
- *                                  Results are identical for every
- *                                  thread count.
  */
 
 #ifndef HMCSIM_SIM_SIM_CONFIG_H_
@@ -64,16 +53,12 @@ struct SimConfig {
     std::uint64_t calendarBucketPs = 512;
     std::uint64_t calendarBuckets = 4096;
     bool packetPool = true;
-    std::string parallel = "off";
-    std::uint64_t threads = 0;
 
     EventQueueKind
     queueKind() const
     {
         return eventQueueKindFromString(eventQueue);
     }
-
-    bool parallelEnabled() const { return parallel == "on"; }
 
     void validate() const;
 

@@ -9,10 +9,16 @@
  * of sim.event_queue={heap,calendar} x sim.packet_pool={0,1}.  (Full
  * CSV byte-equality against a pre-optimization build was additionally
  * verified when the engine landed; these tests pin the invariant
- * in-tree.)
+ * in-tree.)  The chain slice also pins the kernel's total event count,
+ * and the config tests pin the `sim.*` surface: exactly four knobs,
+ * each round-tripping through Config.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "host/experiment.h"
 #include "host/system.h"
@@ -30,6 +36,8 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_DOUBLE_EQ(a.minReadLatencyNs, b.minReadLatencyNs);
     EXPECT_DOUBLE_EQ(a.maxReadLatencyNs, b.maxReadLatencyNs);
     EXPECT_DOUBLE_EQ(a.stddevReadLatencyNs, b.stddevReadLatencyNs);
+    EXPECT_DOUBLE_EQ(a.avgChainHops, b.avgChainHops);
+    EXPECT_EQ(a.totalChainTransitFlits, b.totalChainTransitFlits);
     ASSERT_EQ(a.ports.size(), b.ports.size());
     for (std::size_t i = 0; i < a.ports.size(); ++i) {
         EXPECT_EQ(a.ports[i].reads, b.ports[i].reads);
@@ -67,6 +75,24 @@ fig06Slice(const SystemConfig &cfg)
     return runGups(cfg, spec);
 }
 
+/**
+ * A 9-port 64 B GUPS run over the whole address space, with the
+ * System held locally so the kernel's total event count comes back
+ * alongside the stats.
+ */
+std::pair<ExperimentResult, std::uint64_t>
+gupsSliceWithEvents(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    WorkloadSpec spec;
+    spec.requestBytes = 64;
+    for (PortId p = 0; p < 9; ++p)
+        sys.configureWorkload(p, spec);
+    sys.run(4 * kMicrosecond);
+    ExperimentResult res = sys.measure(10 * kMicrosecond);
+    return {std::move(res), sys.kernel().eventsExecuted()};
+}
+
 /** The fig08 ingredient: one batched stream into vault 0. */
 ExperimentResult
 fig08Slice(const SystemConfig &cfg)
@@ -102,9 +128,13 @@ TEST(EngineIdentity, ChainRingIdenticalAcrossEngines)
     SystemConfig base;
     base.hmc.chain.numCubes = 4;
     base.hmc.chain.topology = "ring";
-    const ExperimentResult ref = fig06Slice(base);
-    for (const SystemConfig &c : engineCorners(base))
-        expectIdentical(ref, fig06Slice(c));
+    const auto ref = gupsSliceWithEvents(base);
+    EXPECT_GT(ref.first.totalChainTransitFlits, 0u);
+    for (const SystemConfig &c : engineCorners(base)) {
+        const auto got = gupsSliceWithEvents(c);
+        expectIdentical(ref.first, got.first);
+        EXPECT_EQ(ref.second, got.second) << "event count diverged";
+    }
 }
 
 TEST(EngineIdentity, ConfigRoundTripSelectsEngine)
@@ -124,6 +154,52 @@ TEST(EngineIdentity, ConfigRoundTripSelectsEngine)
 
     SystemConfig def;
     EXPECT_EQ(def.sim.queueKind(), EventQueueKind::Calendar);
+}
+
+TEST(EngineIdentity, ConfigRoundTripKeepsEverySimKey)
+{
+    SystemConfig in;
+    in.sim.eventQueue = "heap";
+    in.sim.calendarBucketPs = 1024;
+    in.sim.calendarBuckets = 256;
+    in.sim.packetPool = false;
+    Config cfg;
+    in.toConfig(cfg);
+
+    std::vector<std::string> simKeys;
+    for (const std::string &k : cfg.keys()) {
+        if (k.rfind("sim.", 0) == 0)
+            simKeys.push_back(k);
+    }
+    EXPECT_EQ(simKeys,
+              (std::vector<std::string>{"sim.calendar_bucket_ps",
+                                        "sim.calendar_buckets",
+                                        "sim.event_queue",
+                                        "sim.packet_pool"}));
+
+    const SimConfig out = SystemConfig::fromConfig(cfg).sim;
+    EXPECT_EQ(out.eventQueue, "heap");
+    EXPECT_EQ(out.calendarBucketPs, 1024u);
+    EXPECT_EQ(out.calendarBuckets, 256u);
+    EXPECT_FALSE(out.packetPool);
+}
+
+TEST(EngineIdentity, RemovedParallelKeysAreIgnored)
+{
+    // Configs written for older builds may still carry sim.parallel /
+    // sim.threads.  Config does not reject unknown keys, so they parse
+    // and run the one serial engine unchanged.
+    SystemConfig base;
+    base.hmc.chain.numCubes = 4;
+    base.hmc.chain.topology = "ring";
+    base.hmc.power.enabled = false;
+    Config cfg;
+    base.toConfig(cfg);
+    cfg.parseString("[sim]\nparallel = on\nthreads = 4\n");
+    const auto ref = gupsSliceWithEvents(base);
+    const auto got = gupsSliceWithEvents(SystemConfig::fromConfig(cfg));
+    expectIdentical(ref.first, got.first);
+    EXPECT_EQ(ref.second, got.second);
 }
 
 }  // namespace
