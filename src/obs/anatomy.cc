@@ -365,17 +365,18 @@ CongestionRecorder::fire()
         }
         return;  // stop sampling and rescheduling
     }
-    if (paths_.empty()) {
-        // Freeze the component set at the first fire; by then the
-        // whole tree has registered.
+    if (windowStartNs_.empty()) {
+        // Freeze the component set at the first fire, even when it is
+        // empty; by then the whole tree has registered.
         for (const std::string &p : registry_.paths())
             if (isOccupancyPath(p))
                 paths_.push_back(p);
         series_.assign(paths_.size(), {});
     }
-    const MetricsSnapshot snap = registry_.snapshot();
+    // Look each path up per window: a replaced port re-registers its
+    // gauge in place, so a cached entry could dangle.
     for (std::size_t i = 0; i < paths_.size(); ++i)
-        series_[i].push_back(snap.value(paths_[i]));
+        series_[i].push_back(registry_.value(paths_[i]));
     windowStartNs_.push_back(ticksToNs(kernel_.now() - window_));
     kernel_.scheduleIn(window_, [this] { fire(); });
 }

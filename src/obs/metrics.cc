@@ -186,30 +186,36 @@ MetricsRegistry::paths() const
     return out;
 }
 
+double
+MetricsRegistry::scalar(const Entry &e)
+{
+    switch (e.kind) {
+      case MetricKind::Counter:
+        return static_cast<double>(e.counter->value());
+      case MetricKind::Gauge:
+        return e.gauge();
+      case MetricKind::Sampler:
+        return e.sampler->mean();
+      case MetricKind::Histogram:
+        return static_cast<double>(e.histogram->total());
+    }
+    return 0.0;
+}
+
 MetricPoint
 MetricsRegistry::materialize(const Entry &e)
 {
     MetricPoint p;
     p.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::Counter:
-        p.value = static_cast<double>(e.counter->value());
-        break;
-      case MetricKind::Gauge:
-        p.value = e.gauge();
-        break;
-      case MetricKind::Sampler:
+    p.value = scalar(e);
+    if (e.kind == MetricKind::Sampler) {
         p.sample = *e.sampler;
-        p.value = p.sample.mean();
-        break;
-      case MetricKind::Histogram:
+    } else if (e.kind == MetricKind::Histogram) {
         p.binLo = e.histogram->lo();
         p.binHi = e.histogram->hi();
         p.bins.resize(e.histogram->bins());
         for (std::size_t i = 0; i < p.bins.size(); ++i)
             p.bins[i] = e.histogram->count(i);
-        p.value = static_cast<double>(e.histogram->total());
-        break;
     }
     return p;
 }
@@ -221,6 +227,13 @@ MetricsRegistry::snapshot() const
     for (const auto &[path, entry] : entries_)
         out.mutablePoints().emplace(path, materialize(entry));
     return out;
+}
+
+double
+MetricsRegistry::value(const std::string &path) const
+{
+    const auto it = entries_.find(path);
+    return it == entries_.end() ? 0.0 : scalar(it->second);
 }
 
 MetricsSnapshot

@@ -113,8 +113,8 @@ class MetricSet;
  * replacement port re-registers before its predecessor is destroyed,
  * and the owner token keeps the predecessor's unregistration from
  * tearing down the successor's entries.  Gauge callbacks run while
- * snapshot() iterates the table, so a gauge must never call back into
- * the registry.
+ * snapshot() iterates the table (or value() looks one up), so a gauge
+ * must never call back into the registry.
  */
 class MetricsRegistry
 {
@@ -142,8 +142,20 @@ class MetricsRegistry
     /** All registered paths in sorted order. */
     std::vector<std::string> paths() const;
 
-    /** Materialize the whole tree. */
+    /**
+     * Materialize the whole tree: every entry is copied, histograms
+     * bin by bin and every gauge callback run.  Meant for the
+     * emitters and the time-series sampler; do not call it from a
+     * per-window hot path that needs only a few scalars -- use value().
+     */
     MetricsSnapshot snapshot() const;
+
+    /**
+     * The scalar snapshot().value(@p path) would return, read straight
+     * from the live entry: counter value, gauge reading, sampler mean
+     * or histogram total; 0 when @p path is absent.
+     */
+    double value(const std::string &path) const;
 
     /** Materialize only paths starting with @p prefix. */
     MetricsSnapshot snapshotSubtree(const std::string &prefix) const;
@@ -160,6 +172,8 @@ class MetricsRegistry
 
     std::map<std::string, Entry> entries_;
 
+    /** The entry's scalar reading (see value()). */
+    static double scalar(const Entry &e);
     static MetricPoint materialize(const Entry &e);
 };
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -269,6 +270,82 @@ TEST(CongestionRecorder, StopsAtWindowCap)
     kernel.run(1000);
     EXPECT_EQ(rec.windows(), 3u);
     EXPECT_TRUE(rec.truncated());
+}
+
+TEST(CongestionRecorder, ReadsOnlyOccupancyGauges)
+{
+    Kernel kernel;
+    MetricsRegistry reg;
+    int occupancyCalls = 0;
+    int counterCalls = 0;
+    reg.addGauge("x.port0.outstanding_now", [&occupancyCalls] {
+        ++occupancyCalls;
+        return 2.0;
+    });
+    reg.addGauge("x.port0.reads", [&counterCalls] {
+        ++counterCalls;
+        return 1.0;
+    });
+    CongestionRecorder rec(kernel, reg, 100);
+    rec.start();
+    kernel.run(1000);
+
+    ASSERT_EQ(rec.windows(), 10u);
+    EXPECT_EQ(occupancyCalls, 10);
+    EXPECT_EQ(counterCalls, 0);
+}
+
+TEST(CongestionRecorder, ReadsReplacedGaugeAfterReRegistration)
+{
+    Kernel kernel;
+    MetricsRegistry reg;
+    int oldOwner = 0, newOwner = 0;
+    reg.addGauge("x.port0.outstanding_now", [] { return 1.0; },
+                 &oldOwner);
+    CongestionRecorder rec(kernel, reg, 100);
+    rec.start();
+    // A replaced port re-registers its gauge at the same path before
+    // the predecessor unregisters (which the owner token then ignores).
+    kernel.scheduleIn(150, [&] {
+        reg.addGauge("x.port0.outstanding_now", [] { return 7.0; },
+                     &newOwner);
+        reg.remove("x.port0.outstanding_now", &oldOwner);
+    });
+    kernel.run(400);
+
+    ASSERT_EQ(rec.windows(), 4u);
+    ASSERT_EQ(rec.paths().size(), 1u);
+    EXPECT_EQ(rec.toCsv(),
+              "component,0,0.1,0.2,0.3\n"
+              "x.port0.outstanding_now,1,7,7,7\n");
+}
+
+TEST(CongestionRecorder, FreezesEmptyColumnSetAtFirstWindow)
+{
+    Kernel kernel;
+    MetricsRegistry reg;
+    CongestionRecorder rec(kernel, reg, 100);
+    rec.start();
+    // A gauge that registers after the first window is not sampled:
+    // the column set froze (empty) then, and every row keeps the
+    // header's width.
+    kernel.scheduleIn(150, [&reg] {
+        reg.addGauge("late.q_now", [] { return 4.0; });
+    });
+    kernel.run(300);
+
+    EXPECT_EQ(rec.windows(), 3u);
+    EXPECT_TRUE(rec.paths().empty());
+    const std::string csv = rec.toCsv();
+    std::istringstream lines(csv);
+    std::string header;
+    ASSERT_TRUE(std::getline(lines, header));
+    EXPECT_EQ(header, "component,0,0.1,0.2");  // window starts in ns
+    const auto width = [](const std::string &row) {
+        return std::count(row.begin(), row.end(), ',');
+    };
+    for (std::string row; std::getline(lines, row);)
+        EXPECT_EQ(width(row), width(header)) << row;
 }
 
 /** The standard 4-port GUPS scenario from the obs system tests. */

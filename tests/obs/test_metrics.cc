@@ -53,6 +53,42 @@ TEST(MetricsRegistry, RegisterSnapshotRoundTrip)
     EXPECT_DOUBLE_EQ(reg.snapshot().value("a.requests"), 107.0);
 }
 
+TEST(MetricsRegistry, ValueMatchesSnapshotValue)
+{
+    MetricsRegistry reg;
+    Counter c;
+    c.inc(7);
+    SampleStats s;
+    s.add(10.0);
+    s.add(35.0);
+    Histogram h(0.0, 100.0, 4);
+    h.add(10.0);
+    h.add(60.0);
+    h.add(90.0);
+    double depth = 3.5;
+
+    reg.addCounter("a.requests", &c);
+    reg.addGauge("a.depth_now", [&depth] { return depth; });
+    reg.addSampler("a.latency", &s);
+    reg.addHistogram("a.hist", &h);
+
+    const MetricsSnapshot snap = reg.snapshot();
+    for (const char *p :
+         {"a.requests", "a.depth_now", "a.latency", "a.hist", "a.nope"})
+        EXPECT_DOUBLE_EQ(reg.value(p), snap.value(p)) << p;
+    EXPECT_DOUBLE_EQ(reg.value("a.requests"), 7.0);
+    EXPECT_DOUBLE_EQ(reg.value("a.depth_now"), 3.5);
+    EXPECT_DOUBLE_EQ(reg.value("a.latency"), 22.5);
+    EXPECT_DOUBLE_EQ(reg.value("a.hist"), 3.0);
+    EXPECT_DOUBLE_EQ(reg.value("a.nope"), 0.0);
+
+    // value() reads the live entry, not a copy.
+    depth = 8.0;
+    c.inc(3);
+    EXPECT_DOUBLE_EQ(reg.value("a.depth_now"), 8.0);
+    EXPECT_DOUBLE_EQ(reg.value("a.requests"), 10.0);
+}
+
 TEST(MetricsRegistry, SnapshotMergeSemantics)
 {
     MetricsRegistry reg1, reg2;
