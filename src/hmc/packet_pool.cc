@@ -2,6 +2,8 @@
 
 #include <new>
 
+#include <sanitizer/asan_interface.h>
+
 #include "common/log.h"
 
 namespace hmcsim {
@@ -32,8 +34,6 @@ constexpr int kMaxBins = 8;
 Bin g_bins[kMaxBins];
 int g_numBins = 0;
 
-bool g_enabled = true;
-
 Bin &
 binFor(std::size_t size)
 {
@@ -52,18 +52,6 @@ binFor(std::size_t size)
 }
 
 }  // namespace
-
-void
-setPacketPoolEnabled(bool enabled)
-{
-    g_enabled = enabled;
-}
-
-bool
-packetPoolEnabled()
-{
-    return g_enabled;
-}
 
 std::size_t
 packetPoolFreeBlocks()
@@ -92,6 +80,7 @@ packetPoolAcquire(std::size_t size, std::size_t align)
     ++b.liveBlocks;
     if (b.head != nullptr) {
         FreeNode *n = b.head;
+        ASAN_UNPOISON_MEMORY_REGION(n, size);
         b.head = n->next;
         --b.freeBlocks;
         n->~FreeNode();
@@ -108,6 +97,11 @@ packetPoolRelease(void *p, std::size_t size)
     b.head = n;
     ++b.freeBlocks;
     --b.liveBlocks;
+    // Poison all but the link word: LeakSanitizer ignores pointers in
+    // poisoned memory, and the freelist must stay reachable.  The
+    // packet itself sits behind the shared_ptr control block, well
+    // past the link, so every packet field is poisoned.
+    ASAN_POISON_MEMORY_REGION(n + 1, size - sizeof(FreeNode));
 }
 
 }  // namespace hmcsim

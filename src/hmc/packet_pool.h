@@ -14,13 +14,13 @@
  * The pool is process-global and not thread-safe (the simulator is
  * single-threaded).  Freed blocks are kept on an intrusive freelist
  * inside the block memory itself and reused LIFO for cache warmth.
+ * The pool changes only where bytes live, never any field value, so
+ * it cannot affect simulation results.
  *
- * Whether a given packet came from the pool is captured in its
- * control block at allocation time, so toggling the pool while
- * packets are in flight is safe: every block is returned the same way
- * it was obtained.  sim.packet_pool=false restores plain operator new
- * for differential testing (bit-identical by construction -- the pool
- * changes only where bytes live, never any field value).
+ * Under AddressSanitizer a block resting on the freelist is poisoned
+ * (all but its link word), so a use of a packet after its last
+ * shared_ptr died is reported just as it would be for a plain heap
+ * allocation.
  */
 
 #ifndef HMCSIM_HMC_PACKET_POOL_H_
@@ -29,10 +29,6 @@
 #include <cstddef>
 
 namespace hmcsim {
-
-/** Enable/disable recycling for *future* allocations. */
-void setPacketPoolEnabled(bool enabled);
-bool packetPoolEnabled();
 
 /** Blocks currently resting on the freelist (tests/diagnostics). */
 std::size_t packetPoolFreeBlocks();
@@ -47,36 +43,32 @@ void *packetPoolAcquire(std::size_t size, std::size_t align);
 void packetPoolRelease(void *p, std::size_t size);
 
 /**
- * Stateless-per-type allocator whose pooling decision is frozen at
- * construction.  std::allocate_shared copies it into the control
- * block, which is what makes in-flight toggling safe.
+ * Stateless allocator that routes single-object allocations (the
+ * fused control block + packet of std::allocate_shared) through the
+ * pool.
  */
 template <typename T>
 struct PacketPoolAllocator {
     using value_type = T;
 
-    bool pooled;
-
-    PacketPoolAllocator() : pooled(packetPoolEnabled()) {}
+    PacketPoolAllocator() = default;
     template <typename U>
-    PacketPoolAllocator(const PacketPoolAllocator<U> &o) : pooled(o.pooled)
+    PacketPoolAllocator(const PacketPoolAllocator<U> &)
     {
     }
 
     T *
     allocate(std::size_t n)
     {
-        if (n == 1 && pooled) {
-            return static_cast<T *>(
-                packetPoolAcquire(sizeof(T), alignof(T)));
-        }
+        if (n == 1)
+            return static_cast<T *>(packetPoolAcquire(sizeof(T), alignof(T)));
         return static_cast<T *>(::operator new(n * sizeof(T)));
     }
 
     void
     deallocate(T *p, std::size_t n)
     {
-        if (n == 1 && pooled) {
+        if (n == 1) {
             packetPoolRelease(p, sizeof(T));
             return;
         }
@@ -85,15 +77,15 @@ struct PacketPoolAllocator {
 
     template <typename U>
     bool
-    operator==(const PacketPoolAllocator<U> &o) const
+    operator==(const PacketPoolAllocator<U> &) const
     {
-        return pooled == o.pooled;
+        return true;
     }
     template <typename U>
     bool
-    operator!=(const PacketPoolAllocator<U> &o) const
+    operator!=(const PacketPoolAllocator<U> &) const
     {
-        return !(*this == o);
+        return false;
     }
 };
 

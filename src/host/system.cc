@@ -3,7 +3,6 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "hmc/packet_pool.h"
 
 namespace hmcsim {
 
@@ -75,12 +74,11 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
     entryCubes_ = cfg_.host.resolvedEntryCubes(cfg_.hmc.chain.numCubes);
-    // Engine selection happens before anything can schedule: the queue
-    // implementation and the packet pool trade only wall-clock speed,
-    // never event order (guarded by tests/sim + tests/host identity
-    // tests), so this cannot affect simulation results.
+    // The calendar geometry is set before anything can schedule; it
+    // trades only wall-clock speed, never event order (guarded by
+    // tests/sim + tests/host identity tests), so this cannot affect
+    // simulation results.
     kernel_.queue().configure(cfg_.sim);
-    setPacketPoolEnabled(cfg_.sim.packetPool);
     // Published on the kernel before the tree is built so components
     // can register metrics / cache tracer pointers in their ctors.
     // With all obs.* knobs off the layer is never constructed and

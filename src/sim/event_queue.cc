@@ -16,57 +16,35 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Inlinable comparator wrapper for the std heap/sort algorithms. */
-struct LaterCmp {
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        return a.seq > b.seq;
-    }
-};
-
-/** Ascending fire order, for sorting buckets. */
-struct EarlierCmp {
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        return LaterCmp{}(b, a);
-    }
-};
-
 }  // namespace
 
-EventQueue::EventQueue() = default;
+EventQueue::EventQueue()
+{
+    configure(SimConfig{});
+}
 
 void
-EventQueue::configure(EventQueueKind kind, std::uint64_t bucketWidth,
-                      std::uint64_t numBuckets)
+EventQueue::configure(std::uint64_t bucketWidth, std::uint64_t numBuckets)
 {
     if (size_ != 0)
         panic("EventQueue::configure with events pending");
-    kind_ = kind;
-    if (kind != EventQueueKind::Calendar)
-        return;
     if (!isPowerOfTwo(bucketWidth) || !isPowerOfTwo(numBuckets) ||
         numBuckets < 2)
         panic("EventQueue::configure: calendar geometry must be "
               "powers of two with >= 2 buckets");
-    shift_ = 0;
-    while ((Tick(1) << shift_) < bucketWidth)
-        ++shift_;
-    ring_.clear();
-    ring_.resize(static_cast<std::size_t>(numBuckets));
-    ringMask_ = static_cast<std::size_t>(numBuckets) - 1;
+    unsigned shift = 0;
+    while ((Tick(1) << shift) < bucketWidth)
+        ++shift;
+    // With nothing pending every bucket is already empty, so an
+    // unchanged geometry keeps its ring; only the anchor resets.
+    if (shift != shift_ || numBuckets != ring_.size()) {
+        shift_ = shift;
+        ring_.clear();
+        ring_.resize(static_cast<std::size_t>(numBuckets));
+        ringMask_ = static_cast<std::size_t>(numBuckets) - 1;
+    }
     curIdx_ = 0;
     curBucketStart_ = 0;
-    ringCount_ = 0;
-    far_.clear();
 }
 
 void
@@ -84,7 +62,6 @@ EventQueue::panicEmptyExecute()
 void
 EventQueue::clear()
 {
-    heap_.clear();
     for (Bucket &b : ring_) {
         b.v.clear();
         b.head = 0;
@@ -97,101 +74,40 @@ EventQueue::clear()
     size_ = 0;
 }
 
-// ---------------------------------------------------------------------
-// heap mode
-// ---------------------------------------------------------------------
-
 void
-EventQueue::heapPush(Entry &&e)
+EventQueue::settleBack(Bucket &b)
 {
-    heap_.push_back(std::move(e));
-    std::size_t i = heap_.size() - 1;
-    Entry item = std::move(heap_[i]);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!laterThan(heap_[parent], item))
-            break;
-        heap_[i] = std::move(heap_[parent]);
-        i = parent;
-    }
-    heap_[i] = std::move(item);
+    // Rare out-of-order insert (e.g. a default-priority event
+    // scheduled at now while a stats-priority event is still pending
+    // at the same tick).  Shift the later entries up one slot, as
+    // vector::insert would.
+    const auto last = std::prev(b.v.end());
+    Entry e = std::move(*last);
+    const auto pos = std::upper_bound(
+        b.v.begin() + static_cast<std::ptrdiff_t>(b.head), last, e,
+        Earlier{});
+    std::move_backward(pos, last, b.v.end());
+    *pos = std::move(e);
 }
 
-EventQueue::Entry
-EventQueue::heapPop()
-{
-    Entry top = std::move(heap_.front());
-    Entry last = std::move(heap_.back());
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-        std::size_t i = 0;
-        for (;;) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && laterThan(heap_[child], heap_[child + 1]))
-                ++child;
-            if (!laterThan(last, heap_[child]))
-                break;
-            heap_[i] = std::move(heap_[child]);
-            i = child;
-        }
-        heap_[i] = std::move(last);
-    }
-    return top;
-}
-
-// ---------------------------------------------------------------------
-// calendar mode
-// ---------------------------------------------------------------------
-
 void
-EventQueue::calendarPushSlow(Tick when, int priority, std::uint64_t seq,
-                             InlineEvent &&fn)
+EventQueue::pushSlow(Tick when, int priority, std::uint64_t seq,
+                     InlineEvent &&fn)
 {
     if (when > curBucketStart_) {
         // Beyond the ring horizon: hold in the far-future min-heap.
         far_.emplace_back(when, priority, seq, std::move(fn));
-        std::push_heap(far_.begin(), far_.end(), LaterCmp{});
+        std::push_heap(far_.begin(), far_.end(), Later{});
         return;
     }
     // Past or current-bucket-start times clamp into the current
     // bucket; ordering within the bucket is still exact, and every
     // later bucket holds strictly later times.
-    Bucket &b = ring_[curIdx_];
-    ++ringCount_;
-    if (b.sorted) {
-        const Entry &last = b.v.back();
-        const bool firesAfter =
-            when != last.when
-                ? when > last.when
-                : priority != last.priority ? priority > last.priority
-                                            : seq > last.seq;
-        if (!firesAfter) {
-            calendarInsertSorted(b, when, priority, seq, std::move(fn));
-            return;
-        }
-    }
-    b.v.emplace_back(when, priority, seq, std::move(fn));
-}
-
-void
-EventQueue::calendarInsertSorted(Bucket &b, Tick when, int priority,
-                                 std::uint64_t seq, InlineEvent &&fn)
-{
-    // Rare out-of-order insert (e.g. a default-priority event
-    // scheduled at now while a stats-priority event is still pending
-    // at the same tick): rotate into place.
-    Entry e(when, priority, seq, std::move(fn));
-    const auto pos =
-        std::upper_bound(b.v.begin() + static_cast<std::ptrdiff_t>(b.head),
-                         b.v.end(), e, EarlierCmp{});
-    b.v.insert(pos, std::move(e));
+    append(ring_[curIdx_], when, priority, seq, std::move(fn));
 }
 
 EventQueue::Entry *
-EventQueue::calendarPeek()
+EventQueue::peek()
 {
     for (;;) {
         if (ringCount_ == 0)
@@ -199,7 +115,7 @@ EventQueue::calendarPeek()
         Bucket &b = ring_[curIdx_];
         if (!b.v.empty()) {
             if (!b.sorted) {
-                std::sort(b.v.begin(), b.v.end(), EarlierCmp{});
+                std::sort(b.v.begin(), b.v.end(), Earlier{});
                 b.sorted = true;
             }
             return &b.v[b.head];
@@ -219,7 +135,7 @@ EventQueue::pullFar()
     // always > curBucketStart_, so the subtraction cannot wrap.
     const Tick span = ringSpan();
     while (!far_.empty() && far_.front().when - curBucketStart_ < span) {
-        std::pop_heap(far_.begin(), far_.end(), LaterCmp{});
+        std::pop_heap(far_.begin(), far_.end(), Later{});
         Entry e = std::move(far_.back());
         far_.pop_back();
         ring_[static_cast<std::size_t>(e.when >> shift_) & ringMask_]

@@ -7,27 +7,25 @@
  * events, which keeps simulations deterministic regardless of queue
  * internals.
  *
- * Two interchangeable implementations live behind the one API, selected
- * by configure() (sim.event_queue):
+ * The queue is a two-level calendar tuned for the simulator's schedule
+ * pattern (almost all events land within a few link/DRAM latencies of
+ * now, densely packed in time).  Near-future events go into a
+ * power-of-two ring of time buckets; far-future events wait in an
+ * overflow min-heap and are pulled into the ring lazily as it
+ * advances.  Buckets append unsorted and sort lazily only when a
+ * bucket becomes current, so schedule() is O(1) and executeNext() is
+ * amortized O(k log k) over the handful of events sharing a bucket.
  *
- *  - heap: a move-based binary min-heap.  The reference implementation;
- *    simple, allocation-free after warmup, used for differential
- *    testing.
- *
- *  - calendar: a two-level calendar queue tuned for the simulator's
- *    schedule pattern (almost all events land within a few link/DRAM
- *    latencies of now, densely packed in time).  Near-future events go
- *    into a power-of-two ring of time buckets; far-future events wait
- *    in an overflow min-heap and are pulled into the ring lazily as it
- *    advances.  Buckets append unsorted and sort lazily only when a
- *    bucket becomes current, so schedule() is O(1) and executeNext()
- *    is amortized O(k log k) over the handful of events sharing a
- *    bucket -- beating the heap's O(log n) over the full pending set.
- *
- * Both orderings are exact: for any interleaving of schedule() and
- * executeNext() calls the two modes fire events in the identical
- * sequence (guarded by tests/sim/test_queue_differential.cc), so the
- * knob can never change simulation results, only wall-clock speed.
+ * The ordering is exact for every ring geometry: for any interleaving
+ * of schedule() and executeNext() calls events fire in the sequence a
+ * plain (time, priority, seq) min-heap would produce (guarded by
+ * tests/sim/test_queue_differential.cc against a reference heap that
+ * lives in the test, and by tests/host/test_engine_identity.cc across
+ * geometries), so the sim.calendar_* knobs can never change simulation
+ * results, only wall-clock speed.  The one adversarial geometry -- a
+ * large pending set whose delays are all much smaller than one bucket
+ * -- makes out-of-order inserts into the current bucket quadratic;
+ * bench/micro_kernel.cc's skew sweep measures it.
  */
 
 #ifndef HMCSIM_SIM_EVENT_QUEUE_H_
@@ -57,33 +55,31 @@ struct EventPriority {
 class EventQueue
 {
   public:
+    /** Calendar ring at the default geometry (SimConfig defaults). */
     EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Select the implementation and (for calendar) its geometry.
-     * Width and bucket count must be powers of two.  Panics if events
-     * are pending -- reconfigure only before the first schedule() or
-     * after clear().
+     * Set the calendar geometry.  Width and bucket count must be
+     * powers of two; the ring is rebuilt only if the geometry changes.
+     * Panics if events are pending -- reconfigure only before the
+     * first schedule() or after clear().
      */
-    void configure(EventQueueKind kind, std::uint64_t bucketWidth,
-                   std::uint64_t numBuckets);
+    void configure(std::uint64_t bucketWidth, std::uint64_t numBuckets);
     void
     configure(const SimConfig &cfg)
     {
-        configure(cfg.queueKind(), cfg.calendarBucketPs, cfg.calendarBuckets);
+        configure(cfg.calendarBucketPs, cfg.calendarBuckets);
     }
-
-    EventQueueKind kind() const { return kind_; }
 
     /**
      * Schedule @p fn at absolute time @p when.
-     * Inline so the common calendar case -- a future time inside the
-     * ring horizon appending to its bucket -- compiles to a handful of
-     * instructions at the call site; clamped, far-future, out-of-order
-     * and heap-mode inserts take the out-of-line paths.
+     * Inline so the common case -- a future time inside the ring
+     * horizon appending to its bucket -- compiles to a handful of
+     * instructions at the call site; clamped and far-future inserts
+     * take the out-of-line path.
      */
     void
     schedule(Tick when, EventFn fn, int priority = 0)
@@ -92,41 +88,13 @@ class EventQueue
             panicNullEvent();
         const std::uint64_t seq = nextSeq_++;
         ++size_;
-        if (kind_ == EventQueueKind::Calendar) {
-            if (when > curBucketStart_ &&
-                when - curBucketStart_ < ringSpan()) {
-                Bucket &b =
-                    ring_[static_cast<std::size_t>(when >> shift_) &
-                          ringMask_];
-                ++ringCount_;
-                if (!b.sorted) {
-                    b.v.emplace_back(when, priority, seq, std::move(fn));
-                    return;
-                }
-                // Only the current bucket is ever sorted, and it is
-                // non-empty (it resets to unsorted when drained).  The
-                // common case -- fresh events at the current tick carry
-                // a larger seq than everything pending -- appends
-                // straight into place.
-                const Entry &last = b.v.back();
-                const bool firesAfter =
-                    when != last.when
-                        ? when > last.when
-                        : priority != last.priority
-                              ? priority > last.priority
-                              : seq > last.seq;
-                if (firesAfter) {
-                    b.v.emplace_back(when, priority, seq, std::move(fn));
-                    return;
-                }
-                calendarInsertSorted(b, when, priority, seq,
-                                     std::move(fn));
-                return;
-            }
-            calendarPushSlow(when, priority, seq, std::move(fn));
+        if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
+            append(ring_[static_cast<std::size_t>(when >> shift_) &
+                         ringMask_],
+                   when, priority, seq, std::move(fn));
             return;
         }
-        heapPush(Entry(when, priority, seq, std::move(fn)));
+        pushSlow(when, priority, seq, std::move(fn));
     }
 
     /** True if no events are pending. */
@@ -141,17 +109,13 @@ class EventQueue
     {
         if (size_ == 0)
             return kTickNever;
-        if (kind_ == EventQueueKind::Calendar) {
-            const Bucket &b = ring_[curIdx_];
-            if (b.sorted)  // sorted implies current and non-empty
-                return b.v[b.head].when;
-            // calendarPeek lazily advances the ring and sorts the
-            // current bucket -- internal bookkeeping that never changes
-            // the abstract queue state, so nextTime stays logically
-            // const.
-            return const_cast<EventQueue *>(this)->calendarPeek()->when;
-        }
-        return heap_.front().when;
+        const Bucket &b = ring_[curIdx_];
+        if (b.sorted)  // sorted implies current and non-empty
+            return b.v[b.head].when;
+        // peek lazily advances the ring and sorts the current bucket
+        // -- internal bookkeeping that never changes the abstract
+        // queue state, so nextTime stays logically const.
+        return const_cast<EventQueue *>(this)->peek()->when;
     }
 
     /**
@@ -166,28 +130,20 @@ class EventQueue
             panicEmptyExecute();
         --size_;
         ++executed_;
-        InlineEvent fn;
-        Tick when = 0;
-        if (kind_ == EventQueueKind::Calendar) {
-            Bucket *b = &ring_[curIdx_];
-            if (!b->sorted) {
-                calendarPeek();  // advance + sort; may move the ring
-                b = &ring_[curIdx_];
-            }
-            Entry &head = b->v[b->head];
-            when = head.when;
-            fn = std::move(head.fn);
-            if (++b->head == b->v.size()) {
-                b->v.clear();
-                b->head = 0;
-                b->sorted = false;
-            }
-            --ringCount_;
-        } else {
-            Entry e = heapPop();
-            when = e.when;
-            fn = std::move(e.fn);
+        Bucket *b = &ring_[curIdx_];
+        if (!b->sorted) {
+            peek();  // advance + sort; may move the ring
+            b = &ring_[curIdx_];
         }
+        Entry &head = b->v[b->head];
+        const Tick when = head.when;
+        InlineEvent fn = std::move(head.fn);
+        if (++b->head == b->v.size()) {
+            b->v.clear();
+            b->head = 0;
+            b->sorted = false;
+        }
+        --ringCount_;
         // The queue is fully updated before the callback runs: event
         // handlers re-enter schedule().
         fn();
@@ -213,9 +169,12 @@ class EventQueue
         }
     };
 
-    /** True when @p a fires after @p b. */
+    /**
+     * The event order, and the only place it is spelled out: true when
+     * @p a fires after @p b.
+     */
     static bool
-    laterThan(const Entry &a, const Entry &b)
+    firesAfter(const Entry &a, const Entry &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
@@ -224,11 +183,23 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    // -- heap mode (move-based sift; no Entry copies) ------------------
-    void heapPush(Entry &&e);
-    Entry heapPop();
+    /** firesAfter for the std heap algorithms (earliest on top). */
+    struct Later {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return firesAfter(a, b);
+        }
+    };
+    /** Ascending fire order, for sorting buckets. */
+    struct Earlier {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return firesAfter(b, a);
+        }
+    };
 
-    // -- calendar mode -------------------------------------------------
     /**
      * A ring bucket.  Future buckets accumulate entries unsorted; when
      * a bucket becomes current it is sorted once into ascending fire
@@ -237,7 +208,7 @@ class EventQueue
      * almost always carry the largest (when, priority, seq) key in it
      * -- fresh events at the current tick get monotonically increasing
      * seq -- so they append in O(1) too; the rare out-of-order insert
-     * rotates into place.
+     * shifts the later entries up one slot.
      */
     struct Bucket {
         std::vector<Entry> v;
@@ -245,14 +216,28 @@ class EventQueue
         bool sorted = false;  ///< v[head..) is in ascending fire order
     };
 
+    /** Add an entry to @p b, keeping a sorted bucket in fire order. */
+    void
+    append(Bucket &b, Tick when, int priority, std::uint64_t seq,
+           InlineEvent &&fn)
+    {
+        ++ringCount_;
+        const bool sorted = b.sorted;
+        b.v.emplace_back(when, priority, seq, std::move(fn));
+        // Only the current bucket is ever sorted, and it is non-empty
+        // (it resets to unsorted when drained), so v[size - 2] is a
+        // live entry.
+        if (sorted && !firesAfter(b.v.back(), b.v[b.v.size() - 2]))
+            settleBack(b);
+    }
+
+    /** Rare out-of-order insert: move v.back() into fire order. */
+    static void settleBack(Bucket &b);
     /** Clamped-to-now and beyond-horizon inserts. */
-    void calendarPushSlow(Tick when, int priority, std::uint64_t seq,
-                          InlineEvent &&fn);
-    /** Rare out-of-order insert into the sorted current bucket. */
-    void calendarInsertSorted(Bucket &b, Tick when, int priority,
-                              std::uint64_t seq, InlineEvent &&fn);
+    void pushSlow(Tick when, int priority, std::uint64_t seq,
+                  InlineEvent &&fn);
     /** Earliest pending entry; advances the ring to its bucket. */
-    Entry *calendarPeek();
+    Entry *peek();
     /** Move far-future entries now below the ring horizon into it. */
     void pullFar();
     /** Re-anchor an empty ring at the earliest far-future entry. */
@@ -263,12 +248,9 @@ class EventQueue
     [[noreturn]] static void panicNullEvent();
     [[noreturn]] static void panicEmptyExecute();
 
-    EventQueueKind kind_ = EventQueueKind::Heap;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;
-
-    std::vector<Entry> heap_;
 
     std::vector<Bucket> ring_;
     std::size_t ringMask_ = 0;

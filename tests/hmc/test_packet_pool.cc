@@ -1,9 +1,8 @@
 /**
  * @file
  * Packet-pool tests: recycling really happens, the counters balance,
- * and toggling the pool with packets in flight is safe because each
- * shared_ptr's control block froze its pooling decision at allocation
- * time.
+ * and under AddressSanitizer a block resting on the freelist is
+ * poisoned.
  */
 
 #include <gtest/gtest.h>
@@ -13,24 +12,23 @@
 #include "hmc/packet.h"
 #include "hmc/packet_pool.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define HMCSIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HMCSIM_ASAN 1
+#endif
+#endif
+
+#ifdef HMCSIM_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace hmcsim {
 namespace {
 
-/** Restore the pool flag whatever a test does to it. */
-class PoolGuard
-{
-  public:
-    PoolGuard() : was_(packetPoolEnabled()) {}
-    ~PoolGuard() { setPacketPoolEnabled(was_); }
-
-  private:
-    bool was_;
-};
-
 TEST(PacketPool, RawAcquireReleaseRecyclesLifo)
 {
-    PoolGuard guard;
-    setPacketPoolEnabled(true);
     const std::size_t free0 = packetPoolFreeBlocks();
     const std::size_t live0 = packetPoolLiveBlocks();
 
@@ -49,8 +47,6 @@ TEST(PacketPool, RawAcquireReleaseRecyclesLifo)
 
 TEST(PacketPool, PacketAllocationsRecycleMemory)
 {
-    PoolGuard guard;
-    setPacketPoolEnabled(true);
 
     // Warm the bin, then drop the packet: its block must rest on the
     // freelist and feed the next allocation of the same size class.
@@ -68,8 +64,6 @@ TEST(PacketPool, PacketAllocationsRecycleMemory)
 
 TEST(PacketPool, ResponsesComeFromThePool)
 {
-    PoolGuard guard;
-    setPacketPoolEnabled(true);
 
     HmcPacketPtr req = makeReadRequest(0x4000, 64, 2);
     const std::size_t live = packetPoolLiveBlocks();
@@ -83,8 +77,6 @@ TEST(PacketPool, ResponsesComeFromThePool)
 
 TEST(PacketPool, CountersBalanceUnderChurn)
 {
-    PoolGuard guard;
-    setPacketPoolEnabled(true);
     const std::size_t live0 = packetPoolLiveBlocks();
 
     std::vector<HmcPacketPtr> pkts;
@@ -98,55 +90,26 @@ TEST(PacketPool, CountersBalanceUnderChurn)
     }
 }
 
-TEST(PacketPool, DisabledPoolBypassesFreelist)
+TEST(PacketPool, ReleasedBlockIsPoisonedUnderAsan)
 {
-    PoolGuard guard;
-    setPacketPoolEnabled(false);
-    const std::size_t free0 = packetPoolFreeBlocks();
-    const std::size_t live0 = packetPoolLiveBlocks();
-
-    HmcPacketPtr p = makeWriteRequest(0x8000, 128, 3);
-    EXPECT_EQ(packetPoolLiveBlocks(), live0);
+#ifdef HMCSIM_ASAN
+    HmcPacketPtr p = makeReadRequest(0x100, 32, 0);
+    const HmcPacket *addr = p.get();
+    EXPECT_FALSE(__asan_address_is_poisoned(addr));
     p.reset();
-    EXPECT_EQ(packetPoolFreeBlocks(), free0);
-}
+    // The block now rests on the freelist: any touch of the dead
+    // packet is a use-after-free ASan must report.
+    EXPECT_TRUE(__asan_address_is_poisoned(addr));
+    EXPECT_TRUE(__asan_address_is_poisoned(&addr->addr));
 
-TEST(PacketPool, InFlightToggleIsSafe)
-{
-    PoolGuard guard;
-
-    // Allocate pooled, disable the pool, then drop: the control block
-    // remembers it was pooled and must return the block to the
-    // freelist, not operator delete.
-    setPacketPoolEnabled(true);
-    HmcPacketPtr pooled = makeReadRequest(0x100, 32, 0);
-    const std::size_t live = packetPoolLiveBlocks();
-    setPacketPoolEnabled(false);
-    const std::size_t free0 = packetPoolFreeBlocks();
-    pooled.reset();
-    EXPECT_EQ(packetPoolLiveBlocks(), live - 1);
-    EXPECT_EQ(packetPoolFreeBlocks(), free0 + 1);
-
-    // And the mirror image: allocated plain, enable, then drop --
-    // must NOT land on the freelist.
-    HmcPacketPtr plain = makeReadRequest(0x200, 32, 0);
-    setPacketPoolEnabled(true);
-    const std::size_t free1 = packetPoolFreeBlocks();
-    const std::size_t live1 = packetPoolLiveBlocks();
-    plain.reset();
-    EXPECT_EQ(packetPoolFreeBlocks(), free1);
-    EXPECT_EQ(packetPoolLiveBlocks(), live1);
-}
-
-TEST(PacketPool, AllocatorEqualityTracksPoolingDecision)
-{
-    PoolGuard guard;
-    setPacketPoolEnabled(true);
-    PacketPoolAllocator<HmcPacket> pooled;
-    setPacketPoolEnabled(false);
-    PacketPoolAllocator<HmcPacket> plain;
-    EXPECT_TRUE(pooled != plain);
-    EXPECT_TRUE(pooled == PacketPoolAllocator<int>(pooled));
+    // Reacquiring the block makes it addressable again.
+    HmcPacketPtr q = makeReadRequest(0x200, 32, 0);
+    ASSERT_EQ(q.get(), addr);
+    EXPECT_FALSE(__asan_address_is_poisoned(addr));
+    EXPECT_EQ(q->addr, 0x200u);
+#else
+    GTEST_SKIP() << "needs an AddressSanitizer build (HMCSIM_SANITIZE=ON)";
+#endif
 }
 
 }  // namespace

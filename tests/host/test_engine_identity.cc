@@ -1,21 +1,20 @@
 /**
  * @file
- * Bit-identity guarantees of the optimized event core: the calendar
- * queue and the packet pool are pure engine substitutions, so the
+ * Bit-identity guarantees of the calendar event queue across its
+ * geometry: the sim.calendar_* knobs are pure engine tuning, so the
  * experiments behind the fig06 (9-port GUPS latency/bandwidth), fig08
- * (stream saturation) and chain-figure CSVs must produce results
- * identical to the reference heap queue and to plain allocation --
- * same counts, identical latency statistics -- for every combination
- * of sim.event_queue={heap,calendar} x sim.packet_pool={0,1}.  (Full
- * CSV byte-equality against a pre-optimization build was additionally
- * verified when the engine landed; these tests pin the invariant
- * in-tree.)  The chain slice also pins the kernel's total event count,
- * and the config tests pin the `sim.*` surface: exactly four knobs,
- * each round-tripping through Config.
+ * (stream saturation) and chain-figure CSVs must produce identical
+ * results -- same counts, identical latency statistics -- at the
+ * default ring, at a tiny ring that forces wrap-around and far-future
+ * migration, and at a two-bucket ring of wide buckets.  The chain
+ * slice also pins the kernel's total event count, and the config
+ * tests pin the `sim.*` surface: exactly two knobs, each
+ * round-tripping through Config.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,20 +45,26 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
     }
 }
 
-/** The four engine corners: {heap,calendar} x {pool off,on}. */
+/**
+ * Calendar geometries (bucket ps x buckets): the default 512 x 4096;
+ * 64 x 256, a 16 ns ring that wraps constantly and sends most link and
+ * DRAM delays through the far-future heap; and 4096 x 2, two wide
+ * buckets holding many events each.
+ */
 std::vector<SystemConfig>
-engineCorners(SystemConfig base)
+geometrySweep(SystemConfig base)
 {
-    std::vector<SystemConfig> corners;
-    for (const char *queue : {"heap", "calendar"}) {
-        for (const bool pool : {false, true}) {
-            SystemConfig c = base;
-            c.sim.eventQueue = queue;
-            c.sim.packetPool = pool;
-            corners.push_back(c);
-        }
+    std::vector<SystemConfig> sweep;
+    for (const auto &[width, buckets] :
+         {std::pair<std::uint64_t, std::uint64_t>{512, 4096},
+          {64, 256},
+          {4096, 2}}) {
+        SystemConfig c = base;
+        c.sim.calendarBucketPs = width;
+        c.sim.calendarBuckets = buckets;
+        sweep.push_back(c);
     }
-    return corners;
+    return sweep;
 }
 
 /** The fig06 ingredient: a 9-port GUPS run on @p cfg. */
@@ -106,63 +111,42 @@ fig08Slice(const SystemConfig &cfg)
     return runStreamBatch(cfg, spec);
 }
 
-TEST(EngineIdentity, Fig06IdenticalAcrossEngines)
+TEST(EngineIdentity, Fig06IdenticalAcrossGeometries)
 {
     const ExperimentResult ref = fig06Slice(SystemConfig{});
-    for (const SystemConfig &c : engineCorners(SystemConfig{}))
+    for (const SystemConfig &c : geometrySweep(SystemConfig{}))
         expectIdentical(ref, fig06Slice(c));
 }
 
-TEST(EngineIdentity, Fig08IdenticalAcrossEngines)
+TEST(EngineIdentity, Fig08IdenticalAcrossGeometries)
 {
     const ExperimentResult ref = fig08Slice(SystemConfig{});
-    for (const SystemConfig &c : engineCorners(SystemConfig{}))
+    for (const SystemConfig &c : geometrySweep(SystemConfig{}))
         expectIdentical(ref, fig08Slice(c));
 }
 
-TEST(EngineIdentity, ChainRingIdenticalAcrossEngines)
+TEST(EngineIdentity, ChainRingIdenticalAcrossGeometries)
 {
     // The chain figures exercise the richest event mix (inter-cube
-    // links, ring response routing); heap vs calendar must agree
-    // there too.
+    // links, ring response routing); every geometry must agree there
+    // too, down to the total number of events executed.
     SystemConfig base;
     base.hmc.chain.numCubes = 4;
     base.hmc.chain.topology = "ring";
     const auto ref = gupsSliceWithEvents(base);
     EXPECT_GT(ref.first.totalChainTransitFlits, 0u);
-    for (const SystemConfig &c : engineCorners(base)) {
+    for (const SystemConfig &c : geometrySweep(base)) {
         const auto got = gupsSliceWithEvents(c);
         expectIdentical(ref.first, got.first);
         EXPECT_EQ(ref.second, got.second) << "event count diverged";
     }
 }
 
-TEST(EngineIdentity, ConfigRoundTripSelectsEngine)
-{
-    // The knobs flow through Config serialization like every other
-    // subsystem's.
-    Config cfg;
-    SystemConfig{}.toConfig(cfg);
-    cfg.parseString("[sim]\nevent_queue = heap\npacket_pool = 0\n");
-    const SystemConfig parsed = SystemConfig::fromConfig(cfg);
-    EXPECT_EQ(parsed.sim.eventQueue, "heap");
-    EXPECT_FALSE(parsed.sim.packetPool);
-    EXPECT_EQ(parsed.sim.queueKind(), EventQueueKind::Heap);
-
-    System sys(parsed);
-    EXPECT_EQ(sys.kernel().queue().kind(), EventQueueKind::Heap);
-
-    SystemConfig def;
-    EXPECT_EQ(def.sim.queueKind(), EventQueueKind::Calendar);
-}
-
 TEST(EngineIdentity, ConfigRoundTripKeepsEverySimKey)
 {
     SystemConfig in;
-    in.sim.eventQueue = "heap";
     in.sim.calendarBucketPs = 1024;
     in.sim.calendarBuckets = 256;
-    in.sim.packetPool = false;
     Config cfg;
     in.toConfig(cfg);
 
@@ -173,33 +157,34 @@ TEST(EngineIdentity, ConfigRoundTripKeepsEverySimKey)
     }
     EXPECT_EQ(simKeys,
               (std::vector<std::string>{"sim.calendar_bucket_ps",
-                                        "sim.calendar_buckets",
-                                        "sim.event_queue",
-                                        "sim.packet_pool"}));
+                                        "sim.calendar_buckets"}));
 
     const SimConfig out = SystemConfig::fromConfig(cfg).sim;
-    EXPECT_EQ(out.eventQueue, "heap");
     EXPECT_EQ(out.calendarBucketPs, 1024u);
     EXPECT_EQ(out.calendarBuckets, 256u);
-    EXPECT_FALSE(out.packetPool);
 }
 
 TEST(EngineIdentity, RemovedParallelKeysAreIgnored)
 {
     // Configs written for older builds may still carry sim.parallel /
-    // sim.threads.  Config does not reject unknown keys, so they parse
-    // and run the one serial engine unchanged.
+    // sim.threads or the removed engine selectors sim.event_queue /
+    // sim.packet_pool.  Config does not reject unknown keys, so they
+    // parse and run the one engine unchanged.
     SystemConfig base;
     base.hmc.chain.numCubes = 4;
     base.hmc.chain.topology = "ring";
     base.hmc.power.enabled = false;
-    Config cfg;
-    base.toConfig(cfg);
-    cfg.parseString("[sim]\nparallel = on\nthreads = 4\n");
     const auto ref = gupsSliceWithEvents(base);
-    const auto got = gupsSliceWithEvents(SystemConfig::fromConfig(cfg));
-    expectIdentical(ref.first, got.first);
-    EXPECT_EQ(ref.second, got.second);
+    for (const char *removed :
+         {"[sim]\nparallel = on\nthreads = 4\n",
+          "[sim]\nevent_queue = heap\npacket_pool = 0\n"}) {
+        Config cfg;
+        base.toConfig(cfg);
+        cfg.parseString(removed);
+        const auto got = gupsSliceWithEvents(SystemConfig::fromConfig(cfg));
+        expectIdentical(ref.first, got.first);
+        EXPECT_EQ(ref.second, got.second) << removed;
+    }
 }
 
 }  // namespace

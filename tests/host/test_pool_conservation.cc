@@ -40,7 +40,6 @@ configFrom(const Keys &keys)
 ExperimentResult
 runConserved(const SystemConfig &cfg)
 {
-    EXPECT_TRUE(cfg.sim.packetPool);
     const std::size_t live0 = packetPoolLiveBlocks();
     ExperimentResult res;
     {

@@ -1,16 +1,19 @@
 /**
  * @file
  * Differential determinism tests: the calendar queue must execute
- * every workload in exactly the order the reference heap does.  The
- * simulator's figures are pinned bit-for-bit to the (time, priority,
- * seq) execution order, so any divergence here is a correctness bug
- * in the optimized engine, not a tuning matter.
+ * every workload in exactly the order a plain (time, priority, seq)
+ * binary min-heap does.  The simulator's figures are pinned
+ * bit-for-bit to that execution order, so any divergence here is a
+ * correctness bug in the calendar, not a tuning matter.  The reference
+ * heap lives here, in the test: it is an oracle, not an engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,40 +51,112 @@ struct Op {
     int id;
 };
 
-void
-configureSmall(EventQueue &q, EventQueueKind kind)
+/**
+ * Reference queue: std::push_heap/pop_heap over (when, priority, seq),
+ * with the EventQueue calls the workloads below use.
+ */
+class ReferenceQueue
 {
-    // Deliberately small geometry (64 ps x 256 buckets = 16 ns span)
-    // so the workloads exercise ring wrap, far-future migration, and
-    // empty-ring re-anchoring, not just the happy path.
-    q.configure(kind, 64, 256);
-}
+  public:
+    void
+    schedule(Tick when, std::function<void()> fn, int priority = 0)
+    {
+        heap_.push_back({when, priority, seq_++, std::move(fn)});
+        std::push_heap(heap_.begin(), heap_.end(), later);
+    }
 
-/** Run @p ops through a queue of @p kind; return execution order. */
-std::vector<int>
-execute(EventQueueKind kind, const std::vector<Op> &ops)
+    bool empty() const { return heap_.empty(); }
+
+    Tick
+    executeNext()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        Entry e = std::move(heap_.back());
+        heap_.pop_back();
+        e.fn();
+        return e.when;
+    }
+
+    void clear() { heap_.clear(); }
+
+  private:
+    struct Entry {
+        Tick when;
+        int priority;
+        std::uint64_t seq;
+        std::function<void()> fn;
+    };
+
+    static bool
+    later(const Entry &a, const Entry &b)
+    {
+        return std::tie(a.when, a.priority, a.seq) >
+               std::tie(b.when, b.priority, b.seq);
+    }
+
+    std::vector<Entry> heap_;
+    std::uint64_t seq_ = 0;
+};
+
+/** The queues every workload runs on. */
+enum class Engine {
+    /** ReferenceQueue. */
+    Reference,
+    /** EventQueue at a deliberately small geometry (64 ps x 256
+     *  buckets = 16 ns span), so the workloads exercise ring wrap,
+     *  far-future migration, and empty-ring re-anchoring, not just
+     *  the happy path. */
+    SmallCalendar,
+    /** A default-constructed EventQueue: the production geometry. */
+    DefaultCalendar,
+};
+
+constexpr Engine kCalendars[] = {Engine::SmallCalendar,
+                                 Engine::DefaultCalendar};
+
+/** Run @p body on a fresh queue of @p engine. */
+template <typename Body>
+auto
+withQueue(Engine engine, Body &&body)
 {
+    if (engine == Engine::Reference) {
+        ReferenceQueue q;
+        return body(q);
+    }
     EventQueue q;
-    configureSmall(q, kind);
-    std::vector<int> order;
-    order.reserve(ops.size());
-    for (const Op &op : ops)
-        q.schedule(op.when, [&order, id = op.id] { order.push_back(id); },
-                   op.priority);
-    while (!q.empty())
-        q.executeNext();
-    return order;
+    if (engine == Engine::SmallCalendar)
+        q.configure(64, 256);
+    return body(q);
 }
 
-/** Both engines must agree on the exact execution order of @p ops. */
+/** Run @p ops through a queue of @p engine; return execution order. */
+std::vector<int>
+execute(Engine engine, const std::vector<Op> &ops)
+{
+    return withQueue(engine, [&ops](auto &q) {
+        std::vector<int> order;
+        order.reserve(ops.size());
+        for (const Op &op : ops)
+            q.schedule(op.when,
+                       [&order, id = op.id] { order.push_back(id); },
+                       op.priority);
+        while (!q.empty())
+            q.executeNext();
+        return order;
+    });
+}
+
+/** Both calendars must match the reference order of @p ops exactly. */
 void
 expectIdenticalOrder(const std::vector<Op> &ops)
 {
-    const std::vector<int> heap = execute(EventQueueKind::Heap, ops);
-    const std::vector<int> cal = execute(EventQueueKind::Calendar, ops);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const std::vector<int> ref = execute(Engine::Reference, ops);
+    for (const Engine engine : kCalendars) {
+        const std::vector<int> cal = execute(engine, ops);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+    }
 }
 
 TEST(QueueDifferential, RandomInterleavings)
@@ -154,64 +229,65 @@ TEST(QueueDifferential, FarFutureInserts)
 
 /**
  * Events scheduling events: replay the same self-scheduling program
- * on both engines and compare the full execution trace.  Delays are
+ * on every engine and compare the full execution trace.  Delays are
  * drawn from a per-engine-independent PRNG stream keyed only by the
- * executing event's id, so both engines see identical programs.
+ * executing event's id, so every engine sees an identical program.
  */
 std::vector<std::pair<Tick, int>>
-runSelfScheduling(EventQueueKind kind)
+runSelfScheduling(Engine engine)
 {
-    EventQueue q;
-    configureSmall(q, kind);
-    std::vector<std::pair<Tick, int>> trace;
-    int nextId = 0;
-    // Seed events; each execution re-schedules up to two children
-    // derived deterministically from its own id, so both engines see
-    // the identical program.
-    std::function<void(int, int, Tick)> fire = [&](int id, int depth,
-                                                   Tick when) {
-        trace.emplace_back(when, id);
-        if (depth >= 6)
-            return;
-        Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 1);
-        const int children = 1 + static_cast<int>(rng.next(2));
-        for (int c = 0; c < children; ++c) {
-            const int cid = nextId++;
-            // Mix of short, bucket-crossing, and far-future delays;
-            // zero-delay children exercise the same-tick path.
-            const Tick delay =
-                rng.next(4) == 0
-                    ? 0
-                    : rng.next(3) == 0 ? 100000 + rng.next(9999)
-                                       : rng.next(700);
-            const int prio = rng.next(5) == 0 ? EventPriority::kStats
-                                              : EventPriority::kDefault;
-            const Tick cwhen = when + delay;
-            q.schedule(cwhen,
-                       [&fire, cid, depth, cwhen] {
-                           fire(cid, depth + 1, cwhen);
-                       },
-                       prio);
+    return withQueue(engine, [](auto &q) {
+        std::vector<std::pair<Tick, int>> trace;
+        int nextId = 0;
+        // Seed events; each execution re-schedules up to two children
+        // derived deterministically from its own id.
+        std::function<void(int, int, Tick)> fire = [&](int id, int depth,
+                                                       Tick when) {
+            trace.emplace_back(when, id);
+            if (depth >= 6)
+                return;
+            Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 1);
+            const int children = 1 + static_cast<int>(rng.next(2));
+            for (int c = 0; c < children; ++c) {
+                const int cid = nextId++;
+                // Mix of short, bucket-crossing, and far-future delays;
+                // zero-delay children exercise the same-tick path.
+                const Tick delay =
+                    rng.next(4) == 0
+                        ? 0
+                        : rng.next(3) == 0 ? 100000 + rng.next(9999)
+                                           : rng.next(700);
+                const int prio = rng.next(5) == 0 ? EventPriority::kStats
+                                                  : EventPriority::kDefault;
+                const Tick cwhen = when + delay;
+                q.schedule(cwhen,
+                           [&fire, cid, depth, cwhen] {
+                               fire(cid, depth + 1, cwhen);
+                           },
+                           prio);
+            }
+        };
+        for (int i = 0; i < 8; ++i) {
+            const int id = nextId++;
+            const Tick when = static_cast<Tick>(i) * 37;
+            q.schedule(when, [&fire, id, when] { fire(id, 0, when); });
         }
-    };
-    for (int i = 0; i < 8; ++i) {
-        const int id = nextId++;
-        const Tick when = static_cast<Tick>(i) * 37;
-        q.schedule(when, [&fire, id, when] { fire(id, 0, when); });
-    }
-    while (!q.empty())
-        q.executeNext();
-    return trace;
+        while (!q.empty())
+            q.executeNext();
+        return trace;
+    });
 }
 
 TEST(QueueDifferential, ScheduleFromWithinEvents)
 {
-    const auto heap = runSelfScheduling(EventQueueKind::Heap);
-    const auto cal = runSelfScheduling(EventQueueKind::Calendar);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        ASSERT_EQ(heap[i].first, cal[i].first) << "time diverged at " << i;
-        ASSERT_EQ(heap[i].second, cal[i].second) << "id diverged at " << i;
+    const auto ref = runSelfScheduling(Engine::Reference);
+    for (const Engine engine : kCalendars) {
+        const auto cal = runSelfScheduling(engine);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+            ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
+        }
     }
 }
 
@@ -223,25 +299,27 @@ TEST(QueueDifferential, ScheduleFromWithinEvents)
  * second life of the queue behaves exactly like a fresh one.
  */
 std::vector<int>
-executeWithClear(EventQueueKind kind, const std::vector<Op> &first,
+executeWithClear(Engine engine, const std::vector<Op> &first,
                  const std::vector<Op> &second)
 {
-    EventQueue q;
-    configureSmall(q, kind);
-    std::vector<int> order;
-    for (const Op &op : first)
-        q.schedule(op.when, [&order, id = op.id] { order.push_back(id); },
-                   op.priority);
-    for (std::size_t i = 0; i < first.size() / 2 && !q.empty(); ++i)
-        q.executeNext();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    for (const Op &op : second)
-        q.schedule(op.when, [&order, id = op.id] { order.push_back(id); },
-                   op.priority);
-    while (!q.empty())
-        q.executeNext();
-    return order;
+    return withQueue(engine, [&first, &second](auto &q) {
+        std::vector<int> order;
+        for (const Op &op : first)
+            q.schedule(op.when,
+                       [&order, id = op.id] { order.push_back(id); },
+                       op.priority);
+        for (std::size_t i = 0; i < first.size() / 2 && !q.empty(); ++i)
+            q.executeNext();
+        q.clear();
+        EXPECT_TRUE(q.empty());
+        for (const Op &op : second)
+            q.schedule(op.when,
+                       [&order, id = op.id] { order.push_back(id); },
+                       op.priority);
+        while (!q.empty())
+            q.executeNext();
+        return order;
+    });
 }
 
 TEST(QueueDifferential, ClearThenReuse)
@@ -276,33 +354,34 @@ TEST(QueueDifferential, ClearThenReuse)
     far.id = 9999;
     second.push_back(far);
 
-    const auto heap =
-        executeWithClear(EventQueueKind::Heap, first, second);
-    const auto cal =
-        executeWithClear(EventQueueKind::Calendar, first, second);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const auto ref = executeWithClear(Engine::Reference, first, second);
+    for (const Engine engine : kCalendars) {
+        const auto cal = executeWithClear(engine, first, second);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+    }
 }
 
 TEST(QueueDifferential, MonotoneNonDecreasingFireTimes)
 {
     // The calendar clamps past-times into the current bucket; fire
     // times reported by executeNext must still be non-decreasing for
-    // in-order workloads on both engines.
-    for (const auto kind :
-         {EventQueueKind::Heap, EventQueueKind::Calendar}) {
-        EventQueue q;
-        configureSmall(q, kind);
-        Rng rng(1234);
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(rng.next(30000), [] {});
-        Tick last = 0;
-        while (!q.empty()) {
-            const Tick t = q.executeNext();
-            EXPECT_GE(t, last);
-            last = t;
-        }
+    // in-order workloads on every engine.
+    for (const Engine engine :
+         {Engine::Reference, Engine::SmallCalendar,
+          Engine::DefaultCalendar}) {
+        withQueue(engine, [](auto &q) {
+            Rng rng(1234);
+            for (int i = 0; i < 1000; ++i)
+                q.schedule(rng.next(30000), [] {});
+            Tick last = 0;
+            while (!q.empty()) {
+                const Tick t = q.executeNext();
+                EXPECT_GE(t, last);
+                last = t;
+            }
+        });
     }
 }
 
