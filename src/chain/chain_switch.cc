@@ -1,5 +1,7 @@
 #include "chain/chain_switch.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "obs/observability.h"
 #include "sim/kernel.h"
@@ -121,17 +123,23 @@ ChainSwitch::portLoad(ChainHop kind, LinkId l) const
     return load;
 }
 
+ChainPacketView
+ChainSwitch::view(const HmcPacket &pkt) const
+{
+    ChainPacketView v;
+    v.toHost = pkt.isResponse();
+    // Responses head for the entry cube of the host that issued them;
+    // requests for their CUB field.
+    v.dest = v.toHost ? routes_.hostEntry(pkt.host) : pkt.cube;
+    v.misroutes = pkt.chainMisroutes;
+    v.dirLock = pkt.chainDirLock;
+    return v;
+}
+
 ChainRouteDecision
 ChainSwitch::decide(LinkId l, const HmcPacket &pkt) const
 {
-    ChainPacketView view;
-    view.toHost = pkt.isResponse();
-    // Responses head for the entry cube of the host that issued them;
-    // requests for their CUB field.
-    view.dest = view.toHost ? routes_.hostEntry(pkt.host) : pkt.cube;
-    view.misroutes = pkt.chainMisroutes;
-    view.dirLock = pkt.chainDirLock;
-    return policy_.route(cubeId(), view, l, *this);
+    return policy_.route(cubeId(), view(pkt), l, *this);
 }
 
 void
@@ -264,27 +272,41 @@ ChainSwitch::noteRxHolStall(Port &p, LinkDir in_dir, LinkId l)
     // blocking, not plain backpressure -- account it so saturation
     // studies can tell the two apart.  One count per blocked-head
     // episode: retry kicks on the same stuck head do not inflate it
-    // (a new head -- this drain or the device's may have popped the
-    // old one -- starts a new episode).
-    const HmcPacketPtr &head = p.link->rxPeek(in_dir);
-    if (p.holHead == head)
+    // (a pop -- by this drain or the device's -- starts a new one).
+    const std::uint64_t pops = p.link->rxPopped(in_dir);
+    if (p.holCountedAt == pops)
         return;
+    if (p.behindPops != pops) {
+        p.behindPops = pops;
+        p.behindScanned = 1;
+        p.behindMinLocal = kNoLocal;
+        p.behindViews.clear();
+    }
+    // Fold in the packets that arrived since the last look.
     const std::size_t waiting = p.link->rxQueued(in_dir);
-    for (std::size_t i = 1; i < waiting; ++i) {
-        const HmcPacketPtr &behind = p.link->rxPeekAt(in_dir, i);
-        if (behind->isRequest() && behind->cube == cubeId()) {
-            if (dev_.canInjectLocal(l, behind->flits())) {
-                rxHolStalls_.inc();
-                p.holHead = head;
-                return;
-            }
+    for (; p.behindScanned < waiting; ++p.behindScanned) {
+        const HmcPacket &behind = *p.link->rxPeekAt(in_dir, p.behindScanned);
+        if (behind.isRequest() && behind.cube == cubeId()) {
+            p.behindMinLocal = std::min(p.behindMinLocal, behind.flits());
             continue;
         }
-        if (couldProgress(decide(l, *behind), l)) {
-            rxHolStalls_.inc();
-            p.holHead = head;
-            return;
-        }
+        const ChainPacketView v = view(behind);
+        const auto same = [&v](const ChainPacketView &w) {
+            return w.dest == v.dest && w.toHost == v.toHost &&
+                w.misroutes == v.misroutes && w.dirLock == v.dirLock;
+        };
+        if (std::none_of(p.behindViews.begin(), p.behindViews.end(), same))
+            p.behindViews.push_back(v);
+    }
+    // Re-route each distinct view against the live loads.
+    bool movable = p.behindMinLocal != kNoLocal &&
+        dev_.canInjectLocal(l, p.behindMinLocal);
+    for (std::size_t i = 0; !movable && i < p.behindViews.size(); ++i)
+        movable = couldProgress(
+            policy_.route(cubeId(), p.behindViews[i], l, *this), l);
+    if (movable) {
+        rxHolStalls_.inc();
+        p.holCountedAt = pops;
     }
 }
 
@@ -311,7 +333,6 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
                 panic("ChainSwitch: NoC credits vanished between "
                       "check and inject");
             localInjects_.inc();
-            p.holHead.reset();  // the head moved: episode over
             continue;
         }
         const ChainRouteDecision d = decide(l, *head);
@@ -321,7 +342,6 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
         }
         commit(d, head);
         p.link->rxPop(in_dir);
-        p.holHead.reset();  // the head moved: episode over
     }
 }
 

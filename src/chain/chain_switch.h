@@ -138,6 +138,9 @@ class ChainSwitch : public Component, public ChainLoadProvider
     void resetOwnStats() override;
 
   private:
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    static constexpr std::uint32_t kNoLocal = ~std::uint32_t{0};
+
     struct Pending {
         Tick readyAt = 0;
         HmcPacketPtr pkt;
@@ -154,9 +157,26 @@ class ChainSwitch : public Component, public ChainLoadProvider
         /** Flits across q (the policy's occupancy signal). */
         std::uint32_t qFlits = 0;
         bool kickScheduled = false;
-        /** RX head whose head-of-line episode was already counted;
-         *  a different (or popped) head starts a new episode. */
-        HmcPacketPtr holHead;
+
+        // ----- head-of-line accounting of this port's RX queue -----
+        // All keyed on the link's RX pop count: the queue is a FIFO,
+        // so while nothing pops, the head and every packet already
+        // scanned behind it stay put and only new arrivals join.
+
+        /** RX pop count at which the current blocked head's episode
+         *  was counted; any pop starts a new episode. */
+        std::uint64_t holCountedAt = kNever;
+        /** RX pop count the memo below describes. */
+        std::uint64_t behindPops = kNever;
+        /** Queue index the behind-head scan resumes from. */
+        std::size_t behindScanned = 1;
+        /** Smallest local request behind the head (kNoLocal: none);
+         *  NoC injection admits by credits >= flits, so it decides
+         *  whether any local request could move. */
+        std::uint32_t behindMinLocal = kNoLocal;
+        /** Distinct routing views of the transiting packets behind the
+         *  head; a route is a function of the view and live loads. */
+        std::vector<ChainPacketView> behindViews;
     };
 
     static constexpr std::size_t kPortKinds = 4;  // Up, Down, Wrap, Host
@@ -191,6 +211,7 @@ class ChainSwitch : public Component, public ChainLoadProvider
     SelfProfiler *prof_ = nullptr;
 
     Port &port(ChainHop kind, LinkId l);
+    ChainPacketView view(const HmcPacket &pkt) const;
     ChainRouteDecision decide(LinkId l, const HmcPacket &pkt) const;
     void commit(const ChainRouteDecision &d, const HmcPacketPtr &pkt);
     bool enqueue(ChainHop kind, LinkId l, const HmcPacketPtr &pkt);
@@ -199,9 +220,13 @@ class ChainSwitch : public Component, public ChainLoadProvider
     void drainInRx(ChainHop kind, LinkId l);
     void drainAllInRx();
     void kickSources();
-    /** Count a drain stopped by HOL blocking if any packet waiting
-     *  behind the head could progress on a different output; at most
-     *  once per blocked-head episode. */
+    /**
+     * Count a drain stopped by HOL blocking if any packet waiting
+     * behind the head could progress on a different output; at most
+     * once per blocked-head episode.  Costs O(arrivals since the last
+     * call + distinct views behind the head): the Port memo carries
+     * the scan over until the RX queue next pops.
+     */
     void noteRxHolStall(Port &p, LinkDir in_dir, LinkId l);
     bool couldProgress(const ChainRouteDecision &d, LinkId l) const;
 };

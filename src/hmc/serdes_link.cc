@@ -226,6 +226,7 @@ SerdesLink::rxPop(LinkDir d)
         panic("SerdesLink::rxPop: RX buffer empty");
     HmcPacketPtr pkt = dd.rxQ.front();
     dd.rxQ.pop_front();
+    ++dd.rxPops;
     const std::uint32_t flits = pkt->flits();
     kernel().scheduleIn(params_.tokenReturnLatency,
                         [&dd, flits] { dd.tokens.refund(flits); });

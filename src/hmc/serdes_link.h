@@ -127,6 +127,14 @@ class SerdesLink : public Component
      */
     HmcPacketPtr rxPop(LinkDir dir);
 
+    /**
+     * Packets ever popped from the RX buffer of @p d.  The buffer is
+     * a FIFO, so an unchanged count means an unchanged head and an
+     * unchanged prefix behind it.  Structural state, not a statistic:
+     * a stats reset leaves it alone.
+     */
+    std::uint64_t rxPopped(LinkDir d) const { return dir(d).rxPops; }
+
     // ----- statistics -----
     std::uint64_t packetsSent(LinkDir dir) const;
     std::uint64_t flitsSent(LinkDir dir) const;
@@ -165,6 +173,7 @@ class SerdesLink : public Component
         TokenBucket tokens;
         std::uint32_t reserved = 0;
         std::deque<HmcPacketPtr> rxQ;
+        std::uint64_t rxPops = 0;
         InlineFunction<void()> onTokensFree;
         InlineFunction<void()> onRxAvailable;
         Counter packets;

@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "chain/routing_policy.h"
 #include "common/log.h"
 #include "host/experiment.h"
 #include "host/system.h"
+#include "host/workload/workload_spec.h"
 
 namespace hmcsim {
 namespace {
@@ -522,8 +525,45 @@ TEST(AdaptiveChainSystem, TieTrafficSplitsBothWaysUnderLoad)
     EXPECT_EQ(sstats.at("system.chain.hmc0.fwd.misroutes"), 0.0);
 }
 
+/** Per-cube rx_hol_stalls of a finished run. */
+std::vector<std::uint64_t>
+holStallsPerCube(const System &sys, std::uint32_t cubes)
+{
+    const auto stats = sys.stats();
+    std::vector<std::uint64_t> out;
+    for (CubeId c = 0; c < cubes; ++c)
+        out.push_back(static_cast<std::uint64_t>(
+            stats.at("system.chain.hmc" + std::to_string(c) +
+                     ".fwd.rx_hol_stalls")));
+    return out;
+}
+
+/** Mixed 64 B traffic over every cube from nine ports per host. */
+std::vector<std::uint64_t>
+holStallsUnderMixedLoad(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    for (HostId h = 0; h < cfg.host.numHosts; ++h) {
+        for (PortId p = 0; p < 9; ++p) {
+            WorkloadSpec w;
+            w.requestBytes = 64;
+            w.writeFraction = 0.25;
+            w.seed = 51 + 16 * h + p;
+            sys.configureWorkloadAt(h, p, w);
+        }
+    }
+    sys.run(20 * kMicrosecond);
+    return holStallsPerCube(sys, cfg.hmc.chain.numCubes);
+}
+
 TEST(ChainSwitchRegression, RxHolBlockingIsAccounted)
 {
+    // The counts below are pinned exactly: rx_hol_stalls is counted
+    // once per blocked RX head, when some packet waiting behind that
+    // head could move.  A change to how the switch finds such a packet
+    // must reproduce them on both routing policies, on switch-drained
+    // and device-drained RX queues alike.
+
     // Daisy with one-packet forward queues: cube 0's host RX carries
     // heavy 128 B writes transiting Down to cube 3 interleaved with
     // reads local to cube 0.  The Down queue refuses a write for a
@@ -531,34 +571,65 @@ TEST(ChainSwitchRegression, RxHolBlockingIsAccounted)
     // locally deliverable reads queued behind the write -- the
     // head-of-line blocking the rx_hol_stalls counter was added to
     // expose (a static chain, so no adaptive machinery involved).
-    SystemConfig cfg = chainConfig(4, "daisy", "static");
-    cfg.hmc.chain.forwardQueuePackets = 1;
-    cfg.host.tagsPerPort = 256;
-    System sys(cfg);
-    for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.kind = ReqKind::WriteOnly;
-        gp.gen.pattern = sys.addressMap().cubePattern(3);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 31 + p;
-        sys.configureGupsPort(p, gp);
+    {
+        SystemConfig cfg = chainConfig(4, "daisy", "static");
+        cfg.hmc.chain.forwardQueuePackets = 1;
+        cfg.host.tagsPerPort = 256;
+        System sys(cfg);
+        for (PortId p = 0; p < 3; ++p) {
+            GupsPortSpec gp;
+            gp.kind = ReqKind::WriteOnly;
+            gp.gen.pattern = sys.addressMap().cubePattern(3);
+            gp.gen.requestBytes = 128;
+            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
+            gp.gen.seed = 31 + p;
+            sys.configureGupsPort(p, gp);
+        }
+        for (PortId p = 3; p < 6; ++p) {
+            GupsPortSpec gp;
+            gp.gen.pattern = sys.addressMap().cubePattern(0);
+            gp.gen.requestBytes = 64;
+            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
+            gp.gen.seed = 31 + p;
+            sys.configureGupsPort(p, gp);
+        }
+        sys.run(30 * kMicrosecond);
+        EXPECT_EQ(holStallsPerCube(sys, 4),
+                  (std::vector<std::uint64_t>{1386, 0, 0, 0}));
     }
-    for (PortId p = 3; p < 6; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().cubePattern(0);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 31 + p;
-        sys.configureGupsPort(p, gp);
+
+    // Static 8-cube ring, one-packet forward queues.
+    {
+        SystemConfig cfg = chainConfig(8, "ring", "static");
+        cfg.hmc.chain.forwardQueuePackets = 1;
+        EXPECT_EQ(holStallsUnderMixedLoad(cfg),
+                  (std::vector<std::uint64_t>{542, 0, 0, 0, 0, 0, 0, 0}));
     }
-    sys.run(30 * kMicrosecond);
-    const auto stats = sys.stats();
-    double hol = 0.0;
-    for (CubeId c = 0; c < 4; ++c)
-        hol += stats.at("system.chain.hmc" + std::to_string(c) +
-                        ".fwd.rx_hol_stalls");
-    EXPECT_GT(hol, 0.0);
+
+    // Adaptive 8-cube ring with hair-trigger misroutes: routes depend
+    // on live loads and on each packet's misroute budget and lock.
+    {
+        SystemConfig cfg = chainConfig(8, "ring", "adaptive");
+        cfg.hmc.linkTokens = 16;
+        cfg.hmc.chain.forwardQueuePackets = 1;
+        cfg.hmc.chain.adaptiveThresholdFlits = 0;
+        cfg.hmc.chain.adaptiveMisrouteThresholdFlits = 1;
+        cfg.hmc.chain.adaptiveMaxMisroutes = 4;
+        EXPECT_EQ(holStallsUnderMixedLoad(cfg),
+                  (std::vector<std::uint64_t>{406, 73, 55, 57, 30, 30, 64,
+                                              72}));
+    }
+
+    // Two hosts on a 4-cube ring: responses head for per-host entry
+    // cubes, and the device drains the Up-port RX the switch also
+    // scans.
+    {
+        SystemConfig cfg = chainConfig(4, "ring", "adaptive");
+        cfg.host.numHosts = 2;
+        cfg.hmc.chain.forwardQueuePackets = 1;
+        EXPECT_EQ(holStallsUnderMixedLoad(cfg),
+                  (std::vector<std::uint64_t>{3001, 1548, 3320, 163}));
+    }
 }
 
 TEST(AdaptiveChainSystem, InvalidRoutingConfigPanics)

@@ -138,6 +138,37 @@ TEST_F(SerdesLinkTest, FifoOrderPreserved)
     EXPECT_EQ(link_->rxPop(LinkDir::HostToCube)->id, b->id);
 }
 
+TEST_F(SerdesLinkTest, RxPoppedCountsPopsPerDirection)
+{
+    build();
+    const auto send = [this](LinkDir d, const HmcPacketPtr &pkt) {
+        link_->reserveTokens(d, pkt->flits());
+        link_->send(d, pkt);
+    };
+    send(LinkDir::HostToCube, read128());
+    send(LinkDir::HostToCube, read128());
+    send(LinkDir::CubeToHost,
+         std::make_shared<HmcPacket>(read128()->makeResponse()));
+    kernel_.run();
+    // Arrivals do not move it.
+    EXPECT_EQ(link_->rxPopped(LinkDir::HostToCube), 0u);
+    EXPECT_EQ(link_->rxPopped(LinkDir::CubeToHost), 0u);
+
+    link_->rxPop(LinkDir::HostToCube);
+    EXPECT_EQ(link_->rxPopped(LinkDir::HostToCube), 1u);
+    EXPECT_EQ(link_->rxPopped(LinkDir::CubeToHost), 0u);
+
+    // Structural, not a statistic: a stats reset must not rewind it
+    // onto a count a consumer may have keyed a memo on.
+    link_->resetStats();
+    EXPECT_EQ(link_->rxPopped(LinkDir::HostToCube), 1u);
+
+    link_->rxPop(LinkDir::HostToCube);
+    link_->rxPop(LinkDir::CubeToHost);
+    EXPECT_EQ(link_->rxPopped(LinkDir::HostToCube), 2u);
+    EXPECT_EQ(link_->rxPopped(LinkDir::CubeToHost), 1u);
+}
+
 TEST_F(SerdesLinkTest, CrcRetryHealsButCosts)
 {
     params_.crcErrorProb = 0.3;
