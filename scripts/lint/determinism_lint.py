@@ -8,9 +8,9 @@ constructs that historically break that promise:
 
   wall-clock        std::chrono::{system,steady,high_resolution}_clock,
                     time(), gettimeofday, clock_gettime, localtime, ...
-                    anywhere under src/ EXCEPT src/obs/ (observability
-                    measures host wall time by design; simulation code
-                    must only ever read Kernel::now()).
+                    anywhere under src/, observability included: the
+                    simulator only ever reads Kernel::now().  Host time
+                    is measured from outside src/ (perfbench/).
   rng               rand()/srand(), std::random_device, std::mt19937
                     and friends, anywhere under src/.  SplitMix64
                     (common/rng.h) is the only sanctioned RNG: seeded,
@@ -28,8 +28,8 @@ constructs that historically break that promise:
   naked-packet-new  new HmcPacket / make_shared<HmcPacket> /
                     malloc(sizeof(HmcPacket)) outside the pool-backed
                     factory (hmc/packet.cc).  Bypassing the pool skews
-                    the allocator telemetry the perf trajectory gates on
-                    and dodges the pool's lifetime diagnostics.
+                    the allocator telemetry and dodges the pool's
+                    lifetime diagnostics.
 
 Waivers: a finding is suppressed by a comment on the same line or the
 immediately preceding line:
@@ -99,10 +99,6 @@ UNORDERED_VAR_RE = re.compile(
 
 WAIVER_RE = re.compile(
     r"hmcsim-lint:\s*allow\(([a-z][a-z-]*)\)\s*(\S.*)?$")
-
-# Files allowed to mention wall clocks: observability measures host
-# time on purpose (self-profiler, perf trajectory).
-WALL_CLOCK_ALLOWED_PREFIX = os.path.join("src", "obs") + os.sep
 
 # The pool-backed packet factory and the pool itself.
 PACKET_FACTORY_FILES = {
@@ -219,7 +215,6 @@ def scan_stripped(rel, stripped, raw_lines):
     findings = []
     lines = stripped.split("\n")
 
-    wall_allowed = rel.startswith(WALL_CLOCK_ALLOWED_PREFIX)
     std_function_scoped = any(rel.startswith(d) for d in STD_FUNCTION_DIRS)
     packet_factory = rel in {p.replace(os.sep, "/") for p in
                              PACKET_FACTORY_FILES}
@@ -228,11 +223,11 @@ def scan_stripped(rel, stripped, raw_lines):
     unordered_vars = set(UNORDERED_VAR_RE.findall(stripped))
 
     for idx, line in enumerate(lines, start=1):
-        if not wall_allowed and WALL_CLOCK_RE.search(line):
+        if WALL_CLOCK_RE.search(line):
             findings.append(Finding(
                 "wall-clock", rel, idx,
-                "wall-clock access outside src/obs/; simulation code "
-                "must read Kernel::now()"))
+                "wall-clock access; simulation code must read "
+                "Kernel::now()"))
         if RNG_RE.search(line):
             findings.append(Finding(
                 "rng", rel, idx,

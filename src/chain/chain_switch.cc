@@ -37,7 +37,6 @@ ChainSwitch::ChainSwitch(Kernel &kernel, HmcDevice &dev, std::string name,
         kind.resize(dev_.numLinks());
     if (Observability *o = kernel.obs()) {
         tracer_ = o->fullTracer();
-        prof_ = o->profiler();
         obsMetrics_.bind(o->metricsRegistry(), path());
         obsMetrics_.counter("fwd_requests", &fwdRequests_);
         obsMetrics_.counter("fwd_responses", &fwdResponses_);
@@ -313,7 +312,6 @@ ChainSwitch::noteRxHolStall(Port &p, LinkDir in_dir, LinkId l)
 void
 ChainSwitch::drainInRx(ChainHop kind, LinkId l)
 {
-    ProfileScope ps(prof_, "chain");
     Port &p = port(kind, l);
     const LinkDir in_dir = p.outDir == LinkDir::HostToCube
         ? LinkDir::CubeToHost

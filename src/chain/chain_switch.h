@@ -46,7 +46,6 @@
 namespace hmcsim {
 
 class PacketTracer;
-class SelfProfiler;
 
 class ChainSwitch : public Component, public ChainLoadProvider
 {
@@ -208,7 +207,6 @@ class ChainSwitch : public Component, public ChainLoadProvider
 
     MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
-    SelfProfiler *prof_ = nullptr;
 
     Port &port(ChainHop kind, LinkId l);
     ChainPacketView view(const HmcPacket &pkt) const;

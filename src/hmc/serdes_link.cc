@@ -28,7 +28,6 @@ SerdesLink::SerdesLink(Kernel &kernel, Component *parent, std::string name,
         fatal("SerdesLink: link too fast for tick resolution");
     if (Observability *o = kernel.obs()) {
         tracer_ = o->fullTracer();
-        prof_ = o->profiler();
         obsMetrics_.bind(o->metricsRegistry(), path());
         obsMetrics_.counter("down_packets", &dirs_[0].packets);
         obsMetrics_.counter("up_packets", &dirs_[1].packets);
@@ -94,7 +93,6 @@ SerdesLink::setThrottle(double slowdown)
 void
 SerdesLink::transmit(LinkDir d, const HmcPacketPtr &pkt, Tick earliest)
 {
-    ProfileScope ps(prof_, "serdes");
     Direction &dd = dir(d);
     // Thermal duty-cycling: respect the idle gap the previous packet
     // imposed.  Unthrottled operation never touches throttleFreeAt, so

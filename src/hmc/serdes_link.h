@@ -25,7 +25,6 @@
 namespace hmcsim {
 
 class PacketTracer;
-class SelfProfiler;
 
 /** Traffic direction over one link. */
 enum class LinkDir : unsigned {
@@ -190,7 +189,6 @@ class SerdesLink : public Component
     Counter retries_;
     MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
-    SelfProfiler *prof_ = nullptr;
     PowerProbe *probe_ = nullptr;
     double slowdown_ = 1.0;
     LinkEndpointMode mode_ = LinkEndpointMode::Host;

@@ -23,7 +23,6 @@ VaultController::VaultController(Kernel &kernel, Component *parent,
 {
     if (Observability *o = kernel.obs()) {
         tracer_ = o->fullTracer();
-        prof_ = o->profiler();
         obsMetrics_.bind(o->metricsRegistry(), path());
         obsMetrics_.counter("requests_served", &served_);
         obsMetrics_.counter("read_bytes", &readBytes_);
@@ -85,7 +84,6 @@ VaultController::deliverRequest(const NocMessage &msg)
 void
 VaultController::processInput()
 {
-    ProfileScope ps(prof_, "vault");
     while (!inputQ_.empty()) {
         const auto &[ready, pkt] = inputQ_.front();
         if (ready > now())
@@ -213,7 +211,6 @@ VaultController::trySchedule(BankId b)
 void
 VaultController::finishRequest(const HmcPacketPtr &pkt)
 {
-    ProfileScope ps(prof_, "vault");
     if (tracer_ && tracer_->wants(*pkt))
         tracer_->record(now(), *pkt, TraceStage::DramDone, pkt->cube,
                         vault_);

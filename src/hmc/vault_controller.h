@@ -31,7 +31,6 @@
 namespace hmcsim {
 
 class PacketTracer;
-class SelfProfiler;
 
 class VaultController : public Component
 {
@@ -149,7 +148,6 @@ class VaultController : public Component
 
     MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
-    SelfProfiler *prof_ = nullptr;
 
     Tick nextPlanAllowed_ = 0;
     bool planRetryPending_ = false;

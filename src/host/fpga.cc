@@ -1,7 +1,6 @@
 #include "host/fpga.h"
 
 #include "common/log.h"
-#include "obs/observability.h"
 #include "sim/kernel.h"
 
 namespace hmcsim {
@@ -13,8 +12,6 @@ Fpga::Fpga(Kernel &kernel, Component *parent, std::string name,
       clock_(ClockDomain::fromMhz("fpga", cfg.fpgaMhz))
 {
     cfg_.validate();
-    if (Observability *o = kernel.obs())
-        prof_ = o->profiler();
     ctrl_ = std::make_unique<HmcHostController>(kernel, this, "controller",
                                                 cfg_, attach_);
     for (PortId p = 0; p < cfg_.numPorts; ++p) {
@@ -122,7 +119,6 @@ Fpga::tickAll()
 {
     if (!running_)
         return;
-    ProfileScope ps(prof_, "host.tick");
     for (auto &p : ports_)
         p->tick();
     ctrl_->tick();

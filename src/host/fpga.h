@@ -19,8 +19,6 @@
 
 namespace hmcsim {
 
-class SelfProfiler;
-
 class Fpga : public Component
 {
   public:
@@ -70,7 +68,6 @@ class Fpga : public Component
     std::vector<std::unique_ptr<Port>> ports_;
     std::unique_ptr<HmcHostController> ctrl_;
     bool running_ = false;
-    SelfProfiler *prof_ = nullptr;
 
     void tickAll();
     void rebindController();

@@ -221,14 +221,7 @@ System::addressMap() const
 void
 System::run(Tick duration)
 {
-    SelfProfiler *prof = obs_ ? obs_->profiler() : nullptr;
-    if (!prof) {
-        kernel_.run(kernel_.now() + duration);
-        return;
-    }
-    const WallTimer timer;
-    const std::uint64_t events = kernel_.run(kernel_.now() + duration);
-    prof->addRun(timer.seconds(), events);
+    kernel_.run(kernel_.now() + duration);
 }
 
 bool

@@ -60,7 +60,6 @@ ObsConfig::fromConfig(const Config &cfg)
     c.traceBufferEvents =
         cfg.getU64("obs.trace_buffer_events", c.traceBufferEvents);
     c.traceJsonPath = cfg.getString("obs.trace_json", c.traceJsonPath);
-    c.profile = cfg.getBool("obs.profile", c.profile);
     c.anatomy = cfg.getBool("obs.anatomy", c.anatomy);
     c.anatomyWindowNs =
         cfg.getU64("obs.anatomy_window_ns", c.anatomyWindowNs);
@@ -81,7 +80,6 @@ ObsConfig::toConfig(Config &cfg) const
     cfg.setU64("obs.trace_sample_every", traceSampleEvery);
     cfg.setU64("obs.trace_buffer_events", traceBufferEvents);
     cfg.set("obs.trace_json", traceJsonPath);
-    cfg.setBool("obs.profile", profile);
     cfg.setBool("obs.anatomy", anatomy);
     cfg.setU64("obs.anatomy_window_ns", anatomyWindowNs);
     cfg.setU64("obs.anatomy_hist_ns", anatomyHistNs);

@@ -16,7 +16,6 @@
  *   obs.trace_buffer_events  u64     flight-recorder ring capacity
  *   obs.trace_json           path    Chrome trace_event JSON dumped at
  *                                    System teardown ("" = no dump)
- *   obs.profile              bool    simulator self-profiling
  *   obs.anatomy              off|on  latency-anatomy engine: per-phase
  *                                    waterfall histograms, congestion
  *                                    heatmap windows, bottleneck verdict
@@ -61,7 +60,6 @@ struct ObsConfig {
     std::uint64_t traceSampleEvery = 1;
     std::uint64_t traceBufferEvents = 1 << 16;
     std::string traceJsonPath;
-    bool profile = false;
     bool anatomy = false;
     std::uint64_t anatomyWindowNs = 0;
     std::uint64_t anatomyHistNs = 32768;
@@ -89,7 +87,7 @@ struct ObsConfig {
     /** True when any obs feature is on (System builds Observability). */
     bool anyEnabled() const
     {
-        return metricsEnabled() || traceMode() != TraceMode::Off || profile;
+        return metricsEnabled() || traceMode() != TraceMode::Off;
     }
 
     void validate() const;

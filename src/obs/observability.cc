@@ -33,8 +33,6 @@ Observability::Observability(const ObsConfig &cfg) : cfg_(cfg)
         tracer_ = std::make_unique<PacketTracer>(
             cfg_.traceMode(), cfg_.traceSampleEvery,
             static_cast<std::size_t>(cfg_.traceBufferEvents));
-    if (cfg_.profile)
-        profiler_ = std::make_unique<SelfProfiler>();
     if (cfg_.anatomy)
         anatomy_ = std::make_unique<AnatomyCollector>(cfg_, &registry_);
     // Anything the panic path can flush (trace tail, partial

@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability: the per-System bundle of the metrics registry, the
- * packet-lifetime tracer, the self-profiler and the time-series
- * sampler, wired to components through Kernel::obs().
+ * packet-lifetime tracer, the time-series sampler and the latency
+ * anatomy engine, wired to components through Kernel::obs().
  *
  * System constructs one (only when any `obs.*` feature is enabled) and
  * publishes it on the kernel before building the component tree, so
@@ -25,7 +25,6 @@
 #include "obs/anatomy.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
-#include "obs/profile.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 
@@ -68,9 +67,6 @@ class Observability
                    : nullptr;
     }
 
-    /** Self-profiler, or null when obs.profile is off. */
-    SelfProfiler *profiler() { return profiler_.get(); }
-
     /** Start the periodic observers: the time-series sampler and the
      *  congestion recorder (each a no-op when its feature is off). */
     void startSampler(Kernel &kernel);
@@ -105,7 +101,6 @@ class Observability
     ObsConfig cfg_;
     MetricsRegistry registry_;
     std::unique_ptr<PacketTracer> tracer_;
-    std::unique_ptr<SelfProfiler> profiler_;
     std::unique_ptr<TimeSeriesSampler> sampler_;
     std::unique_ptr<AnatomyCollector> anatomy_;
     std::unique_ptr<CongestionRecorder> congestion_;

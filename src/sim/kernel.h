@@ -77,7 +77,7 @@ class Kernel
 
     /**
      * The observability layer components register into (metrics,
-     * tracing, profiling); null -- the default -- means the layer is
+     * tracing, latency anatomy); null -- the default -- means the layer is
      * disabled and every hook site reduces to a null check.  Published
      * by System before the component tree is built; the Observability
      * object outlives every component registered with it.

@@ -167,9 +167,10 @@ TEST(EngineIdentity, ConfigRoundTripKeepsEverySimKey)
 TEST(EngineIdentity, RemovedParallelKeysAreIgnored)
 {
     // Configs written for older builds may still carry sim.parallel /
-    // sim.threads or the removed engine selectors sim.event_queue /
-    // sim.packet_pool.  Config does not reject unknown keys, so they
-    // parse and run the one engine unchanged.
+    // sim.threads, the removed engine selectors sim.event_queue /
+    // sim.packet_pool, or the removed self-profiler switch `profile`
+    // in [obs].  Config does not reject unknown keys, so they parse
+    // and run the one engine unchanged.
     SystemConfig base;
     base.hmc.chain.numCubes = 4;
     base.hmc.chain.topology = "ring";
@@ -177,7 +178,8 @@ TEST(EngineIdentity, RemovedParallelKeysAreIgnored)
     const auto ref = gupsSliceWithEvents(base);
     for (const char *removed :
          {"[sim]\nparallel = on\nthreads = 4\n",
-          "[sim]\nevent_queue = heap\npacket_pool = 0\n"}) {
+          "[sim]\nevent_queue = heap\npacket_pool = 0\n",
+          "[obs]\nprofile = 1\n"}) {
         Config cfg;
         base.toConfig(cfg);
         cfg.parseString(removed);
@@ -185,6 +187,14 @@ TEST(EngineIdentity, RemovedParallelKeysAreIgnored)
         expectIdentical(ref.first, got.first);
         EXPECT_EQ(ref.second, got.second) << removed;
     }
+
+    // The profile key used to switch the observability layer on by
+    // itself; now it enables nothing.
+    Config cfg;
+    base.toConfig(cfg);
+    cfg.parseString("[obs]\nprofile = 1\n");
+    const System sys(SystemConfig::fromConfig(cfg));
+    EXPECT_EQ(sys.obs(), nullptr);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Fixture: wall-clock reads outside src/obs/ are forbidden.
+// Fixture: wall-clock reads are forbidden anywhere under src/.
 #include <chrono>
 
 namespace fixture {

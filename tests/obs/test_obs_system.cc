@@ -253,23 +253,5 @@ TEST(ObsSystem, SamplerWritesTimeSeriesCsv)
     std::remove(path.c_str());
 }
 
-TEST(ObsSystem, ProfilerAttributesComponentClasses)
-{
-    SystemConfig cfg;
-    cfg.obs.profile = true;
-    auto sys = makeScenario(cfg);
-    runScenario(*sys);
-
-    const SelfProfiler *p = sys->obs()->profiler();
-    ASSERT_NE(p, nullptr);
-    EXPECT_GT(p->events(), 0u);
-    EXPECT_GT(p->eventsPerSec(), 0.0);
-    // The hot classes instrumented with ProfileScope all fired.
-    const auto &cls = p->classSeconds();
-    EXPECT_NE(cls.find("vault"), cls.end());
-    EXPECT_NE(cls.find("serdes"), cls.end());
-    EXPECT_NE(cls.find("host.tick"), cls.end());
-}
-
 }  // namespace
 }  // namespace hmcsim
