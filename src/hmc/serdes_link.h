@@ -64,6 +64,7 @@ class SerdesLink : public Component
                LinkId id, const Params &params);
 
     LinkId id() const { return id_; }
+    const Params &params() const { return params_; }
 
     /** Upstream endpoint kind; defaults to Host (single-cube wiring). */
     LinkEndpointMode endpointMode() const { return mode_; }

@@ -1,5 +1,7 @@
 #include "host/fpga.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "sim/kernel.h"
 
@@ -18,8 +20,25 @@ Fpga::Fpga(Kernel &kernel, Component *parent, std::string name,
         ports_.push_back(std::make_unique<WorkloadPort>(
             kernel, this, "port" + std::to_string(p), p, cfg_,
             defaultPortParams(p)));
+        adopt(*ports_.back());
     }
     rebindController();
+    const Tick period = clock_.period();
+    for (SerdesLink *lk : attach_.links) {
+        lk->setOnRxAvailable(LinkDir::CubeToHost, [this] {
+            if (plannedEdge_ != nextEdge_)
+                wakeAt(clock_.nextEdgeAtOrAfter(now()));
+        });
+        // The shortest lead with which a response arrival (or a request
+        // retry) can be scheduled; plan() needs both above one period.
+        const SerdesLink::Params &lp = lk->params();
+        const Tick flight =
+            lk->flitPeriod() + lp.wireLatency + lp.serdesLatency;
+        const bool retries = lp.crcErrorProb > 0.0;
+        if (flight <= period ||
+            (retries && lk->flitPeriod() + lp.retryDelay <= period))
+            skipAhead_ = false;
+    }
 }
 
 WorkloadPort::Params
@@ -44,6 +63,14 @@ Fpga::port(PortId p)
 }
 
 void
+Fpga::adopt(Port &port)
+{
+    port.setOnActivityChange([this](bool activating) {
+        onPortActivity(activating);
+    });
+}
+
+void
 Fpga::rebindController()
 {
     std::vector<Port *> table;
@@ -62,6 +89,7 @@ Fpga::configureWorkloadPort(PortId p, WorkloadPort::Params params)
         kernel(), this, "port" + std::to_string(p), p, cfg_,
         std::move(params));
     WorkloadPort &ref = *port;
+    adopt(ref);
     ports_[p] = std::move(port);
     ref.setActive(true);
     rebindController();
@@ -110,19 +138,127 @@ Fpga::start()
     if (running_)
         return;
     running_ = true;
-    const Tick first = clock_.nextEdgeAfter(now());
-    kernel().scheduleAt(first, [this] { tickAll(); });
+    nextEdge_ = clock_.nextEdgeAfter(now());
+    postTick(nextEdge_);
+}
+
+void
+Fpga::postTick(Tick edge)
+{
+    plannedEdge_ = edge;
+    const std::uint64_t g = ++gen_;
+    kernel().scheduleAt(edge, [this, g] {
+        if (g == gen_)
+            tickAll();
+    });
 }
 
 void
 Fpga::tickAll()
 {
-    if (!running_)
-        return;
+    replayTo(now());
     for (auto &p : ports_)
         p->tick();
     ctrl_->tick();
-    kernel().scheduleIn(clock_.period(), [this] { tickAll(); });
+    nextEdge_ = now() + clock_.period();
+    plan();
+}
+
+/*
+ * The clock ticks only edges where some tick changes state.  After a
+ * tick, every port and the controller report how many cycles remain
+ * until theirs next does (cyclesToWork); the clock sleeps through the
+ * edges in between and, before the next tick, replays them in closed
+ * form (replayTo).  A response landing in a host link's RX or a port
+ * (re)activation wakes it at the first edge the free-running clock
+ * would have seen it on.
+ *
+ * That alone keeps every tick on a free-running edge; bit-identity
+ * also needs each tick to keep its place among the events that share
+ * its time.  The free-running clock posts the tick at edge E from the
+ * tick at E - P (P = one period), so the tick follows every event
+ * scheduled for E before E - P and precedes every one scheduled after.
+ * A tick due at the next edge is posted the same way.  A later tick is
+ * posted by a relay event at E - P, so the same split holds up to the
+ * events scheduled at exactly E - P.  A wake posts the tick at E from
+ * some time in (E - P, E].  Either way, only events landing on E with
+ * a lead of at most P can change places with the tick.  Of the events
+ * that touch host state, response arrivals and request retries have a
+ * longer lead: the constructor falls back to ticking every edge
+ * (skipAhead_) for links whose shortest flight or retry delay is not
+ * longer than P.  A token return on a request link has a shorter lead
+ * (3.2 ns by default) but only matters to a tick that sends; the
+ * controller lets the clock sleep only while every link holds the
+ * tokens for a full cycle of sends, so an early or late token return
+ * cannot change one.
+ */
+void
+Fpga::plan()
+{
+    std::uint64_t n = skipAhead_ ? ctrl_->cyclesToWork() : 1;
+    for (auto &p : ports_) {
+        if (n == 1)
+            break;
+        n = std::min(n, p->cyclesToWork());
+    }
+    if (n == Port::kNoSelfWake) {
+        plannedEdge_ = kTickNever;
+        return;
+    }
+    if (n == 1) {
+        postTick(nextEdge_);
+        return;
+    }
+    plannedEdge_ = now() + n * clock_.period();
+    const Tick at = plannedEdge_ - clock_.period();
+    // A relay a wake left pending may already serve this edge.
+    if (relayAt_ == at)
+        return;
+    relayAt_ = at;
+    kernel().scheduleAt(at, [this, at] { relay(at); });
+}
+
+void
+Fpga::relay(Tick at)
+{
+    if (relayAt_ != at)
+        return;  // superseded by a later plan
+    relayAt_ = kTickNever;
+    if (plannedEdge_ == at + clock_.period())
+        postTick(plannedEdge_);
+}
+
+void
+Fpga::replayTo(Tick edge)
+{
+    if (edge <= nextEdge_)
+        return;
+    const std::uint64_t n = (edge - nextEdge_) / clock_.period();
+    for (auto &p : ports_)
+        p->skipCycles(n);
+    ctrl_->skipCycles(n);
+    nextEdge_ = edge;
+}
+
+void
+Fpga::wakeAt(Tick edge)
+{
+    edge = std::max(edge, nextEdge_);
+    if (edge < plannedEdge_)
+        postTick(edge);
+}
+
+void
+Fpga::onPortActivity(bool activating)
+{
+    // Ports change activity between runs, when every event up to now
+    // has fired: the edges up to now count as ticked.  Settle them
+    // before the change so replay credits only the cycles the port
+    // was active.
+    const Tick next = clock_.nextEdgeAfter(now());
+    replayTo(std::min(next, plannedEdge_));
+    if (activating)
+        wakeAt(next);
 }
 
 }  // namespace hmcsim

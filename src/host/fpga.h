@@ -1,9 +1,12 @@
 /**
  * @file
- * The FPGA fabric: nine request ports and the host HMC controller,
- * ticking at 187.5 MHz.  Ports start as inactive GUPS-sourced
- * WorkloadPorts and are replaced in place when an experiment (or the
- * config-driven workload layer) configures them.
+ * The FPGA fabric: nine request ports and the host HMC controller on
+ * one 187.5 MHz clock.  The clock ticks only the edges where a port or
+ * the controller has work and replays the no-op edges it skips, so a
+ * run matches a clock that ticks every edge bit for bit (see
+ * Fpga::plan).  Ports start as inactive GUPS-sourced WorkloadPorts and
+ * are replaced in place when an experiment (or the config-driven
+ * workload layer) configures them.
  */
 
 #ifndef HMCSIM_HOST_FPGA_H_
@@ -50,13 +53,8 @@ class Fpga : public Component
 
     HmcHostController &controller() { return *ctrl_; }
 
-    /** Begin ticking; idempotent. */
+    /** Begin ticking at the first edge after now; idempotent. */
     void start();
-
-    /** Stop ticking after the current cycle. */
-    void stop() { running_ = false; }
-
-    bool running() const { return running_; }
 
     /** True when every port reports idle. */
     bool allPortsIdle() const;
@@ -68,8 +66,28 @@ class Fpga : public Component
     std::vector<std::unique_ptr<Port>> ports_;
     std::unique_ptr<HmcHostController> ctrl_;
     bool running_ = false;
+    /** False when a wake could not keep the free-running order (see
+     *  plan()): the clock then ticks every edge. */
+    bool skipAhead_ = true;
+    /** First edge neither ticked nor replayed yet. */
+    Tick nextEdge_ = 0;
+    /** Edge of the next scheduled tick; kTickNever while asleep, 0
+     *  before start() so that no wake can schedule one. */
+    Tick plannedEdge_ = 0;
+    /** Time of the live relay event; kTickNever when none. */
+    Tick relayAt_ = kTickNever;
+    /** Generation of the live tick event; older ones are dropped when
+     *  they fire. */
+    std::uint64_t gen_ = 0;
 
     void tickAll();
+    void plan();
+    void relay(Tick at);
+    void postTick(Tick edge);
+    void replayTo(Tick edge);
+    void wakeAt(Tick edge);
+    void onPortActivity(bool activating);
+    void adopt(Port &port);
     void rebindController();
     WorkloadPort::Params defaultPortParams(PortId p) const;
 };

@@ -15,6 +15,8 @@ HmcHostController::HmcHostController(Kernel &kernel, Component *parent,
                                      HostAttach attach)
     : Component(kernel, parent, std::move(name)), cfg_(cfg),
       attach_(std::move(attach)), portArb_(cfg.numPorts),
+      sendHeadroom_(cfg.requestsPerCyclePerLink *
+                    HmcPacket::flitsFor(HmcCmd::Write, 128)),
       sentPerCube_(attach_.numCubes), outstanding_(attach_.numCubes, 0),
       peakOutstanding_(attach_.numCubes, 0),
       sentPerLink_(attach_.links.size())
@@ -55,6 +57,43 @@ HmcHostController::tick()
     tickResponses();
 }
 
+std::uint64_t
+HmcHostController::cyclesToWork() const
+{
+    // Adaptive entry picks links by live token counts, so even an idle
+    // tickRequests moves txNextLink_; the static rotation comes back
+    // to where it started.
+    if (adaptiveRotation() || anyRequest())
+        return 1;
+    for (const SerdesLink *lk : attach_.links) {
+        if (lk->rxAvailable(LinkDir::CubeToHost))
+            return 1;
+        // Sleep only when no token return can decide a send (see
+        // Fpga::plan).
+        if (lk->tokensFree(LinkDir::HostToCube) < sendHeadroom_)
+            return 1;
+    }
+    return Port::kNoSelfWake;
+}
+
+bool
+HmcHostController::anyRequest() const
+{
+    return std::any_of(ports_.begin(), ports_.end(),
+                       [](const Port *p) { return p->hasRequest(); });
+}
+
+void
+HmcHostController::skipCycles(std::uint64_t n)
+{
+    desFlitBudget_ =
+        replayBudget(desFlitBudget_, n, cfg_.deserializerFlitsPerCycle,
+                     cfg_.deserializerFlitBudgetCap);
+    desPacketBudget_ =
+        replayBudget(desPacketBudget_, n, cfg_.deserializerPacketsPerCycle,
+                     cfg_.deserializerPacketBudgetCap);
+}
+
 void
 HmcHostController::tickRequests()
 {
@@ -64,12 +103,16 @@ HmcHostController::tickRequests()
     // the usable response bandwidth.
     const LinkDir dir = LinkDir::HostToCube;
     const std::uint32_t num_links = numLinks();
-    std::vector<std::uint32_t> grants(num_links,
-                                      cfg_.requestsPerCyclePerLink);
+    const bool adaptive = adaptiveRotation();
+    // With nothing to send, the static rotation visits every link once
+    // and comes back to where it started: skip the pass.
+    if (!adaptive && !anyRequest())
+        return;
+    grants_.assign(num_links, cfg_.requestsPerCyclePerLink);
     std::uint32_t idle_links = 0;
     while (idle_links < num_links) {
         LinkId l = static_cast<LinkId>(txNextLink_ % num_links);
-        if (attach_.adaptiveEntry && num_links > 1) {
+        if (adaptive) {
             // Congestion-aware entry spread: among links that still
             // hold an issue grant, prefer the one with the most free
             // request tokens; ties keep the round-robin order.
@@ -77,40 +120,40 @@ HmcHostController::tickRequests()
             for (std::uint32_t k = 1; k < num_links; ++k) {
                 const LinkId cand =
                     static_cast<LinkId>((txNextLink_ + k) % num_links);
-                if (grants[cand] == 0)
+                if (grants_[cand] == 0)
                     continue;
                 const std::uint32_t free = link(cand).tokensFree(dir);
-                if (grants[l] == 0 || free > best) {
+                if (grants_[l] == 0 || free > best) {
                     l = cand;
                     best = free;
                 }
             }
         }
         txNextLink_ = (static_cast<std::size_t>(l) + 1) % num_links;
-        if (grants[l] == 0) {
+        if (grants_[l] == 0) {
             ++idle_links;
             continue;
         }
         SerdesLink &lk = link(l);
         const CubeId link_cube = attach_.linkCube[l];
-        std::vector<bool> req(ports_.size(), false);
+        req_.assign(ports_.size(), false);
         bool any = false;
         for (std::size_t p = 0; p < ports_.size(); ++p) {
-            req[p] = ports_[p]->hasRequest() &&
+            req_[p] = ports_[p]->hasRequest() &&
                 lk.canSend(dir, ports_[p]->headFlits());
             // Star attachment: this link only reaches one cube.
-            if (req[p] && link_cube != kCubeAll) {
-                req[p] = attach_.map->decodeCube(
-                             ports_[p]->headAddr()) == link_cube;
+            if (req_[p] && link_cube != kCubeAll) {
+                req_[p] = attach_.map->decodeCube(
+                              ports_[p]->headAddr()) == link_cube;
             }
-            any = any || req[p];
+            any = any || req_[p];
         }
         if (!any) {
-            grants[l] = 0;
+            grants_[l] = 0;
             ++idle_links;
             continue;
         }
-        const std::size_t winner = portArb_.grant(req);
+        const std::size_t winner = portArb_.grant(req_);
         HmcPacketPtr pkt = ports_[winner]->popRequest();
         pkt->link = l;
         pkt->host = attach_.hostId;
@@ -125,7 +168,7 @@ HmcHostController::tickRequests()
         lk.send(dir, pkt);
         requestsSent_.inc();
         sentPerLink_[l].inc();
-        --grants[l];
+        --grants_[l];
         idle_links = 0;
     }
 }

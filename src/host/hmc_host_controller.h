@@ -66,6 +66,13 @@ class HmcHostController : public Component
     /** Advance one FPGA cycle: issue requests, drain responses. */
     void tick();
 
+    /** Port::cyclesToWork for the controller: 1 while it can issue or
+     *  drain, else Port::kNoSelfWake (a response wakes it). */
+    std::uint64_t cyclesToWork() const;
+
+    /** Apply @p n skipped no-op ticks: refill the deserializer. */
+    void skipCycles(std::uint64_t n);
+
     std::uint64_t requestsSent() const { return requestsSent_.value(); }
     std::uint64_t
     responsesDelivered() const
@@ -98,7 +105,14 @@ class HmcHostController : public Component
     RoundRobinArbiter portArb_;
     std::uint32_t desFlitBudget_ = 0;
     std::uint32_t desPacketBudget_ = 0;
+    /** Request-link tokens one tick can spend at most: one 128 B
+     *  write per issue slot. */
+    std::uint32_t sendHeadroom_;
     std::size_t txNextLink_ = 0;
+    /** tickRequests scratch (issue grants per link, port requests),
+     *  kept to avoid two allocations per cycle. */
+    std::vector<std::uint32_t> grants_;
+    std::vector<bool> req_;
     std::size_t rxNextLink_ = 0;
     Counter requestsSent_;
     Counter responsesDelivered_;
@@ -117,6 +131,14 @@ class HmcHostController : public Component
         return static_cast<std::uint32_t>(attach_.links.size());
     }
     bool multiCube() const { return attach_.numCubes > 1; }
+    /** Entry-link choice reads live token counts (adaptive entry over
+     *  several links). */
+    bool
+    adaptiveRotation() const
+    {
+        return attach_.adaptiveEntry && numLinks() > 1;
+    }
+    bool anyRequest() const;
 
     void tickRequests();
     void tickResponses();

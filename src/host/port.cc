@@ -90,6 +90,16 @@ Port::transactionBytes(const HmcPacket &resp)
         kFlitBytes;
 }
 
+void
+Port::setActive(bool active)
+{
+    if (active == active_)
+        return;
+    if (onActivityChange_)
+        onActivityChange_(active);
+    active_ = active;
+}
+
 bool
 Port::idle() const
 {

@@ -11,9 +11,12 @@
 #ifndef HMCSIM_HOST_PORT_H_
 #define HMCSIM_HOST_PORT_H_
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 
+#include "common/inline_function.h"
 #include "host/host_config.h"
 #include "host/monitor.h"
 #include "hmc/packet.h"
@@ -36,7 +39,20 @@ class Port : public Component
     PortId portId() const { return id_; }
 
     bool active() const { return active_; }
-    void setActive(bool active) { active_ = active; }
+
+    /**
+     * Start or stop issuing.  The activity-change hook runs first, so
+     * the owning fabric can settle its clock and, on activation, wake
+     * it at its next edge.
+     */
+    void setActive(bool active);
+
+    /** Hook run before every activity change (the owning Fpga's). */
+    void
+    setOnActivityChange(InlineFunction<void(bool)> fn)
+    {
+        onActivityChange_ = std::move(fn);
+    }
 
     // ----- controller-facing request path -----
     bool hasRequest() const { return !fifo_.empty(); }
@@ -48,8 +64,24 @@ class Port : public Component
     /** A matched response arrives from the controller's deserializer. */
     virtual void onResponse(const HmcPacketPtr &pkt) = 0;
 
-    /** Called once per FPGA cycle while the fabric runs. */
+    /** Called on each FPGA edge the fabric ticks; it skips only edges
+     *  cyclesToWork() reports as no-ops. */
     virtual void tick() = 0;
+
+    /** cyclesToWork() when only a response or (re)activation can give
+     *  the port work. */
+    static constexpr std::uint64_t kNoSelfWake =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * Cycles from the last tick until tick() next changes state: 1 for
+     * the next edge, k when the k - 1 edges before it are no-ops, or
+     * kNoSelfWake.  Ticks on the edges in between may be skipped.
+     */
+    virtual std::uint64_t cyclesToWork() const = 0;
+
+    /** Apply @p n skipped no-op ticks in closed form. */
+    virtual void skipCycles(std::uint64_t n) = 0;
 
     /** True once the port has no further work (trace completion). */
     virtual bool idle() const;
@@ -93,7 +125,24 @@ class Port : public Component
     PacketTracer *lifeTracer_ = nullptr;
     /** Latency-anatomy collector; null when obs.anatomy is off. */
     AnatomyCollector *anatomy_ = nullptr;
+    InlineFunction<void(bool)> onActivityChange_;
 };
+
+/**
+ * A budget refilled once per cycle as min(budget + rate, cap), after
+ * @p n cycles: min(budget + n * rate, cap) when n > 0, without
+ * overflow.
+ */
+inline std::uint32_t
+replayBudget(std::uint32_t budget, std::uint64_t n, std::uint32_t rate,
+             std::uint32_t cap)
+{
+    if (n == 0)
+        return budget;
+    const std::uint64_t grown =
+        budget + std::min<std::uint64_t>(n, cap) * rate;
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(grown, cap));
+}
 
 }  // namespace hmcsim
 

@@ -120,8 +120,7 @@ WorkloadPort::tick()
         // budget accumulates drainRate_ flits per cycle so multi-flit
         // responses take multiple cycles, which is what throttles
         // large request sizes on the stream path (Fig. 7/8 slopes).
-        drainBudget_ = std::min(drainBudget_ + drainRate_,
-                                std::max(2 * drainRate_, 12u));
+        drainBudget_ = std::min(drainBudget_ + drainRate_, drainCap());
         while (!drainQ_.empty() &&
                drainQ_.front()->flits() <= drainBudget_) {
             const HmcPacketPtr pkt = drainQ_.front();
@@ -149,6 +148,49 @@ WorkloadPort::tick()
         // One new request per cycle at most (firmware behaviour).
         tryIssueOne();
     }
+}
+
+bool
+WorkloadPort::issueAwaitsResponse() const
+{
+    // tryIssueOne's closed-loop gates that only a completion opens;
+    // while one holds, an issue attempt changes nothing.
+    if (fifoFull())
+        return false;
+    if (outstanding_ >= window_)
+        return true;
+    if (sourceDone() && pendingWrites_.empty())
+        return true;
+    return inject_.batchSize != 0 && batchRemaining_ == 0 &&
+        outstanding_ != 0;
+}
+
+std::uint64_t
+WorkloadPort::cyclesToWork() const
+{
+    if (!active_)
+        return kNoSelfWake;
+    // Open loop accrues floating-point credit every cycle, which no
+    // closed form replays bit-identically; a port that can issue (or
+    // waits out a request's delayNs) acts on every edge too.
+    if (openLoop() || !issueAwaitsResponse())
+        return 1;
+    if (drainRate_ == 0 || drainQ_.empty())
+        return kNoSelfWake;
+    const std::uint32_t need = drainQ_.front()->flits();
+    if (need > drainCap())
+        return kNoSelfWake;
+    if (need <= drainBudget_ + drainRate_)
+        return 1;
+    return (need - drainBudget_ + drainRate_ - 1) / drainRate_;
+}
+
+void
+WorkloadPort::skipCycles(std::uint64_t n)
+{
+    // A no-op tick only refills the drain budget.
+    if (active_ && drainRate_ > 0)
+        drainBudget_ = replayBudget(drainBudget_, n, drainRate_, drainCap());
 }
 
 void

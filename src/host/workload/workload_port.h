@@ -41,6 +41,8 @@ class WorkloadPort : public Port
                  PortId id, const HostConfig &cfg, Params params);
 
     void tick() override;
+    std::uint64_t cyclesToWork() const override;
+    void skipCycles(std::uint64_t n) override;
     void onResponse(const HmcPacketPtr &pkt) override;
     bool idle() const override;
 
@@ -97,6 +99,8 @@ class WorkloadPort : public Port
         return inject_.mode == InjectMode::ClosedLoop;
     }
     bool sourceDone() const { return exhausted_ && !stagedValid_; }
+    std::uint32_t drainCap() const { return std::max(2 * drainRate_, 12u); }
+    bool issueAwaitsResponse() const;
     bool ensureStaged();
     bool tryIssueOne();
     void complete(const HmcPacketPtr &pkt);
