@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -228,6 +229,71 @@ Config::merge(const Config &other)
 {
     for (const auto &kv : other.values_)
         values_[kv.first] = kv.second;
+}
+
+void
+ConfigReader::operator()(const char *key, std::uint32_t &v) const
+{
+    const std::string k = prefix + key;
+    const std::uint64_t wide = cfg.getU64(k, v);
+    if (wide > UINT32_MAX)
+        fatal("config: key '" + k + "' value " + std::to_string(wide) +
+              " does not fit in 32 bits");
+    v = static_cast<std::uint32_t>(wide);
+}
+
+void
+ConfigReader::operator()(const char *key, std::uint64_t &v) const
+{
+    v = cfg.getU64(prefix + key, v);
+}
+
+void
+ConfigReader::operator()(const char *key, double &v) const
+{
+    v = cfg.getDouble(prefix + key, v);
+}
+
+void
+ConfigReader::operator()(const char *key, bool &v) const
+{
+    v = cfg.getBool(prefix + key, v);
+}
+
+void
+ConfigReader::operator()(const char *key, std::string &v) const
+{
+    v = cfg.getString(prefix + key, v);
+}
+
+void
+ConfigWriter::operator()(const char *key, std::uint32_t v) const
+{
+    cfg.setU64(prefix + key, v);
+}
+
+void
+ConfigWriter::operator()(const char *key, std::uint64_t v) const
+{
+    cfg.setU64(prefix + key, v);
+}
+
+void
+ConfigWriter::operator()(const char *key, double v) const
+{
+    cfg.setDouble(prefix + key, v);
+}
+
+void
+ConfigWriter::operator()(const char *key, bool v) const
+{
+    cfg.setBool(prefix + key, v);
+}
+
+void
+ConfigWriter::operator()(const char *key, const std::string &v) const
+{
+    cfg.set(prefix + key, v);
 }
 
 }  // namespace hmcsim

@@ -82,6 +82,38 @@ class Config
     const std::string *find(const std::string &key) const;
 };
 
+/**
+ * Walkers over a config struct's key list.  Each struct's .cc keeps
+ * one `fields(c, f)` template calling `f("key", c.member)` once per
+ * key; fromConfig walks it with a ConfigReader and toConfig with a
+ * ConfigWriter, so every key is spelled once.  The overload on the
+ * member's type picks the Config getter or setter.  A reader keeps a
+ * member's current value when its key is absent.  @c prefix is put in
+ * front of every key (a workload spec's "host.port3.").
+ */
+struct ConfigReader {
+    const Config &cfg;
+    std::string prefix = "";
+
+    /** Raises fatal() naming the key when the value exceeds 32 bits. */
+    void operator()(const char *key, std::uint32_t &v) const;
+    void operator()(const char *key, std::uint64_t &v) const;
+    void operator()(const char *key, double &v) const;
+    void operator()(const char *key, bool &v) const;
+    void operator()(const char *key, std::string &v) const;
+};
+
+struct ConfigWriter {
+    Config &cfg;
+    std::string prefix = "";
+
+    void operator()(const char *key, std::uint32_t v) const;
+    void operator()(const char *key, std::uint64_t v) const;
+    void operator()(const char *key, double v) const;
+    void operator()(const char *key, bool v) const;
+    void operator()(const char *key, const std::string &v) const;
+};
+
 }  // namespace hmcsim
 
 #endif  // HMCSIM_COMMON_CONFIG_H_

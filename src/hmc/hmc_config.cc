@@ -5,6 +5,69 @@
 
 namespace hmcsim {
 
+namespace {
+
+/** The "hmc.*" key list (power keys live in PowerConfig). */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("hmc.num_vaults", c.numVaults);
+    f("hmc.num_quadrants", c.numQuadrants);
+    f("hmc.banks_per_vault", c.numBanksPerVault);
+    f("hmc.capacity_bytes", c.capacityBytes);
+    f("hmc.block_bytes", c.blockBytes);
+    f("hmc.row_bytes", c.rowBytes);
+    f("hmc.map_scheme", c.mapScheme);
+
+    f("hmc.num_links", c.numLinks);
+    f("hmc.lanes_per_link", c.lanesPerLink);
+    f("hmc.link_gbps", c.linkGbps);
+    f("hmc.link_wire_latency_ps", c.linkWireLatency);
+    f("hmc.serdes_latency_ps", c.serdesLatency);
+    f("hmc.link_tokens", c.linkTokens);
+    f("hmc.token_return_latency_ps", c.tokenReturnLatency);
+    f("hmc.crc_error_prob", c.crcErrorProb);
+    f("hmc.retry_delay_ps", c.retryDelay);
+    f("hmc.link_seed", c.linkSeed);
+
+    f("hmc.topology", c.topology);
+    f("hmc.noc_flit_period_ps", c.noc.flitPeriod);
+    f("hmc.noc_wire_latency_ps", c.noc.wireLatency);
+    f("hmc.noc_router_latency_ps", c.noc.routerLatency);
+    f("hmc.noc_credit_latency_ps", c.noc.creditLatency);
+    f("hmc.noc_input_buffer_flits", c.noc.inputBufferFlits);
+    f("hmc.noc_output_queue_flits", c.noc.outputQueueFlits);
+    f("hmc.noc_eject_queue_flits", c.noc.ejectQueueFlits);
+
+    f("hmc.vc_input_queue_flits", c.vcInputQueueFlits);
+    f("hmc.vc_bank_queue_depth", c.vcBankQueueDepth);
+    f("hmc.vc_response_queue_flits", c.vcResponseQueueFlits);
+    f("hmc.vc_frontend_latency_ps", c.vcFrontendLatency);
+    f("hmc.vc_backend_latency_ps", c.vcBackendLatency);
+    f("hmc.vc_request_cycle_ps", c.vcRequestCycle);
+    f("hmc.scheduler", c.scheduler);
+    f("hmc.page_policy", c.pagePolicy);
+    f("hmc.trefi_ps", c.trefi);
+    f("hmc.vault_jitter_ns_per_flit", c.vaultJitterNsPerFlit);
+    f("hmc.vault_jitter_seed", c.vaultJitterSeed);
+
+    f("hmc.dram_preset", c.dramPreset);
+
+    f("hmc.num_cubes", c.chain.numCubes);
+    f("hmc.chain_topology", c.chain.topology);
+    f("hmc.chain_interleave", c.chain.interleave);
+    f("hmc.chain_passthrough_latency_ps", c.chain.passThroughLatency);
+    f("hmc.chain_forward_queue_packets", c.chain.forwardQueuePackets);
+    f("hmc.chain_routing", c.chain.routing);
+    f("hmc.chain_adaptive_threshold_flits", c.chain.adaptiveThresholdFlits);
+    f("hmc.chain_adaptive_misroute_threshold_flits",
+      c.chain.adaptiveMisrouteThresholdFlits);
+    f("hmc.chain_adaptive_max_misroutes", c.chain.adaptiveMaxMisroutes);
+}
+
+}  // namespace
+
 SchedulerKind
 schedulerFromString(const std::string &s)
 {
@@ -144,96 +207,7 @@ HmcConfig
 HmcConfig::fromConfig(const Config &cfg)
 {
     HmcConfig c;
-    c.numVaults =
-        static_cast<std::uint32_t>(cfg.getU64("hmc.num_vaults", c.numVaults));
-    c.numQuadrants = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.num_quadrants", c.numQuadrants));
-    c.numBanksPerVault = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.banks_per_vault", c.numBanksPerVault));
-    c.capacityBytes = cfg.getU64("hmc.capacity_bytes", c.capacityBytes);
-    c.blockBytes =
-        static_cast<std::uint32_t>(cfg.getU64("hmc.block_bytes",
-                                              c.blockBytes));
-    c.rowBytes =
-        static_cast<std::uint32_t>(cfg.getU64("hmc.row_bytes", c.rowBytes));
-    c.mapScheme = cfg.getString("hmc.map_scheme", c.mapScheme);
-
-    c.numLinks =
-        static_cast<std::uint32_t>(cfg.getU64("hmc.num_links", c.numLinks));
-    c.lanesPerLink = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.lanes_per_link", c.lanesPerLink));
-    c.linkGbps = cfg.getDouble("hmc.link_gbps", c.linkGbps);
-    c.linkWireLatency = cfg.getU64("hmc.link_wire_latency_ps",
-                                   c.linkWireLatency);
-    c.serdesLatency = cfg.getU64("hmc.serdes_latency_ps", c.serdesLatency);
-    c.linkTokens = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.link_tokens", c.linkTokens));
-    c.tokenReturnLatency = cfg.getU64("hmc.token_return_latency_ps",
-                                      c.tokenReturnLatency);
-    c.crcErrorProb = cfg.getDouble("hmc.crc_error_prob", c.crcErrorProb);
-    c.retryDelay = cfg.getU64("hmc.retry_delay_ps", c.retryDelay);
-    c.linkSeed = cfg.getU64("hmc.link_seed", c.linkSeed);
-
-    c.topology = cfg.getString("hmc.topology", c.topology);
-    c.noc.flitPeriod = cfg.getU64("hmc.noc_flit_period_ps",
-                                  c.noc.flitPeriod);
-    c.noc.wireLatency = cfg.getU64("hmc.noc_wire_latency_ps",
-                                   c.noc.wireLatency);
-    c.noc.routerLatency = cfg.getU64("hmc.noc_router_latency_ps",
-                                     c.noc.routerLatency);
-    c.noc.creditLatency = cfg.getU64("hmc.noc_credit_latency_ps",
-                                     c.noc.creditLatency);
-    c.noc.inputBufferFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.noc_input_buffer_flits", c.noc.inputBufferFlits));
-    c.noc.outputQueueFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.noc_output_queue_flits", c.noc.outputQueueFlits));
-    c.noc.ejectQueueFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.noc_eject_queue_flits", c.noc.ejectQueueFlits));
-
-    c.vcInputQueueFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.vc_input_queue_flits", c.vcInputQueueFlits));
-    c.vcBankQueueDepth = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.vc_bank_queue_depth", c.vcBankQueueDepth));
-    c.vcResponseQueueFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.vc_response_queue_flits", c.vcResponseQueueFlits));
-    c.vcFrontendLatency = cfg.getU64("hmc.vc_frontend_latency_ps",
-                                     c.vcFrontendLatency);
-    c.vcBackendLatency = cfg.getU64("hmc.vc_backend_latency_ps",
-                                    c.vcBackendLatency);
-    c.vcRequestCycle = cfg.getU64("hmc.vc_request_cycle_ps",
-                                  c.vcRequestCycle);
-    c.scheduler = cfg.getString("hmc.scheduler", c.scheduler);
-    c.pagePolicy = cfg.getString("hmc.page_policy", c.pagePolicy);
-    c.trefi = cfg.getU64("hmc.trefi_ps", c.trefi);
-    c.vaultJitterNsPerFlit = cfg.getDouble("hmc.vault_jitter_ns_per_flit",
-                                           c.vaultJitterNsPerFlit);
-    c.vaultJitterSeed = cfg.getU64("hmc.vault_jitter_seed",
-                                   c.vaultJitterSeed);
-
-    c.dramPreset = cfg.getString("hmc.dram_preset", c.dramPreset);
-
-    c.chain.numCubes = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.num_cubes", c.chain.numCubes));
-    c.chain.topology = cfg.getString("hmc.chain_topology",
-                                     c.chain.topology);
-    c.chain.interleave = cfg.getString("hmc.chain_interleave",
-                                       c.chain.interleave);
-    c.chain.passThroughLatency = cfg.getU64(
-        "hmc.chain_passthrough_latency_ps", c.chain.passThroughLatency);
-    c.chain.forwardQueuePackets = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.chain_forward_queue_packets",
-                   c.chain.forwardQueuePackets));
-    c.chain.routing = cfg.getString("hmc.chain_routing", c.chain.routing);
-    c.chain.adaptiveThresholdFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.chain_adaptive_threshold_flits",
-                   c.chain.adaptiveThresholdFlits));
-    c.chain.adaptiveMisrouteThresholdFlits = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.chain_adaptive_misroute_threshold_flits",
-                   c.chain.adaptiveMisrouteThresholdFlits));
-    c.chain.adaptiveMaxMisroutes = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.chain_adaptive_max_misroutes",
-                   c.chain.adaptiveMaxMisroutes));
-
+    fields(c, ConfigReader{cfg});
     c.power = PowerConfig::fromConfig(cfg);
     c.validate();
     return c;
@@ -242,56 +216,7 @@ HmcConfig::fromConfig(const Config &cfg)
 void
 HmcConfig::toConfig(Config &cfg) const
 {
-    cfg.setU64("hmc.num_vaults", numVaults);
-    cfg.setU64("hmc.num_quadrants", numQuadrants);
-    cfg.setU64("hmc.banks_per_vault", numBanksPerVault);
-    cfg.setU64("hmc.capacity_bytes", capacityBytes);
-    cfg.setU64("hmc.block_bytes", blockBytes);
-    cfg.setU64("hmc.row_bytes", rowBytes);
-    cfg.set("hmc.map_scheme", mapScheme);
-    cfg.setU64("hmc.num_links", numLinks);
-    cfg.setU64("hmc.lanes_per_link", lanesPerLink);
-    cfg.setDouble("hmc.link_gbps", linkGbps);
-    cfg.setU64("hmc.link_wire_latency_ps", linkWireLatency);
-    cfg.setU64("hmc.serdes_latency_ps", serdesLatency);
-    cfg.setU64("hmc.link_tokens", linkTokens);
-    cfg.setU64("hmc.token_return_latency_ps", tokenReturnLatency);
-    cfg.setDouble("hmc.crc_error_prob", crcErrorProb);
-    cfg.setU64("hmc.retry_delay_ps", retryDelay);
-    cfg.setU64("hmc.link_seed", linkSeed);
-    cfg.set("hmc.topology", topology);
-    cfg.setU64("hmc.noc_flit_period_ps", noc.flitPeriod);
-    cfg.setU64("hmc.noc_wire_latency_ps", noc.wireLatency);
-    cfg.setU64("hmc.noc_router_latency_ps", noc.routerLatency);
-    cfg.setU64("hmc.noc_credit_latency_ps", noc.creditLatency);
-    cfg.setU64("hmc.noc_input_buffer_flits", noc.inputBufferFlits);
-    cfg.setU64("hmc.noc_output_queue_flits", noc.outputQueueFlits);
-    cfg.setU64("hmc.noc_eject_queue_flits", noc.ejectQueueFlits);
-    cfg.setU64("hmc.vc_input_queue_flits", vcInputQueueFlits);
-    cfg.setU64("hmc.vc_bank_queue_depth", vcBankQueueDepth);
-    cfg.setU64("hmc.vc_response_queue_flits", vcResponseQueueFlits);
-    cfg.setU64("hmc.vc_frontend_latency_ps", vcFrontendLatency);
-    cfg.setU64("hmc.vc_backend_latency_ps", vcBackendLatency);
-    cfg.setU64("hmc.vc_request_cycle_ps", vcRequestCycle);
-    cfg.set("hmc.scheduler", scheduler);
-    cfg.set("hmc.page_policy", pagePolicy);
-    cfg.setU64("hmc.trefi_ps", trefi);
-    cfg.setDouble("hmc.vault_jitter_ns_per_flit", vaultJitterNsPerFlit);
-    cfg.setU64("hmc.vault_jitter_seed", vaultJitterSeed);
-    cfg.set("hmc.dram_preset", dramPreset);
-    cfg.setU64("hmc.num_cubes", chain.numCubes);
-    cfg.set("hmc.chain_topology", chain.topology);
-    cfg.set("hmc.chain_interleave", chain.interleave);
-    cfg.setU64("hmc.chain_passthrough_latency_ps",
-               chain.passThroughLatency);
-    cfg.setU64("hmc.chain_forward_queue_packets", chain.forwardQueuePackets);
-    cfg.set("hmc.chain_routing", chain.routing);
-    cfg.setU64("hmc.chain_adaptive_threshold_flits",
-               chain.adaptiveThresholdFlits);
-    cfg.setU64("hmc.chain_adaptive_misroute_threshold_flits",
-               chain.adaptiveMisrouteThresholdFlits);
-    cfg.setU64("hmc.chain_adaptive_max_misroutes",
-               chain.adaptiveMaxMisroutes);
+    fields(*this, ConfigWriter{cfg});
     power.toConfig(cfg);
 }
 

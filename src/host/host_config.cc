@@ -1,8 +1,70 @@
 #include "host/host_config.h"
 
+#include <cctype>
+#include <cstdlib>
+#include <cstring>
+#include <string_view>
+
 #include "common/log.h"
 
 namespace hmcsim {
+
+namespace {
+
+/** The fixed "host.*" key list (workload keys live in WorkloadSpec). */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("host.fpga_mhz", c.fpgaMhz);
+    f("host.num_ports", c.numPorts);
+    f("host.tags_per_port", c.tagsPerPort);
+    f("host.port_fifo_depth", c.portFifoDepth);
+    f("host.requests_per_cycle_per_link", c.requestsPerCyclePerLink);
+    f("host.deserializer_packets_per_cycle", c.deserializerPacketsPerCycle);
+    f("host.deserializer_packet_budget_cap", c.deserializerPacketBudgetCap);
+    f("host.deserializer_flits_per_cycle", c.deserializerFlitsPerCycle);
+    f("host.deserializer_flit_budget_cap", c.deserializerFlitBudgetCap);
+    f("host.fixed_latency_ns", c.fixedLatencyNs);
+    f("host.stream_window", c.streamWindow);
+    f("host.stream_drain_flits_per_cycle", c.streamDrainFlitsPerCycle);
+    f("host.seed", c.seed);
+    f("host.num_hosts", c.numHosts);
+    f("host.workload_ports", c.workloadPorts);
+}
+
+// Keyed by index: host.host<H>.entry_cube and host.port<N>.workload*.
+const char *const kHostKeyHead = "host.host";
+const char *const kEntryCubeKeyTail = ".entry_cube";
+const char *const kPortKeyHead = "host.port";
+
+std::string
+portPrefix(PortId p)
+{
+    return kPortKeyHead + std::to_string(p) + ".";
+}
+
+/**
+ * Split "<head><N><tail>" into N and tail.  False unless N is a plain
+ * decimal without a leading zero; an N past 64 bits saturates.
+ */
+bool
+splitIndexedKey(const std::string &key, const char *head,
+                std::uint64_t &index, std::string_view &tail)
+{
+    const std::size_t at = std::strlen(head);
+    if (key.compare(0, at, head) != 0 || at >= key.size() ||
+        !std::isdigit(static_cast<unsigned char>(key[at])))
+        return false;
+    char *end = nullptr;
+    index = std::strtoull(key.c_str() + at, &end, 10);
+    if (key[at] == '0' && end != key.c_str() + at + 1)
+        return false;
+    tail = end;
+    return true;
+}
+
+}  // namespace
 
 void
 HostConfig::validate() const
@@ -71,69 +133,38 @@ HostConfig
 HostConfig::fromConfig(const Config &cfg)
 {
     HostConfig c;
-    c.fpgaMhz = cfg.getDouble("host.fpga_mhz", c.fpgaMhz);
-    c.numPorts =
-        static_cast<std::uint32_t>(cfg.getU64("host.num_ports",
-                                              c.numPorts));
-    c.tagsPerPort = static_cast<std::uint32_t>(
-        cfg.getU64("host.tags_per_port", c.tagsPerPort));
-    c.portFifoDepth = static_cast<std::uint32_t>(
-        cfg.getU64("host.port_fifo_depth", c.portFifoDepth));
-    c.requestsPerCyclePerLink = static_cast<std::uint32_t>(
-        cfg.getU64("host.requests_per_cycle_per_link",
-                   c.requestsPerCyclePerLink));
-    c.deserializerPacketsPerCycle = static_cast<std::uint32_t>(
-        cfg.getU64("host.deserializer_packets_per_cycle",
-                   c.deserializerPacketsPerCycle));
-    c.deserializerPacketBudgetCap = static_cast<std::uint32_t>(
-        cfg.getU64("host.deserializer_packet_budget_cap",
-                   c.deserializerPacketBudgetCap));
-    c.deserializerFlitsPerCycle = static_cast<std::uint32_t>(
-        cfg.getU64("host.deserializer_flits_per_cycle",
-                   c.deserializerFlitsPerCycle));
-    c.deserializerFlitBudgetCap = static_cast<std::uint32_t>(
-        cfg.getU64("host.deserializer_flit_budget_cap",
-                   c.deserializerFlitBudgetCap));
-    c.fixedLatencyNs = cfg.getDouble("host.fixed_latency_ns",
-                                     c.fixedLatencyNs);
-    c.streamWindow = static_cast<std::uint32_t>(
-        cfg.getU64("host.stream_window", c.streamWindow));
-    c.streamDrainFlitsPerCycle = static_cast<std::uint32_t>(
-        cfg.getU64("host.stream_drain_flits_per_cycle",
-                   c.streamDrainFlitsPerCycle));
-    c.seed = cfg.getU64("host.seed", c.seed);
-    c.numHosts = static_cast<std::uint32_t>(
-        cfg.getU64("host.num_hosts", c.numHosts));
-    bool any_entry = false;
-    std::vector<CubeId> entries;
-    for (HostId h = 0; h < c.numHosts; ++h) {
-        const std::string key =
-            "host.host" + std::to_string(h) + ".entry_cube";
-        entries.push_back(static_cast<CubeId>(
-            cfg.getU64(key, kEntryCubeAuto)));
-        any_entry = any_entry || cfg.has(key);
+    fields(c, ConfigReader{cfg});
+    // Per-host and per-port keys carry an index.  One scan finds them
+    // and rejects an index beyond num_hosts / num_ports (e.g. 1-indexed
+    // ids) instead of dropping the key.
+    std::vector<bool> portHasWorkloadKey(c.numPorts, false);
+    for (const std::string &key : cfg.keys()) {
+        std::uint64_t n = 0;
+        std::string_view tail;
+        if (splitIndexedKey(key, kHostKeyHead, n, tail) &&
+            tail == kEntryCubeKeyTail) {
+            if (n >= c.numHosts)
+                fatal("host: " + key + " pins host " + std::to_string(n) +
+                      " but host.num_hosts is " +
+                      std::to_string(c.numHosts));
+            if (c.entryCubes.empty())
+                c.entryCubes.assign(c.numHosts, kEntryCubeAuto);
+            ConfigReader{cfg}(key.c_str(), c.entryCubes[n]);
+        } else if (splitIndexedKey(key, kPortKeyHead, n, tail) &&
+                   (tail == ".workload" || tail.rfind(".workload.", 0) == 0)) {
+            if (n >= c.numPorts)
+                fatal("host: " + key + " configures port " +
+                      std::to_string(n) + " but host.num_ports is " +
+                      std::to_string(c.numPorts));
+            if (tail == ".workload")
+                portHasWorkloadKey[n] = true;
+        }
     }
-    if (any_entry)
-        c.entryCubes = std::move(entries);
-    // Mirror the per-port workload validation: a pin for a host that
-    // does not exist (e.g. 1-indexed host ids) must not be dropped
-    // silently.
-    for (HostId h = c.numHosts; h < c.numHosts + 8; ++h) {
-        const std::string key =
-            "host.host" + std::to_string(h) + ".entry_cube";
-        if (cfg.has(key))
-            fatal("host: " + key + " pins host " + std::to_string(h) +
-                  " but host.num_hosts is " +
-                  std::to_string(c.numHosts));
-    }
-    c.workloadPorts = static_cast<std::uint32_t>(
-        cfg.getU64("host.workload_ports", c.workloadPorts));
     c.workload = WorkloadSpec::fromConfig(cfg, "host.", c.workload);
     for (PortId p = 0; p < c.numPorts; ++p) {
-        const std::string prefix = "host.port" + std::to_string(p) + ".";
-        if (p < c.workloadPorts || cfg.has(prefix + "workload")) {
+        if (p < c.workloadPorts || portHasWorkloadKey[p]) {
             c.portWorkloads.push_back(
-                {p, WorkloadSpec::fromConfig(cfg, prefix, c.workload)});
+                {p, WorkloadSpec::fromConfig(cfg, portPrefix(p), c.workload)});
         }
     }
     c.validate();
@@ -143,36 +174,15 @@ HostConfig::fromConfig(const Config &cfg)
 void
 HostConfig::toConfig(Config &cfg) const
 {
-    cfg.setDouble("host.fpga_mhz", fpgaMhz);
-    cfg.setU64("host.num_ports", numPorts);
-    cfg.setU64("host.tags_per_port", tagsPerPort);
-    cfg.setU64("host.port_fifo_depth", portFifoDepth);
-    cfg.setU64("host.requests_per_cycle_per_link", requestsPerCyclePerLink);
-    cfg.setU64("host.deserializer_packets_per_cycle",
-               deserializerPacketsPerCycle);
-    cfg.setU64("host.deserializer_packet_budget_cap",
-               deserializerPacketBudgetCap);
-    cfg.setU64("host.deserializer_flits_per_cycle",
-               deserializerFlitsPerCycle);
-    cfg.setU64("host.deserializer_flit_budget_cap",
-               deserializerFlitBudgetCap);
-    cfg.setDouble("host.fixed_latency_ns", fixedLatencyNs);
-    cfg.setU64("host.stream_window", streamWindow);
-    cfg.setU64("host.stream_drain_flits_per_cycle",
-               streamDrainFlitsPerCycle);
-    cfg.setU64("host.seed", seed);
-    cfg.setU64("host.num_hosts", numHosts);
+    fields(*this, ConfigWriter{cfg});
     for (HostId h = 0; h < entryCubes.size(); ++h) {
         if (entryCubes[h] != kEntryCubeAuto)
-            cfg.setU64("host.host" + std::to_string(h) + ".entry_cube",
+            cfg.setU64(kHostKeyHead + std::to_string(h) + kEntryCubeKeyTail,
                        entryCubes[h]);
     }
-    cfg.setU64("host.workload_ports", workloadPorts);
     workload.toConfig(cfg, "host.");
-    for (const PortWorkload &pw : portWorkloads) {
-        pw.spec.toConfig(cfg,
-                         "host.port" + std::to_string(pw.port) + ".");
-    }
+    for (const PortWorkload &pw : portWorkloads)
+        pw.spec.toConfig(cfg, portPrefix(pw.port));
 }
 
 }  // namespace hmcsim

@@ -119,6 +119,7 @@ struct HostConfig {
 
     void validate() const;
 
+    /** Read "host.*" keys; a host/port index past the count is fatal. */
     static HostConfig fromConfig(const Config &cfg);
     void toConfig(Config &cfg) const;
 };

@@ -16,6 +16,53 @@ knownType(const std::string &t)
         t == "trace" || t == "mix";
 }
 
+/**
+ * The "<prefix>workload*" key list.  The request kind is the one key
+ * outside it: it reads and writes its own enum strings.
+ */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("workload", c.type);
+    f("workload.request_bytes", c.requestBytes);
+    f("workload.write_fraction", c.writeFraction);
+    f("workload.vaults", c.patternVaults);
+    f("workload.banks", c.patternBanks);
+    f("workload.base_vault", c.baseVault);
+    f("workload.base_bank", c.baseBank);
+    f("workload.seed", c.seed);
+
+    f("workload.inject", c.inject);
+    f("workload.window", c.window);
+    f("workload.batch", c.batchSize);
+    f("workload.rate_per_ns", c.ratePerNs);
+    f("workload.burstiness", c.burstiness);
+
+    f("workload.gups_mode", c.gupsMode);
+
+    f("workload.stride_bytes", c.strideBytes);
+    f("workload.stride_span", c.strideSpanBytes);
+    f("workload.stride_base", c.strideBase);
+
+    f("workload.zipf_theta", c.zipfTheta);
+    f("workload.zipf_domain", c.zipfDomain);
+    f("workload.zipf_hot_items", c.zipfHotItems);
+
+    f("workload.burst_inner", c.burstInner);
+    f("workload.burst_len", c.burstLen);
+    f("workload.burst_gap_ns", c.burstGapNs);
+    f("workload.burst_jitter", c.burstJitter);
+
+    f("workload.trace_file", c.traceFile);
+    f("workload.trace_length", c.traceLength);
+    f("workload.trace_loop", c.traceLoop);
+
+    f("workload.mix_phases", c.mixPhases);
+}
+
+const char *const kKindKey = "workload.kind";
+
 }  // namespace
 
 void
@@ -52,47 +99,9 @@ WorkloadSpec::fromConfig(const Config &cfg, const std::string &prefix,
                          const WorkloadSpec &defaults)
 {
     WorkloadSpec s = defaults;
-    const std::string w = prefix + "workload";
-    s.type = cfg.getString(w, s.type);
-    const auto u32 = [&cfg](const std::string &key, std::uint32_t fb) {
-        return static_cast<std::uint32_t>(cfg.getU64(key, fb));
-    };
-    s.requestBytes = u32(w + ".request_bytes", s.requestBytes);
+    fields(s, ConfigReader{cfg, prefix});
     s.kind = reqKindFromString(
-        cfg.getString(w + ".kind", toString(s.kind)));
-    s.writeFraction = cfg.getDouble(w + ".write_fraction", s.writeFraction);
-    s.patternVaults = u32(w + ".vaults", s.patternVaults);
-    s.patternBanks = u32(w + ".banks", s.patternBanks);
-    s.baseVault = u32(w + ".base_vault", s.baseVault);
-    s.baseBank = u32(w + ".base_bank", s.baseBank);
-    s.seed = cfg.getU64(w + ".seed", s.seed);
-
-    s.inject = cfg.getString(w + ".inject", s.inject);
-    s.window = u32(w + ".window", s.window);
-    s.batchSize = u32(w + ".batch", s.batchSize);
-    s.ratePerNs = cfg.getDouble(w + ".rate_per_ns", s.ratePerNs);
-    s.burstiness = cfg.getDouble(w + ".burstiness", s.burstiness);
-
-    s.gupsMode = cfg.getString(w + ".gups_mode", s.gupsMode);
-
-    s.strideBytes = cfg.getU64(w + ".stride_bytes", s.strideBytes);
-    s.strideSpanBytes = cfg.getU64(w + ".stride_span", s.strideSpanBytes);
-    s.strideBase = cfg.getU64(w + ".stride_base", s.strideBase);
-
-    s.zipfTheta = cfg.getDouble(w + ".zipf_theta", s.zipfTheta);
-    s.zipfDomain = cfg.getString(w + ".zipf_domain", s.zipfDomain);
-    s.zipfHotItems = cfg.getU64(w + ".zipf_hot_items", s.zipfHotItems);
-
-    s.burstInner = cfg.getString(w + ".burst_inner", s.burstInner);
-    s.burstLen = u32(w + ".burst_len", s.burstLen);
-    s.burstGapNs = u32(w + ".burst_gap_ns", s.burstGapNs);
-    s.burstJitter = cfg.getBool(w + ".burst_jitter", s.burstJitter);
-
-    s.traceFile = cfg.getString(w + ".trace_file", s.traceFile);
-    s.traceLength = cfg.getU64(w + ".trace_length", s.traceLength);
-    s.traceLoop = cfg.getBool(w + ".trace_loop", s.traceLoop);
-
-    s.mixPhases = cfg.getString(w + ".mix_phases", s.mixPhases);
+        cfg.getString(prefix + kKindKey, toString(s.kind)));
     s.validate();
     return s;
 }
@@ -100,36 +109,8 @@ WorkloadSpec::fromConfig(const Config &cfg, const std::string &prefix,
 void
 WorkloadSpec::toConfig(Config &cfg, const std::string &prefix) const
 {
-    const std::string w = prefix + "workload";
-    cfg.set(w, type);
-    cfg.setU64(w + ".request_bytes", requestBytes);
-    cfg.set(w + ".kind", toString(kind));
-    cfg.setDouble(w + ".write_fraction", writeFraction);
-    cfg.setU64(w + ".vaults", patternVaults);
-    cfg.setU64(w + ".banks", patternBanks);
-    cfg.setU64(w + ".base_vault", baseVault);
-    cfg.setU64(w + ".base_bank", baseBank);
-    cfg.setU64(w + ".seed", seed);
-    cfg.set(w + ".inject", inject);
-    cfg.setU64(w + ".window", window);
-    cfg.setU64(w + ".batch", batchSize);
-    cfg.setDouble(w + ".rate_per_ns", ratePerNs);
-    cfg.setDouble(w + ".burstiness", burstiness);
-    cfg.set(w + ".gups_mode", gupsMode);
-    cfg.setU64(w + ".stride_bytes", strideBytes);
-    cfg.setU64(w + ".stride_span", strideSpanBytes);
-    cfg.setU64(w + ".stride_base", strideBase);
-    cfg.setDouble(w + ".zipf_theta", zipfTheta);
-    cfg.set(w + ".zipf_domain", zipfDomain);
-    cfg.setU64(w + ".zipf_hot_items", zipfHotItems);
-    cfg.set(w + ".burst_inner", burstInner);
-    cfg.setU64(w + ".burst_len", burstLen);
-    cfg.setU64(w + ".burst_gap_ns", burstGapNs);
-    cfg.setBool(w + ".burst_jitter", burstJitter);
-    cfg.set(w + ".trace_file", traceFile);
-    cfg.setU64(w + ".trace_length", traceLength);
-    cfg.setBool(w + ".trace_loop", traceLoop);
-    cfg.set(w + ".mix_phases", mixPhases);
+    fields(*this, ConfigWriter{cfg, prefix});
+    cfg.set(prefix + kKindKey, toString(kind));
 }
 
 Tick

@@ -4,6 +4,28 @@
 
 namespace hmcsim {
 
+namespace {
+
+/** The "obs.*" key list. */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("obs.metrics", c.metrics);
+    f("obs.sample_interval_ns", c.sampleIntervalNs);
+    f("obs.sample_csv", c.sampleCsvPath);
+    f("obs.trace", c.trace);
+    f("obs.trace_sample_every", c.traceSampleEvery);
+    f("obs.trace_buffer_events", c.traceBufferEvents);
+    f("obs.trace_json", c.traceJsonPath);
+    f("obs.anatomy", c.anatomy);
+    f("obs.anatomy_window_ns", c.anatomyWindowNs);
+    f("obs.anatomy_hist_ns", c.anatomyHistNs);
+    f("obs.anatomy_hist_bins", c.anatomyHistBins);
+}
+
+}  // namespace
+
 TraceMode
 traceModeFromString(const std::string &s)
 {
@@ -50,22 +72,7 @@ ObsConfig
 ObsConfig::fromConfig(const Config &cfg)
 {
     ObsConfig c;
-    c.metrics = cfg.getBool("obs.metrics", c.metrics);
-    c.sampleIntervalNs =
-        cfg.getU64("obs.sample_interval_ns", c.sampleIntervalNs);
-    c.sampleCsvPath = cfg.getString("obs.sample_csv", c.sampleCsvPath);
-    c.trace = cfg.getString("obs.trace", c.trace);
-    c.traceSampleEvery =
-        cfg.getU64("obs.trace_sample_every", c.traceSampleEvery);
-    c.traceBufferEvents =
-        cfg.getU64("obs.trace_buffer_events", c.traceBufferEvents);
-    c.traceJsonPath = cfg.getString("obs.trace_json", c.traceJsonPath);
-    c.anatomy = cfg.getBool("obs.anatomy", c.anatomy);
-    c.anatomyWindowNs =
-        cfg.getU64("obs.anatomy_window_ns", c.anatomyWindowNs);
-    c.anatomyHistNs = cfg.getU64("obs.anatomy_hist_ns", c.anatomyHistNs);
-    c.anatomyHistBins =
-        cfg.getU64("obs.anatomy_hist_bins", c.anatomyHistBins);
+    fields(c, ConfigReader{cfg});
     c.validate();
     return c;
 }
@@ -73,17 +80,7 @@ ObsConfig::fromConfig(const Config &cfg)
 void
 ObsConfig::toConfig(Config &cfg) const
 {
-    cfg.setBool("obs.metrics", metrics);
-    cfg.setU64("obs.sample_interval_ns", sampleIntervalNs);
-    cfg.set("obs.sample_csv", sampleCsvPath);
-    cfg.set("obs.trace", trace);
-    cfg.setU64("obs.trace_sample_every", traceSampleEvery);
-    cfg.setU64("obs.trace_buffer_events", traceBufferEvents);
-    cfg.set("obs.trace_json", traceJsonPath);
-    cfg.setBool("obs.anatomy", anatomy);
-    cfg.setU64("obs.anatomy_window_ns", anatomyWindowNs);
-    cfg.setU64("obs.anatomy_hist_ns", anatomyHistNs);
-    cfg.setU64("obs.anatomy_hist_bins", anatomyHistBins);
+    fields(*this, ConfigWriter{cfg});
 }
 
 }  // namespace hmcsim

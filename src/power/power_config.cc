@@ -4,6 +4,45 @@
 
 namespace hmcsim {
 
+namespace {
+
+/** The "hmc.power_*" key list. */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("hmc.power_enabled", c.enabled);
+    f("hmc.power_step_ps", c.stepInterval);
+
+    f("hmc.power_dram_act_pj", c.energy.dramActivatePj);
+    f("hmc.power_dram_pre_pj", c.energy.dramPrechargePj);
+    f("hmc.power_dram_read_beat_pj", c.energy.dramReadBeatPj);
+    f("hmc.power_dram_write_beat_pj", c.energy.dramWriteBeatPj);
+    f("hmc.power_dram_refresh_pj", c.energy.dramRefreshPj);
+    f("hmc.power_tsv_beat_pj", c.energy.tsvBeatPj);
+    f("hmc.power_noc_flit_pj", c.energy.nocFlitHopPj);
+    f("hmc.power_serdes_flit_pj", c.energy.serdesFlitPj);
+    f("hmc.power_chain_forward_flit_pj", c.energy.chainForwardFlitPj);
+    f("hmc.power_serdes_idle_w", c.energy.serdesIdleW);
+    f("hmc.power_logic_idle_w", c.energy.logicIdleW);
+    f("hmc.power_dram_idle_w_per_layer", c.energy.dramIdleWPerLayer);
+
+    f("hmc.power_dram_layers", c.thermal.numDramLayers);
+    f("hmc.power_ambient_c", c.thermal.ambientC);
+    f("hmc.power_layer_resistance_k_per_w", c.thermal.layerResistanceKperW);
+    f("hmc.power_sink_resistance_k_per_w", c.thermal.sinkResistanceKperW);
+    f("hmc.power_layer_capacitance_j_per_k",
+      c.thermal.layerCapacitanceJperK);
+
+    f("hmc.power_throttle_enabled", c.throttle.enabled);
+    f("hmc.power_throttle_on_c", c.throttle.onThresholdC);
+    f("hmc.power_throttle_off_c", c.throttle.offThresholdC);
+    f("hmc.power_throttle_levels", c.throttle.numLevels);
+    f("hmc.power_throttle_max_slowdown", c.throttle.maxSlowdown);
+}
+
+}  // namespace
+
 void
 PowerConfig::validate() const
 {
@@ -29,63 +68,7 @@ PowerConfig
 PowerConfig::fromConfig(const Config &cfg)
 {
     PowerConfig c;
-    c.enabled = cfg.getBool("hmc.power_enabled", c.enabled);
-    c.stepInterval = cfg.getU64("hmc.power_step_ps", c.stepInterval);
-
-    c.energy.dramActivatePj =
-        cfg.getDouble("hmc.power_dram_act_pj", c.energy.dramActivatePj);
-    c.energy.dramPrechargePj =
-        cfg.getDouble("hmc.power_dram_pre_pj", c.energy.dramPrechargePj);
-    c.energy.dramReadBeatPj =
-        cfg.getDouble("hmc.power_dram_read_beat_pj",
-                      c.energy.dramReadBeatPj);
-    c.energy.dramWriteBeatPj =
-        cfg.getDouble("hmc.power_dram_write_beat_pj",
-                      c.energy.dramWriteBeatPj);
-    c.energy.dramRefreshPj =
-        cfg.getDouble("hmc.power_dram_refresh_pj", c.energy.dramRefreshPj);
-    c.energy.tsvBeatPj =
-        cfg.getDouble("hmc.power_tsv_beat_pj", c.energy.tsvBeatPj);
-    c.energy.nocFlitHopPj =
-        cfg.getDouble("hmc.power_noc_flit_pj", c.energy.nocFlitHopPj);
-    c.energy.serdesFlitPj =
-        cfg.getDouble("hmc.power_serdes_flit_pj", c.energy.serdesFlitPj);
-    c.energy.chainForwardFlitPj =
-        cfg.getDouble("hmc.power_chain_forward_flit_pj",
-                      c.energy.chainForwardFlitPj);
-    c.energy.serdesIdleW =
-        cfg.getDouble("hmc.power_serdes_idle_w", c.energy.serdesIdleW);
-    c.energy.logicIdleW =
-        cfg.getDouble("hmc.power_logic_idle_w", c.energy.logicIdleW);
-    c.energy.dramIdleWPerLayer =
-        cfg.getDouble("hmc.power_dram_idle_w_per_layer",
-                      c.energy.dramIdleWPerLayer);
-
-    c.thermal.numDramLayers = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.power_dram_layers", c.thermal.numDramLayers));
-    c.thermal.ambientC =
-        cfg.getDouble("hmc.power_ambient_c", c.thermal.ambientC);
-    c.thermal.layerResistanceKperW =
-        cfg.getDouble("hmc.power_layer_resistance_k_per_w",
-                      c.thermal.layerResistanceKperW);
-    c.thermal.sinkResistanceKperW =
-        cfg.getDouble("hmc.power_sink_resistance_k_per_w",
-                      c.thermal.sinkResistanceKperW);
-    c.thermal.layerCapacitanceJperK =
-        cfg.getDouble("hmc.power_layer_capacitance_j_per_k",
-                      c.thermal.layerCapacitanceJperK);
-
-    c.throttle.enabled =
-        cfg.getBool("hmc.power_throttle_enabled", c.throttle.enabled);
-    c.throttle.onThresholdC =
-        cfg.getDouble("hmc.power_throttle_on_c", c.throttle.onThresholdC);
-    c.throttle.offThresholdC =
-        cfg.getDouble("hmc.power_throttle_off_c", c.throttle.offThresholdC);
-    c.throttle.numLevels = static_cast<std::uint32_t>(
-        cfg.getU64("hmc.power_throttle_levels", c.throttle.numLevels));
-    c.throttle.maxSlowdown =
-        cfg.getDouble("hmc.power_throttle_max_slowdown",
-                      c.throttle.maxSlowdown);
+    fields(c, ConfigReader{cfg});
     c.validate();
     return c;
 }
@@ -93,36 +76,7 @@ PowerConfig::fromConfig(const Config &cfg)
 void
 PowerConfig::toConfig(Config &cfg) const
 {
-    cfg.setBool("hmc.power_enabled", enabled);
-    cfg.setU64("hmc.power_step_ps", stepInterval);
-    cfg.setDouble("hmc.power_dram_act_pj", energy.dramActivatePj);
-    cfg.setDouble("hmc.power_dram_pre_pj", energy.dramPrechargePj);
-    cfg.setDouble("hmc.power_dram_read_beat_pj", energy.dramReadBeatPj);
-    cfg.setDouble("hmc.power_dram_write_beat_pj", energy.dramWriteBeatPj);
-    cfg.setDouble("hmc.power_dram_refresh_pj", energy.dramRefreshPj);
-    cfg.setDouble("hmc.power_tsv_beat_pj", energy.tsvBeatPj);
-    cfg.setDouble("hmc.power_noc_flit_pj", energy.nocFlitHopPj);
-    cfg.setDouble("hmc.power_serdes_flit_pj", energy.serdesFlitPj);
-    cfg.setDouble("hmc.power_chain_forward_flit_pj",
-                  energy.chainForwardFlitPj);
-    cfg.setDouble("hmc.power_serdes_idle_w", energy.serdesIdleW);
-    cfg.setDouble("hmc.power_logic_idle_w", energy.logicIdleW);
-    cfg.setDouble("hmc.power_dram_idle_w_per_layer",
-                  energy.dramIdleWPerLayer);
-    cfg.setU64("hmc.power_dram_layers", thermal.numDramLayers);
-    cfg.setDouble("hmc.power_ambient_c", thermal.ambientC);
-    cfg.setDouble("hmc.power_layer_resistance_k_per_w",
-                  thermal.layerResistanceKperW);
-    cfg.setDouble("hmc.power_sink_resistance_k_per_w",
-                  thermal.sinkResistanceKperW);
-    cfg.setDouble("hmc.power_layer_capacitance_j_per_k",
-                  thermal.layerCapacitanceJperK);
-    cfg.setBool("hmc.power_throttle_enabled", throttle.enabled);
-    cfg.setDouble("hmc.power_throttle_on_c", throttle.onThresholdC);
-    cfg.setDouble("hmc.power_throttle_off_c", throttle.offThresholdC);
-    cfg.setU64("hmc.power_throttle_levels", throttle.numLevels);
-    cfg.setDouble("hmc.power_throttle_max_slowdown",
-                  throttle.maxSlowdown);
+    fields(*this, ConfigWriter{cfg});
 }
 
 }  // namespace hmcsim

@@ -12,6 +12,15 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** The "sim.*" key list. */
+template <typename C, typename F>
+void
+fields(C &c, const F &f)
+{
+    f("sim.calendar_bucket_ps", c.calendarBucketPs);
+    f("sim.calendar_buckets", c.calendarBuckets);
+}
+
 }  // namespace
 
 void
@@ -29,9 +38,7 @@ SimConfig
 SimConfig::fromConfig(const Config &cfg)
 {
     SimConfig c;
-    c.calendarBucketPs =
-        cfg.getU64("sim.calendar_bucket_ps", c.calendarBucketPs);
-    c.calendarBuckets = cfg.getU64("sim.calendar_buckets", c.calendarBuckets);
+    fields(c, ConfigReader{cfg});
     c.validate();
     return c;
 }
@@ -39,8 +46,7 @@ SimConfig::fromConfig(const Config &cfg)
 void
 SimConfig::toConfig(Config &cfg) const
 {
-    cfg.setU64("sim.calendar_bucket_ps", calendarBucketPs);
-    cfg.setU64("sim.calendar_buckets", calendarBuckets);
+    fields(*this, ConfigWriter{cfg});
 }
 
 }  // namespace hmcsim

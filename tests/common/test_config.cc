@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/config.h"
 #include "common/log.h"
 
@@ -127,6 +130,60 @@ TEST(Config, Erase)
     EXPECT_TRUE(c.erase("k"));
     EXPECT_FALSE(c.erase("k"));
     EXPECT_FALSE(c.has("k"));
+}
+
+TEST(Config, ReaderAndWriterPickTheTypedAccessors)
+{
+    Config in;
+    in.parseString("p.n = 7\n"
+                   "p.wide = 8589934592\n"
+                   "p.d = 2.5\n"
+                   "p.b = on\n"
+                   "p.s = text\n");
+    std::uint32_t n = 1;
+    std::uint64_t wide = 1;
+    double d = 0.0;
+    bool b = false;
+    std::string s;
+    std::uint32_t absent = 9;
+    const ConfigReader read{in, "p."};
+    read("n", n);
+    read("wide", wide);
+    read("d", d);
+    read("b", b);
+    read("s", s);
+    read("absent", absent);
+    EXPECT_EQ(n, 7u);
+    EXPECT_EQ(wide, 8589934592u);
+    EXPECT_DOUBLE_EQ(d, 2.5);
+    EXPECT_TRUE(b);
+    EXPECT_EQ(s, "text");
+    EXPECT_EQ(absent, 9u);  // absent key keeps the current value
+
+    Config out;
+    const ConfigWriter write{out, "q."};
+    write("n", n);
+    write("d", 0.1);
+    write("b", b);
+    write("s", s);
+    EXPECT_EQ(out.toString(), "q.b = true\n"
+                              "q.d = 0.10000000000000001\n"
+                              "q.n = 7\n"
+                              "q.s = text\n");
+}
+
+TEST(Config, ReaderRejectsA32BitOverflow)
+{
+    Config c;
+    c.set("k", "4294967295");
+    std::uint32_t v = 0;
+    ConfigReader{c}("k", v);
+    EXPECT_EQ(v, 4294967295u);
+    c.set("k", "4294967296");
+    EXPECT_THROW(ConfigReader{c}("k", v), FatalError);
+    std::uint64_t wide = 0;
+    EXPECT_NO_THROW(ConfigReader{c}("k", wide));
+    EXPECT_EQ(wide, 4294967296u);
 }
 
 TEST(Config, ParseFileMissingIsFatal)

@@ -54,6 +54,14 @@ TEST(HmcConfig, FromConfigOverrides)
     EXPECT_EQ(pagePolicyFromString(c.pagePolicy), PagePolicy::Open);
 }
 
+TEST(HmcConfig, ThirtyTwoBitKeyDoesNotWrap)
+{
+    // 2^32 + 16 once narrowed silently to a 16-vault cube.
+    Config cfg;
+    cfg.set("hmc.num_vaults", "4294967312");
+    EXPECT_THROW(HmcConfig::fromConfig(cfg), FatalError);
+}
+
 TEST(HmcConfig, RoundTripThroughConfig)
 {
     HmcConfig a;

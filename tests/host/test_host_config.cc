@@ -75,6 +75,12 @@ TEST(HostConfig, FromConfigValidates)
     Config cfg;
     cfg.set("host.num_ports", "0");
     EXPECT_THROW(HostConfig::fromConfig(cfg), FatalError);
+
+    // A pin for a host past num_hosts fails however far past it is.
+    cfg = Config{};
+    cfg.set("host.num_hosts", "2");
+    cfg.set("host.host12.entry_cube", "3");
+    EXPECT_THROW(HostConfig::fromConfig(cfg), FatalError);
 }
 
 }  // namespace

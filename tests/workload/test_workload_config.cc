@@ -137,6 +137,18 @@ TEST(HostConfig, WorkloadValidation)
     c = HostConfig{};
     c.portWorkloads.push_back({c.numPorts, WorkloadSpec{}});
     EXPECT_THROW(c.validate(), FatalError);
+
+    // Ports are 0-indexed: port9 does not exist on the 9-port host,
+    // whether the key names the workload or one of its knobs.
+    Config cfg;
+    cfg.set("host.port9.workload", "stride");
+    EXPECT_THROW(HostConfig::fromConfig(cfg), FatalError);
+    cfg = Config{};
+    cfg.set("host.port9.workload.seed", "3");
+    EXPECT_THROW(HostConfig::fromConfig(cfg), FatalError);
+    cfg = Config{};
+    cfg.set("host.port8.workload", "stride");
+    EXPECT_NO_THROW(HostConfig::fromConfig(cfg));
 }
 
 TEST(System, ConfiguresWorkloadsFromConfig)
