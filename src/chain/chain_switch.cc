@@ -320,10 +320,11 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
         const HmcPacketPtr &head = p.link->rxPeek(in_dir);
         if (head->isRequest() && head->cube == cubeId()) {
             // Pop before injecting, mirroring HmcDevice::drainLinkRx:
-            // the RX token-refund event must be scheduled ahead of the
+            // the RX token return must take its slot ahead of the
             // injection's events.
             if (!dev_.canInjectLocal(l, head->flits())) {
                 noteRxHolStall(p, in_dir, l);
+                dev_.armLinkInjects();
                 return;  // onLocalInjectSpace retries
             }
             HmcPacketPtr pkt = p.link->rxPop(in_dir);
@@ -336,7 +337,10 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
         const ChainRouteDecision d = decide(l, *head);
         if (!enqueue(d.hop, l, head)) {
             noteRxHolStall(p, in_dir, l);
-            return;  // pump() kicks us when the queue drains
+            // pump() kicks us when the queue drains, and so does any
+            // link endpoint's inject-space callback.
+            dev_.armLinkInjects();
+            return;
         }
         commit(d, head);
         p.link->rxPop(in_dir);

@@ -1,7 +1,12 @@
 #include "hmc/hmc_config.h"
 
+#include <algorithm>
+#include <iterator>
+#include <type_traits>
+
 #include "common/bitutil.h"
 #include "common/log.h"
+#include "hmc/packet.h"
 
 namespace hmcsim {
 
@@ -173,6 +178,23 @@ HmcConfig::validate() const
     if (linkTokens < 16)
         fatal("hmc: link token pool must hold at least one max packet "
               "(16 flits)");
+    // A flit buffer smaller than the largest packet wedges the fabric
+    // on the first such packet, silently; zero would also reach the
+    // credit pools' zero-capacity panic.
+    const std::uint32_t *const packetBuffers[] = {
+        &noc.inputBufferFlits, &noc.outputQueueFlits, &noc.ejectQueueFlits,
+        &vcInputQueueFlits, &vcResponseQueueFlits};
+    fields(*this, [&packetBuffers](const char *key, const auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     std::uint32_t>) {
+            const auto *const end = std::end(packetBuffers);
+            if (std::find(std::begin(packetBuffers), end, &v) != end &&
+                v < kMaxPacketFlits)
+                fatal(std::string(key) + " = " + std::to_string(v) +
+                      " cannot hold the largest packet (" +
+                      std::to_string(kMaxPacketFlits) + " flits)");
+        }
+    });
     if (crcErrorProb < 0.0 || crcErrorProb >= 1.0)
         fatal("hmc: crc error probability must be in [0, 1)");
     if (vaultJitterNsPerFlit < 0.0)

@@ -186,9 +186,16 @@ HmcDevice::injectLocal(LinkId arrival_link, const HmcPacketPtr &pkt)
 }
 
 bool
-HmcDevice::canInjectLocal(LinkId arrival_link, std::uint32_t flits) const
+HmcDevice::canInjectLocal(LinkId arrival_link, std::uint32_t flits)
 {
     return net_->canInject(linkEndpoint(arrival_link), flits);
+}
+
+void
+HmcDevice::armLinkInjects()
+{
+    for (LinkId l = 0; l < cfg_.numLinks; ++l)
+        net_->armInject(linkEndpoint(l));
 }
 
 bool
@@ -203,6 +210,9 @@ HmcDevice::tryInjectLocal(LinkId arrival_link, const HmcPacketPtr &pkt)
 void
 HmcDevice::drainLinkRx(LinkId l)
 {
+    // Chained, the switch drains this RX too (its Up port), retrying
+    // from every link endpoint's inject-space callback: a blocked
+    // drain arms them all (armLinkInjects).
     SerdesLink &lk = *links_[l];
     while (lk.rxAvailable(LinkDir::HostToCube)) {
         const HmcPacketPtr &head = lk.rxPeek(LinkDir::HostToCube);
@@ -217,15 +227,20 @@ HmcDevice::drainLinkRx(LinkId l)
                       std::to_string(head->cube) +
                       " arrived at cube " + std::to_string(cubeId_) +
                       " with no chain forwarder wired");
-            if (!forwarder_(l, head))
+            if (!forwarder_(l, head)) {
+                armLinkInjects();
                 return;  // switch kicks us when space frees
+            }
             lk.rxPop(LinkDir::HostToCube);
             continue;
         }
-        // Pop before injecting: the RX token-refund event must be
-        // scheduled ahead of the injection's events, as it always was.
-        if (!net_->canInject(linkEndpoint(l), head->flits()))
+        // Pop before injecting: the RX token return must take its slot
+        // ahead of the injection's events.
+        if (!net_->canInject(linkEndpoint(l), head->flits())) {
+            if (forwarder_)
+                armLinkInjects();
             return;  // onInjectSpace re-enters
+        }
         HmcPacketPtr pkt = lk.rxPop(LinkDir::HostToCube);
         injectLocal(l, pkt);
     }

@@ -84,8 +84,16 @@ class HmcDevice : public Component
     void setForwarder(ForwardFn fn) { forwarder_ = std::move(fn); }
 
     /** True when the local NoC can accept @p flits at @p arrival_link's
-     *  endpoint right now. */
-    bool canInjectLocal(LinkId arrival_link, std::uint32_t flits) const;
+     *  endpoint right now (a false answer arms its inject-space
+     *  callback). */
+    bool canInjectLocal(LinkId arrival_link, std::uint32_t flits);
+
+    /**
+     * Arm every link endpoint's inject-space callback for its next
+     * credit return.  That callback retries the chain switch's RX
+     * drains too, so a drain blocked on anything calls this.
+     */
+    void armLinkInjects();
 
     /**
      * Inject a request addressed to this cube into the local NoC as if
@@ -101,7 +109,8 @@ class HmcDevice : public Component
     /** Retry a blocked NoC ejection at a link endpoint. */
     void kickEject(LinkId l) { net_->kickEject(linkEndpoint(l)); }
 
-    /** Called (additionally) whenever NoC injection credits free up. */
+    /** Called (additionally) whenever a link endpoint's inject-space
+     *  callback runs. */
     void setInjectSpaceHook(InlineFunction<void(LinkId)> fn);
 
   private:

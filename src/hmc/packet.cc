@@ -42,8 +42,9 @@ toString(HmcCmd cmd)
 void
 validateDataBytes(std::uint32_t data_bytes)
 {
-    if (data_bytes < 16 || data_bytes > 128)
-        fatal("packet payload must be 16..128 bytes (got " +
+    if (data_bytes < 16 || data_bytes > kMaxPayloadBytes)
+        fatal("packet payload must be 16.." +
+              std::to_string(kMaxPayloadBytes) + " bytes (got " +
               std::to_string(data_bytes) + ")");
 }
 

@@ -137,9 +137,18 @@ struct HmcPacket {
 
 using HmcPacketPtr = std::shared_ptr<HmcPacket>;
 
+/** Largest payload the HMC 1.1 spec carries (8 data flits). */
+constexpr std::uint32_t kMaxPayloadBytes = 128;
+
+/** Flits of the largest packet: a full-payload write request (or read
+ *  response).  Every flit buffer must hold one. */
+constexpr std::uint32_t kMaxPacketFlits =
+    HmcPacket::flitsFor(HmcCmd::Write, kMaxPayloadBytes);
+
 /**
- * Allocate a read request.  @p data_bytes must be in [16, 128] -- the
- * payload range the HMC 1.1 spec supports (1..8 flits).
+ * Allocate a read request.  @p data_bytes must be in [16,
+ * kMaxPayloadBytes] -- the payload range the HMC 1.1 spec supports
+ * (1..8 flits).
  */
 HmcPacketPtr makeReadRequest(Addr addr, std::uint32_t data_bytes,
                              PortId port);

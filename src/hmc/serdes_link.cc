@@ -10,7 +10,8 @@ namespace hmcsim {
 SerdesLink::Direction::Direction(Kernel &kernel, const std::string &name,
                                  Tick flit_period, Tick wire_latency,
                                  std::uint32_t token_count)
-    : chan(kernel, name, flit_period, wire_latency), tokens(token_count)
+    : chan(kernel, name, flit_period, wire_latency),
+      tokens(kernel, token_count)
 {
 }
 
@@ -50,7 +51,7 @@ SerdesLink::bandwidthGBs() const
 }
 
 bool
-SerdesLink::canSend(LinkDir d, std::uint32_t flits) const
+SerdesLink::canSend(LinkDir d, std::uint32_t flits)
 {
     return dir(d).tokens.canConsume(flits);
 }
@@ -155,12 +156,7 @@ SerdesLink::arrive(LinkDir d, const HmcPacketPtr &pkt)
 void
 SerdesLink::setOnTokensFree(LinkDir d, InlineFunction<void()> fn)
 {
-    Direction &dd = dir(d);
-    dd.onTokensFree = std::move(fn);
-    dd.tokens.setOnAvailable([this, &dd] {
-        if (dd.onTokensFree)
-            dd.onTokensFree();
-    });
+    dir(d).tokens.setOnAvailable(std::move(fn));
 }
 
 void
@@ -225,9 +221,7 @@ SerdesLink::rxPop(LinkDir d)
     HmcPacketPtr pkt = dd.rxQ.front();
     dd.rxQ.pop_front();
     ++dd.rxPops;
-    const std::uint32_t flits = pkt->flits();
-    kernel().scheduleIn(params_.tokenReturnLatency,
-                        [&dd, flits] { dd.tokens.refund(flits); });
+    dd.tokens.refundIn(params_.tokenReturnLatency, pkt->flits());
     return pkt;
 }
 

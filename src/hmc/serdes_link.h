@@ -15,12 +15,12 @@
 #include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "hmc/flow_control.h"
 #include "hmc/packet.h"
 #include "noc/channel.h"
 #include "obs/metrics.h"
 #include "power/power_probe.h"
 #include "sim/component.h"
+#include "sim/credit_pool.h"
 
 namespace hmcsim {
 
@@ -78,8 +78,11 @@ class SerdesLink : public Component
 
     // ----- transmit side -----
 
-    /** True if @p flits of remote buffer tokens are free. */
-    bool canSend(LinkDir dir, std::uint32_t flits) const;
+    /**
+     * True if @p flits of remote buffer tokens are free.  A false
+     * answer arms the tokens-free callback for the next return.
+     */
+    bool canSend(LinkDir dir, std::uint32_t flits);
 
     /**
      * Reserve @p flits of tokens ahead of send().  Separating the two
@@ -91,7 +94,10 @@ class SerdesLink : public Component
     /** Transmit a packet whose tokens were reserved. */
     void send(LinkDir dir, const HmcPacketPtr &pkt);
 
-    /** Fired whenever tokens return (transmit may resume). */
+    /**
+     * Fired in the slot of the first token return after a canSend()
+     * failed (see CreditPool); returns nobody waits for post nothing.
+     */
     void setOnTokensFree(LinkDir dir, InlineFunction<void()> fn);
 
     // ----- token visibility (adaptive chain routing telemetry) -----
@@ -123,7 +129,8 @@ class SerdesLink : public Component
 
     /**
      * Drain the head packet from the RX buffer.  Tokens flow back to
-     * the sender after the token-return latency.
+     * the sender after the token-return latency (a pending return, not
+     * an event).
      */
     HmcPacketPtr rxPop(LinkDir dir);
 
@@ -170,11 +177,10 @@ class SerdesLink : public Component
                   std::uint32_t tokens);
 
         Channel chan;
-        TokenBucket tokens;
+        CreditPool tokens;
         std::uint32_t reserved = 0;
         std::deque<HmcPacketPtr> rxQ;
         std::uint64_t rxPops = 0;
-        InlineFunction<void()> onTokensFree;
         InlineFunction<void()> onRxAvailable;
         Counter packets;
         Counter flits;

@@ -22,65 +22,33 @@ Network::Network(Kernel &kernel, Component *parent, std::string name,
     }
 
     // Router-to-router wiring: each undirected link becomes two
-    // channels.  Credits freed at the downstream input flow back to the
-    // upstream output; the output index is only known after addInput,
-    // so the closure reads it through a shared slot.
+    // channels, each credited by its output's pool.
     //
     // outputToNeighbor[r][n] remembers which output of router r reaches
     // neighbour n so route tables can be filled afterwards.
     std::vector<std::vector<int>> outputToNeighbor(
         nr, std::vector<int>(nr, -1));
-    for (const auto &link : spec_.routerLinks) {
-        const std::uint32_t a = link.first;
-        const std::uint32_t b = link.second;
-        Router *ra = routers_[a].get();
-        Router *rb = routers_[b].get();
-
-        // a -> b: credits freed at b's input return to a's output.
-        {
-            // The output index on a is allocated after the input on b,
-            // so capture via a small shared slot.
-            auto slot = std::make_shared<int>(-1);
-            const int inB = rb->addInput([ra, slot](std::uint32_t flits) {
-                ra->returnCredits(*slot, flits);
-            });
-            const int outA = ra->addOutputToRouter(rb, inB);
-            *slot = outA;
-            outputToNeighbor[a][b] = outA;
-        }
-        // b -> a.
-        {
-            auto slot = std::make_shared<int>(-1);
-            const int inA = ra->addInput([rb, slot](std::uint32_t flits) {
-                rb->returnCredits(*slot, flits);
-            });
-            const int outB = rb->addOutputToRouter(ra, inA);
-            *slot = outB;
-            outputToNeighbor[b][a] = outB;
-        }
+    for (const auto &[a, b] : spec_.routerLinks) {
+        outputToNeighbor[a][b] = routers_[a]->connectTo(routers_[b].get());
+        outputToNeighbor[b][a] = routers_[b]->connectTo(routers_[a].get());
     }
 
     // Endpoint attachment: injection channel + credited router input,
     // and an ejection output with reservation callbacks.
-    injectPorts_.resize(ne);
     ejectLocs_.resize(ne);
     std::vector<std::vector<int>> ejectOutput(nr, std::vector<int>(ne, -1));
     for (std::uint32_t e = 0; e < ne; ++e) {
         const std::uint32_t home = spec_.endpointRouter[e];
         Router *router = routers_[home].get();
 
-        InjectPort &ip = injectPorts_[e];
+        InjectPort &ip =
+            injectPorts_.emplace_back(kernel, params.inputBufferFlits);
         ip.router = router;
-        ip.credits = params.inputBufferFlits;
         ip.chan = std::make_unique<Channel>(
             kernel, path() + ".inject" + std::to_string(e),
             params.flitPeriod, params.wireLatency);
         const NodeId ep = e;
-        ip.input = router->addInput([this, ep](std::uint32_t flits) {
-            injectPorts_[ep].credits += flits;
-            if (opsSet_[ep] && ops_[ep].onInjectSpace)
-                ops_[ep].onInjectSpace();
-        });
+        ip.input = router->addInput(&ip.credits);
 
         ejectLocs_[e].router = router;
         Router::Eject ej;
@@ -122,6 +90,7 @@ Network::setEndpoint(NodeId ep, EndpointOps ops)
               " registered twice");
     if (!ops.tryReserve || !ops.deliver)
         panic("Network::setEndpoint: incomplete callbacks");
+    injectPorts_[ep].credits.setOnAvailable(std::move(ops.onInjectSpace));
     ops_[ep] = std::move(ops);
     opsSet_[ep] = true;
 }
@@ -133,6 +102,7 @@ Network::rewireEndpoint(NodeId ep, EndpointOps ops)
         panic("Network::rewireEndpoint: endpoint not registered");
     if (!ops.tryReserve || !ops.deliver)
         panic("Network::rewireEndpoint: incomplete callbacks");
+    injectPorts_[ep].credits.setOnAvailable(std::move(ops.onInjectSpace));
     ops_[ep] = std::move(ops);
 }
 
@@ -146,11 +116,27 @@ Network::opsFor(NodeId ep) const
 }
 
 bool
-Network::canInject(NodeId ep, std::uint32_t flits) const
+Network::canInject(NodeId ep, std::uint32_t flits)
 {
     if (ep >= injectPorts_.size())
         panic("Network::canInject: endpoint out of range");
-    return injectPorts_[ep].credits >= flits;
+    return injectPorts_[ep].credits.canConsume(flits);
+}
+
+void
+Network::armInject(NodeId ep)
+{
+    if (ep >= injectPorts_.size())
+        panic("Network::armInject: endpoint out of range");
+    injectPorts_[ep].credits.arm();
+}
+
+const CreditPool &
+Network::injectCredits(NodeId ep) const
+{
+    if (ep >= injectPorts_.size())
+        panic("Network::injectCredits: endpoint out of range");
+    return injectPorts_[ep].credits;
 }
 
 void
@@ -160,7 +146,7 @@ Network::inject(NodeId ep, NocMessage msg)
         panic("Network::inject without credits (endpoint " +
               std::to_string(ep) + ")");
     InjectPort &ip = injectPorts_[ep];
-    ip.credits -= msg.flits;
+    ip.credits.consume(msg.flits);
     msg.injectedAt = now();
     const Channel::Times t = ip.chan->reserve(msg.flits, now());
     Router *router = ip.router;

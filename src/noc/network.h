@@ -9,11 +9,13 @@
 #ifndef HMCSIM_NOC_NETWORK_H_
 #define HMCSIM_NOC_NETWORK_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "common/stats.h"
 #include "noc/router.h"
 #include "noc/topology.h"
@@ -31,8 +33,12 @@ class Network : public Component
         /** Deliver a message (space already reserved). */
         std::function<void(const NocMessage &)> deliver;
 
-        /** Injection credits freed; endpoint may retry inject. */
-        std::function<void()> onInjectSpace;
+        /**
+         * Injection credits returned after a failed canInject() (or an
+         * armInject()); the endpoint may retry.  Runs in the return's
+         * slot; returns nobody waits for call nothing.
+         */
+        InlineFunction<void()> onInjectSpace;
     };
 
     Network(Kernel &kernel, Component *parent, std::string name,
@@ -48,8 +54,21 @@ class Network : public Component
      */
     void rewireEndpoint(NodeId ep, EndpointOps ops);
 
-    /** True if injection credits cover a message of @p flits. */
-    bool canInject(NodeId ep, std::uint32_t flits) const;
+    /**
+     * True if injection credits cover a message of @p flits; a false
+     * answer arms onInjectSpace for the next credit return.
+     */
+    bool canInject(NodeId ep, std::uint32_t flits);
+
+    /**
+     * Arm @p ep's onInjectSpace for the next credit return without
+     * asking for credits: for endpoints whose inject-space callback
+     * also retries work blocked on something else.
+     */
+    void armInject(NodeId ep);
+
+    /** Injection credit pool of endpoint @p ep. */
+    const CreditPool &injectCredits(NodeId ep) const;
 
     /**
      * Inject a message at endpoint @p ep.  Caller must have checked
@@ -88,7 +107,12 @@ class Network : public Component
 
   private:
     struct InjectPort {
-        std::uint32_t credits = 0;
+        InjectPort(Kernel &kernel, std::uint32_t flits)
+            : credits(kernel, flits)
+        {
+        }
+
+        CreditPool credits;
         std::unique_ptr<Channel> chan;
         Router *router = nullptr;
         int input = -1;
@@ -101,7 +125,8 @@ class Network : public Component
     TopologySpec spec_;
     RoutingTables routes_;
     std::vector<std::unique_ptr<Router>> routers_;
-    std::vector<InjectPort> injectPorts_;
+    /** A deque: routers hold pointers to the credit pools. */
+    std::deque<InjectPort> injectPorts_;
     std::vector<EjectLoc> ejectLocs_;
     std::vector<EndpointOps> ops_;
     std::vector<bool> opsSet_;

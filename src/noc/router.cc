@@ -11,23 +11,25 @@ Router::Router(Kernel &kernel, Component *parent, std::string name,
 }
 
 int
-Router::addInput(CreditFn credit_return)
+Router::addInput(CreditPool *upstream)
 {
-    inputs_.push_back(Input{{}, std::move(credit_return)});
+    inputs_.push_back(Input{{}, upstream});
     return static_cast<int>(inputs_.size() - 1);
 }
 
 int
-Router::addOutputToRouter(Router *dst, int dst_input)
+Router::connectTo(Router *dst)
 {
     if (!dst)
-        panic("Router::addOutputToRouter: null destination");
+        panic("Router::connectTo: null destination");
+    const std::size_t o = outputs_.size();
     auto out = std::make_unique<Output>(params_.outputQueueFlits);
     out->dstRouter = dst;
-    out->dstInput = dst_input;
-    out->credits = dst->inputBufferFlits();
+    out->credits.emplace(kernel(), dst->inputBufferFlits());
+    out->credits->setOnAvailable([this, o] { tryDrain(o); });
+    out->dstInput = dst->addInput(&*out->credits);
     out->chan = std::make_unique<Channel>(
-        kernel(), path() + ".out" + std::to_string(outputs_.size()),
+        kernel(), path() + ".out" + std::to_string(o),
         params_.flitPeriod, params_.wireLatency);
     outputs_.push_back(std::move(out));
     return static_cast<int>(outputs_.size() - 1);
@@ -100,15 +102,8 @@ Router::processInput(std::size_t i)
         flits_.inc(msg.flits);
         if (probe_)
             probe_->record(PowerEvent::NocFlitHop, msg.flits);
-        if (in.creditReturn) {
-            // Capture (this, i) rather than copying the CreditFn: a
-            // std::function copy costs a manager call (and possibly an
-            // allocation) per forwarded message.
-            const std::uint32_t freed = msg.flits;
-            kernel().scheduleIn(params_.creditLatency, [this, i, freed] {
-                inputs_[i].creditReturn(freed);
-            });
-        }
+        if (in.upstream)
+            in.upstream->refundIn(params_.creditLatency, msg.flits);
         in.q.pop_front();
         tryDrain(o);
     }
@@ -122,9 +117,9 @@ Router::tryDrain(std::size_t o)
         return;
     const NocMessage &head = out.q.front();
     if (out.dstRouter) {
-        if (out.credits < head.flits)
-            return;  // returnCredits() retries
-        out.credits -= head.flits;
+        if (!out.credits->canConsume(head.flits))
+            return;  // the pool's wake retries
+        out.credits->consume(head.flits);
     } else {
         if (!out.eject.tryReserve(head.flits)) {
             out.blockedOnEject = true;
@@ -170,16 +165,6 @@ Router::outputSerDone(std::size_t o)
     const std::size_t base = inputRR_++;
     for (std::size_t k = 0; k < n; ++k)
         processInput((base + k) % n);
-}
-
-void
-Router::returnCredits(int output, std::uint32_t flits)
-{
-    if (output < 0 || static_cast<std::size_t>(output) >= outputs_.size())
-        panic("Router::returnCredits: invalid output port");
-    Output &out = *outputs_[static_cast<std::size_t>(output)];
-    out.credits += flits;
-    tryDrain(static_cast<std::size_t>(output));
 }
 
 void

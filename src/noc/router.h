@@ -7,8 +7,8 @@
  * move to the target output queue (stalls on output-queue space: this is
  * the head-of-line blocking point) -> switch/channel traversal gated by
  * downstream credits (router hop) or an endpoint reservation (eject).
- * Credits return to the upstream sender when a message leaves the input
- * queue.
+ * Credits return to the upstream sender's CreditPool, creditLatency
+ * after a message leaves the input queue.
  */
 
 #ifndef HMCSIM_NOC_ROUTER_H_
@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "noc/flit.h"
 #include "power/power_probe.h"
 #include "sim/component.h"
+#include "sim/credit_pool.h"
 
 namespace hmcsim {
 
@@ -63,9 +65,6 @@ struct RouterParams {
 class Router : public Component
 {
   public:
-    /** Upstream notification that @p flits of input buffer freed up. */
-    using CreditFn = std::function<void(std::uint32_t)>;
-
     /** Endpoint-side ejection contract. */
     struct Eject {
         /**
@@ -87,17 +86,20 @@ class Router : public Component
 
     /**
      * Add an input port.
-     * @param credit_return invoked (after creditLatency) when buffer
-     *        space frees; may be null for test harness inputs.
+     * @param upstream the sender's credit pool, refunded creditLatency
+     *        after each message leaves this input; null for an input
+     *        nobody credits (test harnesses).
      * @return input port index
      */
-    int addInput(CreditFn credit_return);
+    int addInput(CreditPool *upstream);
 
     /**
-     * Add an output port feeding input @p dst_input of @p dst.
-     * The channel is created internally from the router params.
+     * Add an output port feeding a new input of @p dst, credited from
+     * an output pool sized to dst's input buffer.  The channel is
+     * created internally from the router params.
+     * @return output port index
      */
-    int addOutputToRouter(Router *dst, int dst_input);
+    int connectTo(Router *dst);
 
     /** Add an output port that ejects to endpoint @p ep. */
     int addOutputToEndpoint(NodeId ep, Eject eject);
@@ -110,9 +112,6 @@ class Router : public Component
     /** Message fully arrived on input port @p input. */
     void acceptMessage(int input, const NocMessage &msg);
 
-    /** Downstream router freed @p flits of the buffer behind output. */
-    void returnCredits(int output, std::uint32_t flits);
-
     /** Endpoint @p ep freed space; retry its blocked output if any. */
     void kickEject(NodeId ep);
 
@@ -120,6 +119,16 @@ class Router : public Component
     std::uint32_t inputBufferFlits() const
     {
         return params_.inputBufferFlits;
+    }
+
+    std::size_t numOutputs() const { return outputs_.size(); }
+
+    /** Credit pool of output @p o; null for an ejection output. */
+    const CreditPool *
+    outputCredits(std::size_t o) const
+    {
+        const auto &c = outputs_.at(o)->credits;
+        return c ? &*c : nullptr;
     }
 
     std::uint64_t messagesRouted() const { return messages_.value(); }
@@ -136,7 +145,7 @@ class Router : public Component
     struct Input {
         /** (ready time, message) in arrival order. */
         std::deque<std::pair<Tick, NocMessage>> q;
-        CreditFn creditReturn;
+        CreditPool *upstream;
     };
 
     struct Output {
@@ -146,7 +155,8 @@ class Router : public Component
         std::unique_ptr<Channel> chan;
         Router *dstRouter = nullptr;
         int dstInput = -1;
-        std::uint32_t credits = 0;
+        /** Downstream input-buffer credits (router outputs only). */
+        std::optional<CreditPool> credits;
         NodeId ejectEp = kNodeInvalid;
         Eject eject;
         bool sending = false;

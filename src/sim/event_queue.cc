@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "common/log.h"
@@ -45,6 +46,16 @@ EventQueue::configure(std::uint64_t bucketWidth, std::uint64_t numBuckets)
     }
     curIdx_ = 0;
     curBucketStart_ = 0;
+}
+
+void
+EventQueue::setHorizon(Tick t)
+{
+    if (t < frontier_.when)
+        return;
+    frontier_ = EventSlot{t, std::numeric_limits<int>::max(),
+                          std::numeric_limits<std::uint64_t>::max()};
+    frontierSeq_ = nextSeq_;
 }
 
 void

@@ -43,6 +43,19 @@ namespace hmcsim {
 /** Callback type executed when an event fires. */
 using EventFn = InlineEvent;
 
+/**
+ * A position in the event order: (time, priority, insertion sequence).
+ * EventQueue::reserve hands one out without posting an event, so a
+ * model can hold a timestamped fact (a credit return) in the exact
+ * slot an event for it would have taken, and post an event there only
+ * if someone turns out to need one.
+ */
+struct EventSlot {
+    Tick when = 0;
+    int priority = 0;
+    std::uint64_t seq = 0;
+};
+
 /** Scheduling priorities; lower value fires first at equal time. */
 struct EventPriority {
     static constexpr int kDefault = 0;
@@ -74,28 +87,56 @@ class EventQueue
         configure(cfg.calendarBucketPs, cfg.calendarBuckets);
     }
 
-    /**
-     * Schedule @p fn at absolute time @p when.
-     * Inline so the common case -- a future time inside the ring
-     * horizon appending to its bucket -- compiles to a handful of
-     * instructions at the call site; clamped and far-future inserts
-     * take the out-of-line path.
-     */
+    /** Schedule @p fn at absolute time @p when. */
     void
     schedule(Tick when, EventFn fn, int priority = 0)
     {
-        if (!fn)
-            panicNullEvent();
-        const std::uint64_t seq = nextSeq_++;
-        ++size_;
-        if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
-            append(ring_[static_cast<std::size_t>(when >> shift_) &
-                         ringMask_],
-                   when, priority, seq, std::move(fn));
-            return;
-        }
-        pushSlow(when, priority, seq, std::move(fn));
+        insert(when, priority, nextSeq_++, std::move(fn));
     }
+
+    /**
+     * Take the slot schedule(@p when, ..., @p priority) would take now,
+     * without posting an event.  Every later schedule() or reserve()
+     * orders after it at equal (time, priority).
+     */
+    EventSlot
+    reserve(Tick when, int priority = 0)
+    {
+        return EventSlot{when, priority, nextSeq_++};
+    }
+
+    /**
+     * Schedule @p fn into a slot reserve() handed out; it fires
+     * exactly where an event scheduled at reservation time would
+     * have.  Each slot takes at most one event.
+     */
+    void
+    schedule(const EventSlot &slot, EventFn fn)
+    {
+        insert(slot.when, slot.priority, slot.seq, std::move(fn));
+    }
+
+    /**
+     * True once an event in @p slot would have fired: the slot was
+     * reserved before the executing event was popped and does not
+     * order after it (the executing event's own slot has passed).
+     * Between runs the frontier is the idle horizon set by
+     * setHorizon().  A slot reserved during the executing event never
+     * passes before that event returns, even at the same time and a
+     * lower priority: it would have been the next event to fire.
+     */
+    bool
+    passed(const EventSlot &slot) const
+    {
+        return slot.seq < frontierSeq_ && !firesAfter(slot, frontier_);
+    }
+
+    /**
+     * Mark every slot reserved so far at a time <= @p t as passed:
+     * the run loop calls this when nothing pending fires at or before
+     * @p t.  The frontier never moves back.
+     */
+    void setHorizon(Tick t);
 
     /** True if no events are pending. */
     bool empty() const { return size_ == 0; }
@@ -137,6 +178,8 @@ class EventQueue
         }
         Entry &head = b->v[b->head];
         const Tick when = head.when;
+        frontier_ = EventSlot{when, head.priority, head.seq};
+        frontierSeq_ = nextSeq_;
         InlineEvent fn = std::move(head.fn);
         if (++b->head == b->v.size()) {
             b->v.clear();
@@ -173,8 +216,9 @@ class EventQueue
      * The event order, and the only place it is spelled out: true when
      * @p a fires after @p b.
      */
+    template <typename A, typename B>
     static bool
-    firesAfter(const Entry &a, const Entry &b)
+    firesAfter(const A &a, const B &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
@@ -216,6 +260,28 @@ class EventQueue
         bool sorted = false;  ///< v[head..) is in ascending fire order
     };
 
+    /**
+     * Both schedule()s.  Inline, taking the event by reference, so the
+     * common case -- a future time inside the ring horizon appending
+     * to its bucket -- compiles to a handful of instructions at the
+     * call site; clamped and far-future inserts take the out-of-line
+     * path.
+     */
+    void
+    insert(Tick when, int priority, std::uint64_t seq, InlineEvent &&fn)
+    {
+        if (!fn)
+            panicNullEvent();
+        ++size_;
+        if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
+            append(ring_[static_cast<std::size_t>(when >> shift_) &
+                         ringMask_],
+                   when, priority, seq, std::move(fn));
+            return;
+        }
+        pushSlow(when, priority, seq, std::move(fn));
+    }
+
     /** Add an entry to @p b, keeping a sorted bucket in fire order. */
     void
     append(Bucket &b, Tick when, int priority, std::uint64_t seq,
@@ -250,6 +316,11 @@ class EventQueue
 
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    /** Slot of the executing (or last executed) event, or the idle
+     *  horizon; with frontierSeq_ it decides passed(). */
+    EventSlot frontier_;
+    /** nextSeq_ when frontier_ was set: later reservations are ahead. */
+    std::uint64_t frontierSeq_ = 0;
     std::size_t size_ = 0;
 
     std::vector<Bucket> ring_;

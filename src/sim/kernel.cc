@@ -13,6 +13,34 @@ Kernel::scheduleAt(Tick when, EventFn fn, int priority)
     queue_.schedule(when, std::move(fn), priority);
 }
 
+void
+Kernel::scheduleAt(const EventSlot &slot, EventFn fn)
+{
+    if (slot.when < now_)
+        panic("Kernel::scheduleAt: slot time " + std::to_string(slot.when) +
+              " is in the past (now " + std::to_string(now_) + ")");
+    queue_.schedule(slot, std::move(fn));
+}
+
+void
+Kernel::panicOverflow(Tick delay) const
+{
+    panic("Kernel::scheduleIn: delay " + std::to_string(delay) +
+          " overflows the tick clock (now " + std::to_string(now_) + ")");
+}
+
+void
+Kernel::endRun(Tick until)
+{
+    // Advance time to the requested horizon so back-to-back windows
+    // measure contiguous intervals even if the queue went idle early.
+    if (until != kTickNever && now_ < until)
+        now_ = until;
+    // Nothing pending fires at or before the horizon, so every slot
+    // reserved up to it has passed.
+    queue_.setHorizon(until != kTickNever ? until : now_);
+}
+
 std::uint64_t
 Kernel::run(Tick until)
 {
@@ -26,10 +54,8 @@ Kernel::run(Tick until)
         queue_.executeNext();
         ++executed;
     }
-    // Advance time to the requested horizon so back-to-back windows
-    // measure contiguous intervals even if the queue went idle early.
-    if (until != kTickNever && now_ < until && !stopRequested_)
-        now_ = until;
+    if (!stopRequested_)
+        endRun(until);
     return executed;
 }
 
@@ -56,10 +82,10 @@ Kernel::runUntil(const std::function<bool()> &pred, Tick until)
     // event horizon past @p until) still advances the clock to the
     // requested horizon, so back-to-back measurement windows stay
     // contiguous.  A satisfied predicate does not advance -- its
-    // firing time is the result the caller is after.
-    if (until != kTickNever && now_ < until && !stopRequested_ &&
-        !predHit && !pred())
-        now_ = until;
+    // firing time is the result the caller is after -- and, like
+    // stop(), leaves the frontier at the last event.
+    if (!stopRequested_ && !predHit && !pred())
+        endRun(until);
     return executed;
 }
 

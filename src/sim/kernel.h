@@ -39,9 +39,7 @@ class Kernel
     scheduleIn(Tick delay, EventFn fn, int priority = 0)
     {
         if (delay > kTickNever - now_)
-            panic("Kernel::scheduleIn: delay " + std::to_string(delay) +
-                  " overflows the tick clock (now " +
-                  std::to_string(now_) + ")");
+            panicOverflow(delay);
         queue_.schedule(now_ + delay, std::move(fn), priority);
     }
 
@@ -49,8 +47,35 @@ class Kernel
     void scheduleAt(Tick when, EventFn fn, int priority = 0);
 
     /**
+     * Reserve the slot scheduleIn(@p delay) would take now, without
+     * posting an event (same overflow check).
+     */
+    EventSlot
+    reserveIn(Tick delay)
+    {
+        if (delay > kTickNever - now_)
+            panicOverflow(delay);
+        return queue_.reserve(now_ + delay);
+    }
+
+    /** Schedule @p fn into a reserved slot; panics if it is past. */
+    void scheduleAt(const EventSlot &slot, EventFn fn);
+
+    /**
+     * True once an event in @p slot would have fired: it orders before
+     * the executing event (or is its slot), or -- between runs -- lies
+     * at or before the idle horizon the last run() reached.  See
+     * EventQueue::passed.
+     */
+    bool passed(const EventSlot &slot) const { return queue_.passed(slot); }
+
+    /**
      * Run until the queue drains or simulated time would pass @p until.
-     * Events exactly at @p until still execute.
+     * Events exactly at @p until still execute.  Unless stopped, the
+     * run ends at an idle horizon -- @p until, or the last event's time
+     * when the queue drains under kTickNever -- and every slot reserved
+     * at or before it has passed.  A drained run does not step onto
+     * reserved slots beyond its last event.
      * @return number of events executed by this call.
      */
     std::uint64_t run(Tick until = kTickNever);
@@ -86,6 +111,10 @@ class Kernel
     void setObservability(Observability *obs) { obs_ = obs; }
 
   private:
+    [[noreturn]] void panicOverflow(Tick delay) const;
+    /** Close a run that was not stopped (see run()). */
+    void endRun(Tick until);
+
     EventQueue queue_;
     Tick now_ = 0;
     bool stopRequested_ = false;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/log.h"
 #include "hmc/hmc_config.h"
+#include "hmc/packet.h"
 
 namespace hmcsim {
 namespace {
@@ -134,6 +137,34 @@ TEST(HmcConfig, DramTimingHonoursPresetAndTrefi)
     EXPECT_EQ(p.tREFI, 7800000u);
     c.dramPreset = "unknown";
     EXPECT_THROW(c.dramTiming(), FatalError);
+}
+
+TEST(HmcConfig, FlitBuffersMustHoldTheLargestPacket)
+{
+    // A buffer below one 128 B write (9 flits) used to wedge the fabric
+    // silently (0.00 GB/s, exit 0); zero also reached the credit
+    // pools' zero-capacity panic.
+    ASSERT_EQ(kMaxPacketFlits, 9u);
+    for (const char *key :
+         {"hmc.noc_input_buffer_flits", "hmc.noc_output_queue_flits",
+          "hmc.noc_eject_queue_flits", "hmc.vc_input_queue_flits",
+          "hmc.vc_response_queue_flits"}) {
+        for (const char *value : {"0", "4", "8"}) {
+            Config cfg;
+            cfg.set(key, value);
+            try {
+                HmcConfig::fromConfig(cfg);
+                ADD_FAILURE() << key << " = " << value << " accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        Config cfg;
+        cfg.set(key, "9");
+        EXPECT_NO_THROW(HmcConfig::fromConfig(cfg)) << key;
+    }
 }
 
 TEST(HmcConfig, HalfGigCubeIsValid)

@@ -76,7 +76,11 @@ TEST_F(SerdesLinkTest, TokensConsumedAndReturned)
     // Tokens still held while the packet sits in the RX buffer.
     EXPECT_FALSE(link_->canSend(LinkDir::HostToCube, 64));
     link_->rxPop(LinkDir::HostToCube);
-    kernel_.run();
+    // They return exactly tokenReturnLatency after the pop.
+    const Tick returned = kernel_.now() + params_.tokenReturnLatency;
+    kernel_.run(returned - 1);
+    EXPECT_FALSE(link_->canSend(LinkDir::HostToCube, 64));
+    kernel_.run(returned);
     EXPECT_TRUE(link_->canSend(LinkDir::HostToCube, 64));
 }
 
@@ -89,9 +93,14 @@ TEST_F(SerdesLinkTest, TokensFreeCallback)
     link_->reserveTokens(LinkDir::HostToCube, 1);
     link_->send(LinkDir::HostToCube, pkt);
     kernel_.run();
+    // Block the sender: the callback fires at the return.
+    ASSERT_FALSE(link_->canSend(LinkDir::HostToCube, params_.tokens));
     link_->rxPop(LinkDir::HostToCube);
+    const Tick returned = kernel_.now() + params_.tokenReturnLatency;
     kernel_.run();
     EXPECT_EQ(frees, 1);
+    EXPECT_EQ(kernel_.now(), returned);
+    EXPECT_TRUE(link_->canSend(LinkDir::HostToCube, params_.tokens));
 }
 
 TEST_F(SerdesLinkTest, DirectionsAreIndependent)

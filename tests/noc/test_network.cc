@@ -21,6 +21,8 @@ struct TestEndpoint {
     std::uint32_t freeFlits = 1000000;
     std::uint32_t reservedFlits = 0;
     int injectSpaceEvents = 0;
+    Tick lastInjectSpaceAt = 0;
+    Kernel *kernel = nullptr;
 
     Network::EndpointOps
     ops()
@@ -36,7 +38,10 @@ struct TestEndpoint {
             reservedFlits -= m.flits;
             received.push_back(m);
         };
-        o.onInjectSpace = [this] { ++injectSpaceEvents; };
+        o.onInjectSpace = [this] {
+            ++injectSpaceEvents;
+            lastInjectSpaceAt = kernel->now();
+        };
         return o;
     }
 };
@@ -55,8 +60,10 @@ class NetworkTest : public ::testing::Test
             kernel_, root_.get(), "noc",
             makeTopology(topo, 16, 4, 2), params);
         eps_.resize(net_->numEndpoints());
-        for (NodeId e = 0; e < net_->numEndpoints(); ++e)
+        for (NodeId e = 0; e < net_->numEndpoints(); ++e) {
+            eps_[e].kernel = &kernel_;
             net_->setEndpoint(e, eps_[e].ops());
+        }
     }
 
     NocMessage
@@ -188,9 +195,19 @@ TEST_F(NetworkTest, BackpressurePropagatesToInjection)
 TEST_F(NetworkTest, InjectSpaceCallbackFires)
 {
     build();
-    net_->inject(0, msg(0, 17, 4));
+    // Fill the 64-flit inject buffer, then block on it.
+    for (int i = 0; i < 4; ++i)
+        net_->inject(0, msg(0, 17, 16, i));
+    ASSERT_FALSE(net_->canInject(0, 16));
     kernel_.run();
-    EXPECT_GT(eps_[0].injectSpaceEvents, 0);
+    // The first message's credits return creditLatency after it leaves
+    // the router's input; the callback runs there, with them folded in.
+    const RouterParams p;
+    ASSERT_EQ(eps_[0].injectSpaceEvents, 1);
+    EXPECT_EQ(eps_[0].lastInjectSpaceAt,
+              16 * p.flitPeriod + p.wireLatency + p.routerLatency +
+                  p.creditLatency);
+    EXPECT_EQ(eps_[17].received.size(), 4u);
 }
 
 TEST_F(NetworkTest, InjectWithoutCreditsPanics)

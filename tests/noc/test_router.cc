@@ -1,7 +1,7 @@
 /**
  * @file
- * Direct Router unit tests: manual two-router wiring with explicit
- * credit plumbing, exercising the paths the Network facade hides.
+ * Direct Router unit tests: manual two-router wiring through
+ * connectTo, exercising the paths the Network facade hides.
  */
 
 #include <gtest/gtest.h>
@@ -35,11 +35,8 @@ class RouterTest : public ::testing::Test
         r1_ = std::make_unique<Router>(kernel_, root_.get(), "r1", 1,
                                        params_);
 
-        // r0 -> r1 channel with credit return wired back to r0.
-        in1_ = r1_->addInput([this](std::uint32_t flits) {
-            r0_->returnCredits(out0_, flits);
-        });
-        out0_ = r0_->addOutputToRouter(r1_.get(), in1_);
+        // r0 -> r1 channel, credited by r0's output pool.
+        out0_ = r0_->connectTo(r1_.get());
 
         // External injection input on r0 (no upstream credits).
         in0_ = r0_->addInput(nullptr);
@@ -80,7 +77,6 @@ class RouterTest : public ::testing::Test
     std::unique_ptr<Router> r0_;
     std::unique_ptr<Router> r1_;
     int in0_ = -1;
-    int in1_ = -1;
     int out0_ = -1;
     std::uint32_t endpointSpace_ = 1u << 30;
     std::uint32_t reserved_ = 0;
@@ -190,8 +186,7 @@ TEST_F(RouterTest, InvalidWiringPanics)
 {
     build();
     EXPECT_THROW(r0_->acceptMessage(99, msg(1)), PanicError);
-    EXPECT_THROW(r0_->returnCredits(99, 1), PanicError);
-    EXPECT_THROW(r0_->addOutputToRouter(nullptr, 0), PanicError);
+    EXPECT_THROW(r0_->connectTo(nullptr), PanicError);
     Router::Eject bad;  // missing callbacks
     EXPECT_THROW(r0_->addOutputToEndpoint(7, bad), PanicError);
     EXPECT_THROW(r0_->setRoutes({-1}), PanicError);

@@ -50,7 +50,7 @@ TEST_P(NocConservation, AllInjectedMessagesDeliveredExactlyOnce)
             ++delivered[e];
             flit_sum[e] += m.flits;
         };
-        net.setEndpoint(e, ops);
+        net.setEndpoint(e, std::move(ops));
     }
 
     const int kMessages = 300;
@@ -114,7 +114,7 @@ TEST_P(NocOrdering, SameFlowStaysInOrder)
             if (e == 10)
                 arrivals.push_back(m.id);
         };
-        net.setEndpoint(e, ops);
+        net.setEndpoint(e, std::move(ops));
     }
     int injected = 0;
     while (injected < 100) {

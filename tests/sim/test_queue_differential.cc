@@ -61,7 +61,19 @@ class ReferenceQueue
     void
     schedule(Tick when, std::function<void()> fn, int priority = 0)
     {
-        heap_.push_back({when, priority, seq_++, std::move(fn)});
+        schedule(reserve(when, priority), std::move(fn));
+    }
+
+    EventSlot
+    reserve(Tick when, int priority = 0)
+    {
+        return EventSlot{when, priority, seq_++};
+    }
+
+    void
+    schedule(const EventSlot &slot, std::function<void()> fn)
+    {
+        heap_.push_back({slot.when, slot.priority, slot.seq, std::move(fn)});
         std::push_heap(heap_.begin(), heap_.end(), later);
     }
 
@@ -283,6 +295,98 @@ TEST(QueueDifferential, ScheduleFromWithinEvents)
     const auto ref = runSelfScheduling(Engine::Reference);
     for (const Engine engine : kCalendars) {
         const auto cal = runSelfScheduling(engine);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+            ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
+        }
+    }
+}
+
+/**
+ * Reserved slots, as the credit pools use them: events reserve slots
+ * for their children and schedule into some of them only later --
+ * from other events, out of reservation order -- and leave others
+ * empty.  Redeeming a slot draws from the redeeming event's PRNG
+ * stream and the (engine-independent) parked list, so every engine
+ * runs the same program.
+ */
+std::vector<std::pair<Tick, int>>
+runWithReservations(Engine engine)
+{
+    return withQueue(engine, [](auto &q) {
+        struct Parked {
+            EventSlot slot;
+            int id;
+            int depth;
+        };
+        std::vector<std::pair<Tick, int>> trace;
+        std::vector<Parked> parked;
+        int nextId = 0;
+        std::function<void(int, int, Tick)> fire = [&](int id, int depth,
+                                                       Tick when) {
+            trace.emplace_back(when, id);
+            Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 7);
+            // Redeem parked slots that are still ahead.
+            for (std::size_t k = 0; k < parked.size();) {
+                if (parked[k].slot.when < when || rng.next(3) != 0) {
+                    ++k;
+                    continue;
+                }
+                const Parked p = parked[k];
+                parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(k));
+                q.schedule(p.slot, [&fire, p] {
+                    fire(p.id, p.depth + 1, p.slot.when);
+                });
+            }
+            if (depth >= 6)
+                return;
+            const int children = 1 + static_cast<int>(rng.next(2));
+            for (int c = 0; c < children; ++c) {
+                const int cid = nextId++;
+                // Coarse delays, so slots share (time, priority) with
+                // events taken before and after them and only the seq
+                // orders them; some lie beyond the ring horizon.
+                const Tick delay = rng.next(3) == 0
+                                       ? 100000 + 100 * rng.next(10)
+                                       : 100 * rng.next(8);
+                const int prio = rng.next(5) == 0 ? EventPriority::kStats
+                                                  : EventPriority::kDefault;
+                const EventSlot slot = q.reserve(when + delay, prio);
+                const auto child = [&fire, cid, depth, slot] {
+                    fire(cid, depth + 1, slot.when);
+                };
+                switch (rng.next(3)) {
+                  case 0:
+                    parked.push_back(Parked{slot, cid, depth});
+                    break;
+                  case 1:
+                    q.schedule(slot, child);
+                    break;
+                  default:
+                    // A plain event; the reserved slot stays empty.
+                    q.schedule(slot.when, child, prio);
+                    break;
+                }
+            }
+        };
+        for (int i = 0; i < 8; ++i) {
+            const int id = nextId++;
+            const Tick when = static_cast<Tick>(i) * 37;
+            q.schedule(when, [&fire, id, when] { fire(id, 0, when); });
+        }
+        while (!q.empty())
+            q.executeNext();
+        return trace;
+    });
+}
+
+TEST(QueueDifferential, ReservedSlotsFireInHeapOrder)
+{
+    const auto ref = runWithReservations(Engine::Reference);
+    ASSERT_GT(ref.size(), 50u);
+    for (const Engine engine : kCalendars) {
+        const auto cal = runWithReservations(engine);
         ASSERT_EQ(ref.size(), cal.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
             ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
