@@ -42,6 +42,7 @@ EventQueue::configure(std::uint64_t bucketWidth, std::uint64_t numBuckets)
         shift_ = shift;
         ring_.clear();
         ring_.resize(static_cast<std::size_t>(numBuckets));
+        occupied_.assign((ring_.size() + 63) / 64, 0);
         ringMask_ = static_cast<std::size_t>(numBuckets) - 1;
     }
     curIdx_ = 0;
@@ -78,7 +79,10 @@ EventQueue::clear()
         b.head = 0;
         b.sorted = false;
     }
+    std::fill(occupied_.begin(), occupied_.end(), 0);
     far_.clear();
+    slots_.clear();
+    freeSlots_.clear();
     ringCount_ = 0;
     curIdx_ = 0;
     curBucketStart_ = 0;
@@ -90,76 +94,103 @@ EventQueue::settleBack(Bucket &b)
 {
     // Rare out-of-order insert (e.g. a default-priority event
     // scheduled at now while a stats-priority event is still pending
-    // at the same tick).  Shift the later entries up one slot, as
+    // at the same tick).  Shift the later keys up one place, as
     // vector::insert would.
     const auto last = std::prev(b.v.end());
-    Entry e = std::move(*last);
+    const Key k = *last;
     const auto pos = std::upper_bound(
-        b.v.begin() + static_cast<std::ptrdiff_t>(b.head), last, e,
+        b.v.begin() + static_cast<std::ptrdiff_t>(b.head), last, k,
         Earlier{});
-    std::move_backward(pos, last, b.v.end());
-    *pos = std::move(e);
+    std::copy_backward(pos, last, b.v.end());
+    *pos = k;
+}
+
+std::uint32_t
+EventQueue::newSlot(InlineEvent &&fn)
+{
+    if (slots_.size() > std::numeric_limits<std::uint32_t>::max())
+        panic("EventQueue: more than 2^32 pending events");
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void
-EventQueue::pushSlow(Tick when, int priority, std::uint64_t seq,
-                     InlineEvent &&fn)
+EventQueue::pushSlow(const Key &k)
 {
-    if (when > curBucketStart_) {
+    if (k.when > curBucketStart_) {
         // Beyond the ring horizon: hold in the far-future min-heap.
-        far_.emplace_back(when, priority, seq, std::move(fn));
+        far_.push_back(k);
         std::push_heap(far_.begin(), far_.end(), Later{});
         return;
     }
     // Past or current-bucket-start times clamp into the current
     // bucket; ordering within the bucket is still exact, and every
     // later bucket holds strictly later times.
-    append(ring_[curIdx_], when, priority, seq, std::move(fn));
+    append(curIdx_, k);
 }
 
-EventQueue::Entry *
+const EventQueue::Key *
 EventQueue::peek()
 {
-    for (;;) {
-        if (ringCount_ == 0)
-            jumpToFar();
-        Bucket &b = ring_[curIdx_];
-        if (!b.v.empty()) {
-            if (!b.sorted) {
-                std::sort(b.v.begin(), b.v.end(), Earlier{});
-                b.sorted = true;
-            }
-            return &b.v[b.head];
-        }
-        b.sorted = false;
-        curIdx_ = (curIdx_ + 1) & ringMask_;
-        curBucketStart_ += Tick(1) << shift_;
+    if (ringCount_ == 0)
+        jumpToFar();
+    const std::size_t idx = nextOccupied(curIdx_);
+    if (idx != curIdx_) {
+        // Jump over the empty buckets in one step.  Far keys all lie
+        // beyond the old horizon, hence after the new current bucket,
+        // so one pullFar() at the new horizon migrates exactly what
+        // stepping bucket by bucket would have.
+        curBucketStart_ += Tick((idx - curIdx_) & ringMask_) << shift_;
+        curIdx_ = idx;
         pullFar();
     }
+    Bucket &b = ring_[curIdx_];
+    if (!b.sorted) {
+        std::sort(b.v.begin(), b.v.end(), Earlier{});
+        b.sorted = true;
+    }
+    return &b.v[b.head];
+}
+
+std::size_t
+EventQueue::nextOccupied(std::size_t idx) const
+{
+    // Scan the bitmap from idx's word (bits below idx masked off),
+    // wrapping once through the ring and back into idx's word for
+    // the buckets before idx.  Bits past a partial last word are
+    // never set.
+    const std::size_t words = occupied_.size();
+    std::size_t w = idx >> 6;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t(0) << (idx & 63));
+    for (std::size_t n = 0; n <= words; ++n) {
+        if (bits != 0)
+            return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+        w = w + 1 == words ? 0 : w + 1;
+        bits = occupied_[w];
+    }
+    panic("EventQueue: internal accounting error (no occupied bucket)");
 }
 
 void
 EventQueue::pullFar()
 {
-    // Ring advance opened a new bucket at the horizon; migrate every
-    // far-future entry that now falls inside it.  Far entries are
+    // Ring advance opened buckets at the horizon; migrate every
+    // far-future key that now falls inside the ring.  Far keys are
     // always > curBucketStart_, so the subtraction cannot wrap.
     const Tick span = ringSpan();
     while (!far_.empty() && far_.front().when - curBucketStart_ < span) {
         std::pop_heap(far_.begin(), far_.end(), Later{});
-        Entry e = std::move(far_.back());
+        const Key k = far_.back();
         far_.pop_back();
-        ring_[static_cast<std::size_t>(e.when >> shift_) & ringMask_]
-            .v.push_back(std::move(e));
-        ++ringCount_;
+        append(static_cast<std::size_t>(k.when >> shift_) & ringMask_, k);
     }
 }
 
 void
 EventQueue::jumpToFar()
 {
-    // Ring is empty: re-anchor it at the earliest far-future entry
-    // instead of stepping bucket-by-bucket across the idle gap.
+    // Ring is empty: re-anchor it at the earliest far-future key
+    // instead of crossing the idle gap.
     if (far_.empty())
         panic("EventQueue: internal accounting error (empty calendar)");
     const Tick t = far_.front().when;

@@ -9,12 +9,20 @@
  *
  * The queue is a two-level calendar tuned for the simulator's schedule
  * pattern (almost all events land within a few link/DRAM latencies of
- * now, densely packed in time).  Near-future events go into a
- * power-of-two ring of time buckets; far-future events wait in an
- * overflow min-heap and are pulled into the ring lazily as it
- * advances.  Buckets append unsorted and sort lazily only when a
- * bucket becomes current, so schedule() is O(1) and executeNext() is
- * amortized O(k log k) over the handful of events sharing a bucket.
+ * now).  Near-future events go into a power-of-two ring of time
+ * buckets; far-future events wait in an overflow min-heap and are
+ * pulled into the ring lazily as it advances.  Buckets append unsorted
+ * and sort lazily only when a bucket becomes current, so schedule() is
+ * O(1) and executeNext() is amortized O(k log k) over the handful of
+ * events sharing a bucket.
+ *
+ * Buckets and the far heap hold only a trivially copyable 24-byte key
+ * (time, seq, priority, slot).  Each callback is written once into a
+ * slot array on insert and moved out once when it fires; sorting,
+ * heap sifts and bucket growth move keys, never captures.  A ring
+ * occupancy bitmap (one bit per bucket) lets the ring jump straight to
+ * the next non-empty bucket, so the cost of an idle stretch is one
+ * word scan per 64 buckets, not one step per bucket.
  *
  * The ordering is exact for every ring geometry: for any interleaving
  * of schedule() and executeNext() calls events fire in the sequence a
@@ -32,6 +40,7 @@
 #define HMCSIM_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -176,41 +185,44 @@ class EventQueue
             peek();  // advance + sort; may move the ring
             b = &ring_[curIdx_];
         }
-        Entry &head = b->v[b->head];
-        const Tick when = head.when;
-        frontier_ = EventSlot{when, head.priority, head.seq};
+        const Key head = b->v[b->head];
+        frontier_ = EventSlot{head.when, head.priority, head.seq};
         frontierSeq_ = nextSeq_;
-        InlineEvent fn = std::move(head.fn);
         if (++b->head == b->v.size()) {
             b->v.clear();
             b->head = 0;
             b->sorted = false;
+            occupied_[curIdx_ >> 6] &= ~(std::uint64_t(1) << (curIdx_ & 63));
         }
         --ringCount_;
-        // The queue is fully updated before the callback runs: event
-        // handlers re-enter schedule().
+        // The queue is fully updated, and the callback moved out of its
+        // slot, before it runs: event handlers re-enter schedule(),
+        // which may reuse the slot or grow the slot array.
+        InlineEvent fn = std::move(slots_[head.slot]);
+        freeSlots_.push_back(head.slot);
         fn();
-        return when;
+        return head.when;
     }
 
     /** Total events executed so far (for engine micro-benchmarks). */
     std::uint64_t executedCount() const { return executed_; }
 
-    /** Drop every pending event. */
+    /** Drop every pending event, destroying each callback once. */
     void clear();
 
   private:
-    struct Entry {
+    /**
+     * What buckets and the far heap hold: the event's place in the
+     * order and the index of its callback in slots_.  Trivially
+     * copyable, so sorting and heap sifts move 24 bytes per entry.
+     */
+    struct Key {
         Tick when;
-        int priority;
         std::uint64_t seq;
-        InlineEvent fn;
-
-        Entry(Tick w, int p, std::uint64_t s, InlineEvent &&f)
-            : when(w), priority(p), seq(s), fn(std::move(f))
-        {
-        }
+        std::int32_t priority;
+        std::uint32_t slot;
     };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
     /**
      * The event order, and the only place it is spelled out: true when
@@ -230,7 +242,7 @@ class EventQueue
     /** firesAfter for the std heap algorithms (earliest on top). */
     struct Later {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             return firesAfter(a, b);
         }
@@ -238,25 +250,26 @@ class EventQueue
     /** Ascending fire order, for sorting buckets. */
     struct Earlier {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             return firesAfter(b, a);
         }
     };
 
     /**
-     * A ring bucket.  Future buckets accumulate entries unsorted; when
-     * a bucket becomes current it is sorted once into ascending fire
-     * order and drained through the head cursor (pop is O(1), no
-     * element ever moves).  Entries scheduled into the current bucket
-     * almost always carry the largest (when, priority, seq) key in it
-     * -- fresh events at the current tick get monotonically increasing
-     * seq -- so they append in O(1) too; the rare out-of-order insert
-     * shifts the later entries up one slot.
+     * A ring bucket.  Future buckets accumulate keys unsorted; when a
+     * bucket becomes current it is sorted once into ascending fire
+     * order and drained through the head cursor (pop is O(1), no key
+     * ever moves).  Keys scheduled into the current bucket almost
+     * always carry the largest (when, priority, seq) in it -- fresh
+     * events at the current tick get monotonically increasing seq --
+     * so they append in O(1) too; the rare out-of-order insert shifts
+     * the later keys up one place.  A bucket's bit in occupied_ is set
+     * exactly while v is non-empty.
      */
     struct Bucket {
-        std::vector<Entry> v;
-        std::size_t head = 0; ///< next entry to pop (earlier are husks)
+        std::vector<Key> v;
+        std::size_t head = 0; ///< next key to pop (earlier are husks)
         bool sorted = false;  ///< v[head..) is in ascending fire order
     };
 
@@ -273,40 +286,50 @@ class EventQueue
         if (!fn)
             panicNullEvent();
         ++size_;
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = newSlot(std::move(fn));
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+            slots_[slot] = std::move(fn);
+        }
+        const Key k{when, seq, priority, slot};
         if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
-            append(ring_[static_cast<std::size_t>(when >> shift_) &
-                         ringMask_],
-                   when, priority, seq, std::move(fn));
+            append(static_cast<std::size_t>(when >> shift_) & ringMask_, k);
             return;
         }
-        pushSlow(when, priority, seq, std::move(fn));
+        pushSlow(k);
     }
 
-    /** Add an entry to @p b, keeping a sorted bucket in fire order. */
+    /** Add @p k to bucket @p idx, keeping a sorted bucket in order. */
     void
-    append(Bucket &b, Tick when, int priority, std::uint64_t seq,
-           InlineEvent &&fn)
+    append(std::size_t idx, const Key &k)
     {
         ++ringCount_;
-        const bool sorted = b.sorted;
-        b.v.emplace_back(when, priority, seq, std::move(fn));
+        occupied_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+        Bucket &b = ring_[idx];
+        b.v.push_back(k);
         // Only the current bucket is ever sorted, and it is non-empty
         // (it resets to unsorted when drained), so v[size - 2] is a
-        // live entry.
-        if (sorted && !firesAfter(b.v.back(), b.v[b.v.size() - 2]))
+        // live key.
+        if (b.sorted && !firesAfter(k, b.v[b.v.size() - 2]))
             settleBack(b);
     }
 
     /** Rare out-of-order insert: move v.back() into fire order. */
     static void settleBack(Bucket &b);
+    /** Store @p fn in a slot appended to slots_; return its index. */
+    std::uint32_t newSlot(InlineEvent &&fn);
     /** Clamped-to-now and beyond-horizon inserts. */
-    void pushSlow(Tick when, int priority, std::uint64_t seq,
-                  InlineEvent &&fn);
-    /** Earliest pending entry; advances the ring to its bucket. */
-    Entry *peek();
-    /** Move far-future entries now below the ring horizon into it. */
+    void pushSlow(const Key &k);
+    /** Earliest pending key; advances the ring to its bucket. */
+    const Key *peek();
+    /** First occupied bucket at or after @p idx in ring order. */
+    std::size_t nextOccupied(std::size_t idx) const;
+    /** Move far-future keys now below the ring horizon into it. */
     void pullFar();
-    /** Re-anchor an empty ring at the earliest far-future entry. */
+    /** Re-anchor an empty ring at the earliest far-future key. */
     void jumpToFar();
 
     Tick ringSpan() const { return Tick(ring_.size()) << shift_; }
@@ -324,12 +347,19 @@ class EventQueue
     std::size_t size_ = 0;
 
     std::vector<Bucket> ring_;
+    /** One bit per ring bucket, set while the bucket is non-empty. */
+    std::vector<std::uint64_t> occupied_;
     std::size_t ringMask_ = 0;
     unsigned shift_ = 0;        ///< log2(bucket width in ticks)
     std::size_t curIdx_ = 0;
     Tick curBucketStart_ = 0;   ///< inclusive start of the current bucket
-    std::size_t ringCount_ = 0; ///< pending entries resident in the ring
-    std::vector<Entry> far_;    ///< min-heap of entries beyond the ring
+    std::size_t ringCount_ = 0; ///< pending keys resident in the ring
+    std::vector<Key> far_;      ///< min-heap of keys beyond the ring
+
+    /** Callbacks of pending events, indexed by Key::slot; a free slot
+     *  holds an empty InlineEvent. */
+    std::vector<InlineEvent> slots_;
+    std::vector<std::uint32_t> freeSlots_;
 };
 
 }  // namespace hmcsim

@@ -12,10 +12,10 @@
  * time, so schedule() never allocates.
  *
  * Events are move-only; a move transfers the capture and empties the
- * source (the queue's sift operations only read the ordering key of a
- * moved-from entry, never invoke it).  Storage itself is recycled by
- * the event queue: entries live by value inside bucket/heap vectors
- * whose capacity is retained across the run, which is the freelist --
+ * source.  The event queue moves each one twice: into a slot of its
+ * callback array on schedule, and out of it just before invoking it.
+ * Bucket sorts and heap sifts move only the queue's small keys.  The
+ * slot array and its free list keep their capacity across the run, so
  * after warmup no event path touches the allocator.
  *
  * InlineEvent is the `void()` instantiation of the general
@@ -37,9 +37,8 @@ namespace hmcsim {
  * lambda in the tree (Router::tryDrain's router-to-router arrival:
  * Router* + port int + a 48 B NocMessage).  Growing a capture past
  * this is a compile error at the schedule() site, not a silent
- * fallback to heap allocation -- raise the constant deliberately, and
- * check the queue-entry size the event rides in (sort/move cost on
- * the calendar hot path scales with it).
+ * fallback to heap allocation -- raise the constant deliberately; it
+ * sets the size of every slot in the queue's callback array.
  */
 constexpr std::size_t kInlineEventCapacity = 64;
 

@@ -5,21 +5,10 @@
 namespace hmcsim {
 
 void
-Kernel::scheduleAt(Tick when, EventFn fn, int priority)
+Kernel::panicPast(Tick when) const
 {
-    if (when < now_)
-        panic("Kernel::scheduleAt: time " + std::to_string(when) +
-              " is in the past (now " + std::to_string(now_) + ")");
-    queue_.schedule(when, std::move(fn), priority);
-}
-
-void
-Kernel::scheduleAt(const EventSlot &slot, EventFn fn)
-{
-    if (slot.when < now_)
-        panic("Kernel::scheduleAt: slot time " + std::to_string(slot.when) +
-              " is in the past (now " + std::to_string(now_) + ")");
-    queue_.schedule(slot, std::move(fn));
+    panic("Kernel::scheduleAt: time " + std::to_string(when) +
+          " is in the past (now " + std::to_string(now_) + ")");
 }
 
 void

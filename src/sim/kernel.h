@@ -44,7 +44,13 @@ class Kernel
     }
 
     /** Schedule @p fn at absolute @p when; panics if @p when is past. */
-    void scheduleAt(Tick when, EventFn fn, int priority = 0);
+    void
+    scheduleAt(Tick when, EventFn fn, int priority = 0)
+    {
+        if (when < now_)
+            panicPast(when);
+        queue_.schedule(when, std::move(fn), priority);
+    }
 
     /**
      * Reserve the slot scheduleIn(@p delay) would take now, without
@@ -59,7 +65,13 @@ class Kernel
     }
 
     /** Schedule @p fn into a reserved slot; panics if it is past. */
-    void scheduleAt(const EventSlot &slot, EventFn fn);
+    void
+    scheduleAt(const EventSlot &slot, EventFn fn)
+    {
+        if (slot.when < now_)
+            panicPast(slot.when);
+        queue_.schedule(slot, std::move(fn));
+    }
 
     /**
      * True once an event in @p slot would have fired: it orders before
@@ -112,6 +124,7 @@ class Kernel
 
   private:
     [[noreturn]] void panicOverflow(Tick delay) const;
+    [[noreturn]] void panicPast(Tick when) const;
     /** Close a run that was not stopped (see run()). */
     void endRun(Tick until);
 

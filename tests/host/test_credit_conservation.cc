@@ -1,11 +1,14 @@
 /**
  * @file
- * Credit conservation: after a drained run, every credit pool -- the
- * SerDes token pools of both link directions, the NoC router output
- * credits and the NoC inject-port credits -- is back at capacity once
- * its pending returns have folded in.  A return lost or doubled by the
- * lazy return/fold/wake path leaves a pool short of its capacity (or
- * panics past it).
+ * Credit and tag conservation: after a drained run, every credit pool
+ * -- the SerDes token pools of both link directions, the NoC router
+ * output credits and the NoC inject-port credits -- is back at
+ * capacity once its pending returns have folded in, and every request
+ * tag is back: no workload port holds a tag or counts a request in
+ * flight, and no host controller counts one outstanding to any cube.
+ * A return lost or doubled by the lazy return/fold/wake path leaves a
+ * pool short of its capacity (or panics past it); a response lost in
+ * the fabric leaves a tag held.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "hmc/hmc_device.h"
 #include "hmc/serdes_link.h"
 #include "host/system.h"
+#include "host/workload/workload_port.h"
 #include "noc/network.h"
 #include "noc/router.h"
 
@@ -33,6 +37,7 @@ struct PoolTally {
     /** Credits ever taken from the NoC pools, and link flits sent. */
     std::uint64_t nocConsumed = 0;
     std::uint64_t linkFlits = 0;
+    std::size_t workloadPorts = 0;
 };
 
 void
@@ -68,7 +73,27 @@ expectFullPools(const Component &c, PoolTally &t)
         expectFullPools(*child, t);
 }
 
-/** Run traffic, stop every port, drain, and check every pool. */
+/** Every request tag of every host is back after a drain. */
+void
+expectAllTagsReturned(System &sys, PoolTally &t)
+{
+    for (HostId h = 0; h < sys.numHosts(); ++h) {
+        Fpga &fpga = sys.fpga(h);
+        for (PortId p = 0; p < fpga.numPorts(); ++p) {
+            const auto *wp = dynamic_cast<const WorkloadPort *>(&fpga.port(p));
+            if (!wp)
+                continue;
+            EXPECT_EQ(wp->tags().inUse(), 0u) << wp->path();
+            EXPECT_EQ(wp->inFlight(), 0u) << wp->path();
+            ++t.workloadPorts;
+        }
+        for (CubeId c = 0; c < sys.numCubes(); ++c)
+            EXPECT_EQ(fpga.controller().outstandingToCube(c), 0u)
+                << "host " << h << " cube " << c;
+    }
+}
+
+/** Run traffic, stop every port, drain, and check every pool and tag. */
 PoolTally
 drainAndCheck(const Keys &keys)
 {
@@ -90,6 +115,8 @@ drainAndCheck(const Keys &keys)
     expectFullPools(*root, t);
     EXPECT_GT(t.linkFlits, 0u);
     EXPECT_GT(t.nocConsumed, 0u);
+    expectAllTagsReturned(sys, t);
+    EXPECT_EQ(t.workloadPorts, 9u * sys.numHosts());
     return t;
 }
 

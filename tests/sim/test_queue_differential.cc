@@ -119,11 +119,15 @@ enum class Engine {
      *  far-future migration, and empty-ring re-anchoring, not just
      *  the happy path. */
     SmallCalendar,
+    /** EventQueue at 512 ps x 8 buckets (4 ns span): fewer buckets
+     *  than one occupancy-bitmap word holds, so the bucket scan wraps
+     *  inside a partial word. */
+    TinyCalendar,
     /** A default-constructed EventQueue: the production geometry. */
     DefaultCalendar,
 };
 
-constexpr Engine kCalendars[] = {Engine::SmallCalendar,
+constexpr Engine kCalendars[] = {Engine::SmallCalendar, Engine::TinyCalendar,
                                  Engine::DefaultCalendar};
 
 /** Run @p body on a fresh queue of @p engine. */
@@ -138,6 +142,8 @@ withQueue(Engine engine, Body &&body)
     EventQueue q;
     if (engine == Engine::SmallCalendar)
         q.configure(64, 256);
+    else if (engine == Engine::TinyCalendar)
+        q.configure(512, 8);
     return body(q);
 }
 
@@ -295,6 +301,89 @@ TEST(QueueDifferential, ScheduleFromWithinEvents)
     const auto ref = runSelfScheduling(Engine::Reference);
     for (const Engine engine : kCalendars) {
         const auto cal = runSelfScheduling(engine);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+            ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
+        }
+    }
+}
+
+/**
+ * A sparse self-scheduling program, the schedule pattern of a lightly
+ * loaded simulation: a few chains of events whose gaps mostly span
+ * many empty buckets (>= 64 at the default 512 ps width, so the ring
+ * jumps over whole bitmap words) and wrap the ring, some lying beyond
+ * its horizon so they are pulled in after a multi-bucket jump.  Every
+ * time is a multiple of 512 ps, a bucket start at every geometry
+ * here, so a zero-delay child is a clamped insert into the current
+ * bucket -- usually just emptied by the event scheduling it.
+ */
+std::vector<std::pair<Tick, int>>
+runSparse(Engine engine)
+{
+    return withQueue(engine, [](auto &q) {
+        std::vector<std::pair<Tick, int>> trace;
+        int nextId = 0;
+        std::function<void(int, int, Tick)> fire = [&](int id, int depth,
+                                                       Tick when) {
+            trace.emplace_back(when, id);
+            if (depth >= 80)
+                return;
+            Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 3);
+            const auto child = [&](Tick delay, int prio, int childDepth) {
+                const int cid = nextId++;
+                const Tick cwhen = when + delay;
+                q.schedule(cwhen,
+                           [&fire, cid, childDepth, cwhen] {
+                               fire(cid, childDepth, cwhen);
+                           },
+                           prio);
+            };
+            Tick delay;
+            switch (rng.next(8)) {
+              case 0:
+                delay = 0;
+                break;
+              case 1:  // beyond the default ring's ~2.1 us horizon
+                delay = 3000000 + 512 * rng.next(4000);
+                break;
+              case 2:
+              case 3:
+              case 4:
+                delay = 512 * (1 + rng.next(15));
+                break;
+              default:
+                delay = 512 * (64 + rng.next(192));
+                break;
+            }
+            child(delay, EventPriority::kDefault, depth + 1);
+            // A same-time leaf, sometimes behind a stats-priority one.
+            if (rng.next(4) == 0)
+                child(0,
+                      rng.next(2) == 0 ? EventPriority::kStats
+                                       : EventPriority::kDefault,
+                      80);
+        };
+        for (int i = 0; i < 8; ++i) {
+            const int id = nextId++;
+            const Tick when = static_cast<Tick>(i) * 3 * 512;
+            q.schedule(when, [&fire, id, when] { fire(id, 0, when); });
+        }
+        while (!q.empty())
+            q.executeNext();
+        return trace;
+    });
+}
+
+TEST(QueueDifferential, SparseJumpsWrapTheRing)
+{
+    const auto ref = runSparse(Engine::Reference);
+    ASSERT_GT(ref.size(), 640u);
+    // The program spans many default ring horizons (~2.1 us each).
+    ASSERT_GT(ref.back().first, 10u * 512u * 4096u);
+    for (const Engine engine : kCalendars) {
+        const auto cal = runSparse(engine);
         ASSERT_EQ(ref.size(), cal.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
             ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
