@@ -35,40 +35,8 @@ ChainSwitch::ChainSwitch(Kernel &kernel, HmcDevice &dev, std::string name,
 {
     for (auto &kind : ports_)
         kind.resize(dev_.numLinks());
-    if (Observability *o = kernel.obs()) {
+    if (Observability *o = kernel.obs())
         tracer_ = o->fullTracer();
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.counter("fwd_requests", &fwdRequests_);
-        obsMetrics_.counter("fwd_responses", &fwdResponses_);
-        obsMetrics_.counter("fwd_flits", &fwdFlits_);
-        obsMetrics_.counter("local_injects", &localInjects_);
-        obsMetrics_.counter("queue_full_stalls", &queueFullStalls_);
-        obsMetrics_.counter("rx_hol_stalls", &rxHolStalls_);
-        obsMetrics_.counter("adaptive_deviations", &adaptiveDeviations_);
-        obsMetrics_.counter("misroutes", &misroutes_);
-        obsMetrics_.counter("routed_ejects", &routedEjects_);
-        // Occupancy gauges feeding the congestion heatmaps: total
-        // forward-queue flits, plus a per-kind split so a hotspot's
-        // direction is visible.
-        obsMetrics_.gauge("fwd_q_flits_now", [this] {
-            double total = 0.0;
-            for (const auto &kind : ports_)
-                for (const Port &p : kind)
-                    total += p.qFlits;
-            return total;
-        });
-        static constexpr const char *kKindGauge[kPortKinds] = {
-            "up_q_flits_now", "down_q_flits_now", "wrap_q_flits_now",
-            "host_q_flits_now"};
-        for (std::size_t k = 0; k < kPortKinds; ++k) {
-            obsMetrics_.gauge(kKindGauge[k], [this, k] {
-                double total = 0.0;
-                for (const Port &p : ports_[k])
-                    total += p.qFlits;
-                return total;
-            });
-        }
-    }
 }
 
 ChainSwitch::Port &
@@ -415,46 +383,42 @@ ChainSwitch::ejectRoutedFromNoc(LinkId l, const HmcPacketPtr &pkt)
 }
 
 void
-ChainSwitch::reportOwnStats(std::map<std::string, double> &out) const
+ChainSwitch::listStats(StatList &s) const
 {
-    out[statName("fwd_requests")] =
-        static_cast<double>(fwdRequests_.value());
-    out[statName("fwd_responses")] =
-        static_cast<double>(fwdResponses_.value());
-    out[statName("fwd_flits")] = static_cast<double>(fwdFlits_.value());
-    out[statName("local_injects")] =
-        static_cast<double>(localInjects_.value());
-    out[statName("queue_full_stalls")] =
-        static_cast<double>(queueFullStalls_.value());
-    out[statName("rx_hol_stalls")] =
-        static_cast<double>(rxHolStalls_.value());
-    out[statName("route_up")] = static_cast<double>(routeUp_.value());
-    out[statName("route_down")] = static_cast<double>(routeDown_.value());
-    out[statName("route_wrap")] = static_cast<double>(routeWrap_.value());
-    out[statName("route_host")] = static_cast<double>(routeHost_.value());
-    out[statName("routed_ejects")] =
-        static_cast<double>(routedEjects_.value());
-    out[statName("adaptive_deviations")] =
-        static_cast<double>(adaptiveDeviations_.value());
-    out[statName("misroutes")] = static_cast<double>(misroutes_.value());
-}
-
-void
-ChainSwitch::resetOwnStats()
-{
-    fwdRequests_.reset();
-    fwdResponses_.reset();
-    fwdFlits_.reset();
-    localInjects_.reset();
-    queueFullStalls_.reset();
-    rxHolStalls_.reset();
-    routeUp_.reset();
-    routeDown_.reset();
-    routeWrap_.reset();
-    routeHost_.reset();
-    routedEjects_.reset();
-    adaptiveDeviations_.reset();
-    misroutes_.reset();
+    s.counter("fwd_requests", fwdRequests_);
+    s.counter("fwd_responses", fwdResponses_);
+    s.counter("fwd_flits", fwdFlits_);
+    s.counter("local_injects", localInjects_);
+    s.counter("queue_full_stalls", queueFullStalls_);
+    s.counter("rx_hol_stalls", rxHolStalls_);
+    s.counter("route_up", routeUp_);
+    s.counter("route_down", routeDown_);
+    s.counter("route_wrap", routeWrap_);
+    s.counter("route_host", routeHost_);
+    s.counter("routed_ejects", routedEjects_);
+    s.counter("adaptive_deviations", adaptiveDeviations_);
+    s.counter("misroutes", misroutes_);
+    // Occupancy gauges feeding the congestion heatmaps: total
+    // forward-queue flits, plus a per-kind split so a hotspot's
+    // direction is visible.
+    s.gauge("fwd_q_flits_now", [this] {
+        double total = 0.0;
+        for (const auto &kind : ports_)
+            for (const Port &p : kind)
+                total += p.qFlits;
+        return total;
+    });
+    static constexpr const char *kKindGauge[kPortKinds] = {
+        "up_q_flits_now", "down_q_flits_now", "wrap_q_flits_now",
+        "host_q_flits_now"};
+    for (std::size_t k = 0; k < kPortKinds; ++k) {
+        s.gauge(kKindGauge[k], [this, k] {
+            double total = 0.0;
+            for (const Port &p : ports_[k])
+                total += p.qFlits;
+            return total;
+        });
+    }
 }
 
 }  // namespace hmcsim

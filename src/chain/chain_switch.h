@@ -41,7 +41,6 @@
 #include "chain/routing_policy.h"
 #include "hmc/hmc_device.h"
 #include "hmc/serdes_link.h"
-#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -133,8 +132,7 @@ class ChainSwitch : public Component, public ChainLoadProvider
     std::uint64_t rxHolStalls() const { return rxHolStalls_.value(); }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
-    void resetOwnStats() override;
+    void listStats(StatList &s) const override;
 
   private:
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
@@ -205,7 +203,6 @@ class ChainSwitch : public Component, public ChainLoadProvider
      *  multi-host path. */
     Counter routedEjects_;
 
-    MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
 
     Port &port(ChainHop kind, LinkId l);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -136,22 +137,23 @@ VaultMemory::refreshBank(BankId b, Tick now)
 }
 
 void
-VaultMemory::reportOwnStats(std::map<std::string, double> &out) const
+VaultMemory::listStats(StatList &s) const
 {
-    out[statName("row_hits")] = static_cast<double>(rowHits_.value());
-    out[statName("row_misses")] = static_cast<double>(rowMisses_.value());
-    out[statName("bus_bytes")] = static_cast<double>(bus_.bytesCarried());
-    std::uint64_t acts = 0;
-    for (const Bank &b : banks_)
-        acts += b.activates();
-    out[statName("activates")] = static_cast<double>(acts);
+    s.counter("row_hits", rowHits_);
+    s.counter("row_misses", rowMisses_);
+    s.gauge("bus_bytes",
+            [this] { return static_cast<double>(bus_.bytesCarried()); });
+    s.gauge("activates", [this] {
+        std::uint64_t acts = 0;
+        for (const Bank &b : banks_)
+            acts += b.activates();
+        return static_cast<double>(acts);
+    });
 }
 
 void
 VaultMemory::resetOwnStats()
 {
-    rowHits_.reset();
-    rowMisses_.reset();
     bus_.resetStats();
     for (Bank &b : banks_)
         b.resetStats();

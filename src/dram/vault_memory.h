@@ -98,7 +98,7 @@ class VaultMemory : public Component
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:

@@ -27,21 +27,8 @@ SerdesLink::SerdesLink(Kernel &kernel, Component *parent, std::string name,
 {
     if (flitPeriod_ == 0)
         fatal("SerdesLink: link too fast for tick resolution");
-    if (Observability *o = kernel.obs()) {
+    if (Observability *o = kernel.obs())
         tracer_ = o->fullTracer();
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.counter("down_packets", &dirs_[0].packets);
-        obsMetrics_.counter("up_packets", &dirs_[1].packets);
-        obsMetrics_.counter("down_flits", &dirs_[0].flits);
-        obsMetrics_.counter("up_flits", &dirs_[1].flits);
-        obsMetrics_.counter("crc_retries", &retries_);
-        obsMetrics_.gauge("down_tokens_in_use", [this] {
-            return static_cast<double>(dirs_[0].tokens.inFlight());
-        });
-        obsMetrics_.gauge("up_tokens_in_use", [this] {
-            return static_cast<double>(dirs_[1].tokens.inFlight());
-        });
-    }
 }
 
 double
@@ -253,27 +240,26 @@ SerdesLink::utilization(LinkDir d, Tick window) const
 }
 
 void
-SerdesLink::reportOwnStats(std::map<std::string, double> &out) const
+SerdesLink::listStats(StatList &s) const
 {
-    out[statName("down_packets")] =
-        static_cast<double>(dirs_[0].packets.value());
-    out[statName("up_packets")] =
-        static_cast<double>(dirs_[1].packets.value());
-    out[statName("down_flits")] =
-        static_cast<double>(dirs_[0].flits.value());
-    out[statName("up_flits")] = static_cast<double>(dirs_[1].flits.value());
-    out[statName("crc_retries")] = static_cast<double>(retries_.value());
+    s.counter("down_packets", dirs_[0].packets);
+    s.counter("up_packets", dirs_[1].packets);
+    s.counter("down_flits", dirs_[0].flits);
+    s.counter("up_flits", dirs_[1].flits);
+    s.counter("crc_retries", retries_);
+    s.gauge("down_tokens_in_use", [this] {
+        return static_cast<double>(dirs_[0].tokens.inFlight());
+    });
+    s.gauge("up_tokens_in_use", [this] {
+        return static_cast<double>(dirs_[1].tokens.inFlight());
+    });
 }
 
 void
 SerdesLink::resetOwnStats()
 {
-    for (Direction &d : dirs_) {
-        d.packets.reset();
-        d.flits.reset();
+    for (Direction &d : dirs_)
         d.busyBase = d.chan.busyTime();
-    }
-    retries_.reset();
 }
 
 }  // namespace hmcsim

@@ -17,7 +17,6 @@
 #include "common/stats.h"
 #include "hmc/packet.h"
 #include "noc/channel.h"
-#include "obs/metrics.h"
 #include "power/power_probe.h"
 #include "sim/component.h"
 #include "sim/credit_pool.h"
@@ -167,7 +166,7 @@ class SerdesLink : public Component
     double throttleSlowdown() const { return slowdown_; }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:
@@ -194,7 +193,6 @@ class SerdesLink : public Component
     Direction dirs_[2];
     Rng rng_;
     Counter retries_;
-    MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
     PowerProbe *probe_ = nullptr;
     double slowdown_ = 1.0;

@@ -21,23 +21,8 @@ VaultController::VaultController(Kernel &kernel, Component *parent,
       mem_(kernel, this, "mem", timing, num_banks),
       refresh_(params.trefi, num_banks), banks_(num_banks)
 {
-    if (Observability *o = kernel.obs()) {
+    if (Observability *o = kernel.obs())
         tracer_ = o->fullTracer();
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.counter("requests_served", &served_);
-        obsMetrics_.counter("read_bytes", &readBytes_);
-        obsMetrics_.counter("write_bytes", &writeBytes_);
-        obsMetrics_.sampler("service_latency_ns", &serviceNs_);
-        obsMetrics_.gauge("input_queue_now", [this] {
-            return static_cast<double>(inputQ_.size());
-        });
-        obsMetrics_.gauge("bank_queue_now", [this] {
-            return static_cast<double>(bankQOccupancy_);
-        });
-        obsMetrics_.gauge("resp_queue_flits_now", [this] {
-            return static_cast<double>(respUsedFlits_);
-        });
-    }
 }
 
 void
@@ -269,32 +254,25 @@ VaultController::onInjectSpace()
 }
 
 void
-VaultController::reportOwnStats(std::map<std::string, double> &out) const
+VaultController::listStats(StatList &s) const
 {
-    out[statName("requests_served")] =
-        static_cast<double>(served_.value());
-    out[statName("read_bytes")] = static_cast<double>(readBytes_.value());
-    out[statName("write_bytes")] = static_cast<double>(writeBytes_.value());
-    out[statName("avg_service_ns")] = serviceNs_.mean();
-    out[statName("peak_bank_queue")] = static_cast<double>(peakBankQ_);
-    // Live occupancies (diagnosing stalls, not windowed statistics).
-    out[statName("input_queue_now")] =
-        static_cast<double>(inputQ_.size());
-    out[statName("bank_queue_now")] =
-        static_cast<double>(bankQOccupancy_);
-    out[statName("resp_queue_flits_now")] =
-        static_cast<double>(respUsedFlits_);
-    out[statName("resp_reserved_flits_now")] =
-        static_cast<double>(respReservedFlits_);
+    s.counter("requests_served", served_);
+    s.counter("read_bytes", readBytes_);
+    s.counter("write_bytes", writeBytes_);
+    s.sampler("avg_service_ns", serviceNs_);
+    s.level("peak_bank_queue", peakBankQ_);
+    // Live occupancies (diagnosing stalls, not windowed statistics);
+    // the "_now" ones feed the congestion heatmap.
+    s.gauge("input_queue_now",
+            [this] { return static_cast<double>(inputQ_.size()); });
+    s.level("bank_queue_now", bankQOccupancy_);
+    s.level("resp_queue_flits_now", respUsedFlits_);
+    s.level("resp_reserved_flits", respReservedFlits_);
 }
 
 void
 VaultController::resetOwnStats()
 {
-    served_.reset();
-    readBytes_.reset();
-    writeBytes_.reset();
-    serviceNs_.reset();
     peakBankQ_ = bankQOccupancy_;
 }
 

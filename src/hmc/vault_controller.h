@@ -26,7 +26,6 @@
 #include "hmc/hmc_config.h"
 #include "hmc/packet.h"
 #include "noc/network.h"
-#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -111,7 +110,7 @@ class VaultController : public Component
     std::uint32_t peakBankQueueOccupancy() const { return peakBankQ_; }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:
@@ -146,7 +145,6 @@ class VaultController : public Component
     Counter writeBytes_;
     SampleStats serviceNs_;
 
-    MetricSet obsMetrics_;
     PacketTracer *tracer_ = nullptr;
 
     Tick nextPlanAllowed_ = 0;

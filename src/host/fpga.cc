@@ -90,7 +90,9 @@ Fpga::configureWorkloadPort(PortId p, WorkloadPort::Params params)
         std::move(params));
     WorkloadPort &ref = *port;
     adopt(ref);
-    ports_[p] = std::move(port);
+    ports_[p] = std::move(port);  // the old port leaves the registry
+    if (MetricsRegistry *reg = boundRegistry())
+        ref.bindMetrics(*reg);
     ref.setActive(true);
     rebindController();
     return ref;

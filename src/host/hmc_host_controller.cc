@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "common/log.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 
 namespace hmcsim {
@@ -28,15 +28,6 @@ HmcHostController::HmcHostController(Kernel &kernel, Component *parent,
     for (SerdesLink *lk : attach_.links) {
         if (lk->endpointMode() != LinkEndpointMode::Host)
             panic("HmcHostController: wired to a pass-through link");
-    }
-    if (Observability *o = kernel.obs()) {
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.counter("requests_sent", &requestsSent_);
-        obsMetrics_.counter("responses_delivered", &responsesDelivered_);
-        obsMetrics_.gauge("outstanding_now", [this] {
-            return static_cast<double>(std::accumulate(
-                outstanding_.begin(), outstanding_.end(), 0u));
-        });
     }
 }
 
@@ -240,34 +231,24 @@ HmcHostController::requestsSentToCube(CubeId c) const
     return sentPerCube_[c].value();
 }
 
-std::uint64_t
-HmcHostController::requestsSentOnLink(LinkId l) const
-{
-    if (l >= sentPerLink_.size())
-        panic("HmcHostController: link out of range");
-    return sentPerLink_[l].value();
-}
-
 void
-HmcHostController::reportOwnStats(std::map<std::string, double> &out) const
+HmcHostController::listStats(StatList &s) const
 {
-    out[statName("requests_sent")] =
-        static_cast<double>(requestsSent_.value());
-    out[statName("responses_delivered")] =
-        static_cast<double>(responsesDelivered_.value());
-    for (LinkId l = 0; l < numLinks(); ++l) {
-        out[statName("link" + std::to_string(l) + "_requests_sent")] =
-            static_cast<double>(sentPerLink_[l].value());
-    }
+    s.counter("requests_sent", requestsSent_);
+    s.counter("responses_delivered", responsesDelivered_);
+    s.gauge("outstanding_now", [this] {
+        return static_cast<double>(std::accumulate(
+            outstanding_.begin(), outstanding_.end(), 0u));
+    });
+    for (LinkId l = 0; l < numLinks(); ++l)
+        s.counter("link" + std::to_string(l) + "_requests_sent",
+                  sentPerLink_[l]);
     if (multiCube()) {
         for (CubeId c = 0; c < attach_.numCubes; ++c) {
             const std::string tag = "cube" + std::to_string(c);
-            out[statName(tag + "_requests_sent")] =
-                static_cast<double>(sentPerCube_[c].value());
-            out[statName(tag + "_outstanding_now")] =
-                static_cast<double>(outstanding_[c]);
-            out[statName(tag + "_peak_outstanding")] =
-                static_cast<double>(peakOutstanding_[c]);
+            s.counter(tag + "_requests_sent", sentPerCube_[c]);
+            s.level(tag + "_outstanding", outstanding_[c]);
+            s.level(tag + "_peak_outstanding", peakOutstanding_[c]);
         }
     }
 }
@@ -275,15 +256,9 @@ HmcHostController::reportOwnStats(std::map<std::string, double> &out) const
 void
 HmcHostController::resetOwnStats()
 {
-    requestsSent_.reset();
-    responsesDelivered_.reset();
-    for (Counter &c : sentPerLink_)
-        c.reset();
-    for (CubeId c = 0; c < attach_.numCubes; ++c) {
-        sentPerCube_[c].reset();
-        // Peaks restart from the live level, like the vault queues.
+    // Peaks restart from the live level, like the vault queues.
+    for (CubeId c = 0; c < attach_.numCubes; ++c)
         peakOutstanding_[c] = outstanding_[c];
-    }
 }
 
 }  // namespace hmcsim

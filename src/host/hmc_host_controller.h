@@ -23,7 +23,6 @@
 #include "host/host_config.h"
 #include "host/port.h"
 #include "noc/arbiter.h"
-#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -86,14 +85,11 @@ class HmcHostController : public Component
     /** Peak of outstandingToCube over the stats window. */
     std::uint32_t peakOutstandingToCube(CubeId c) const;
 
-    /** Lifetime requests sent toward cube @p c. */
+    /** Requests sent toward cube @p c over the stats window. */
     std::uint64_t requestsSentToCube(CubeId c) const;
 
-    /** Requests issued down entry link @p l over the stats window. */
-    std::uint64_t requestsSentOnLink(LinkId l) const;
-
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:
@@ -116,7 +112,6 @@ class HmcHostController : public Component
     std::size_t rxNextLink_ = 0;
     Counter requestsSent_;
     Counter responsesDelivered_;
-    MetricSet obsMetrics_;
 
     // Per-cube CUB-field bookkeeping (sized numCubes).
     std::vector<Counter> sentPerCube_;

@@ -2,6 +2,7 @@
 
 #include "common/log.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -53,27 +54,20 @@ Monitor::enableHistogram(double lo_ns, double hi_ns, std::size_t bins)
 }
 
 void
-Monitor::registerMetrics(MetricSet &set) const
+Monitor::listStats(StatList &s) const
 {
-    set.counter("reads", &reads_);
-    set.counter("writes", &writes_);
-    set.counter("wire_bytes", &wireBytes_);
-    set.sampler("read_latency_ns", &readNs_);
-    set.sampler("write_latency_ns", &writeNs_);
-    set.sampler("chain_hops", &hops_);
-    set.histogram("chain_hop_hist", &hopHist_);
+    s.counter("reads", reads_);
+    s.counter("writes", writes_);
+    s.counter("wire_bytes", wireBytes_);
+    s.sampler("avg_read_latency_ns", readNs_);
+    s.sampler("write_latency_ns", writeNs_);
+    s.sampler("chain_hops", hops_);
+    s.histogram("chain_hop_hist", hopHist_);
 }
 
 void
-Monitor::reset()
+Monitor::resetUnlisted()
 {
-    reads_.reset();
-    writes_.reset();
-    wireBytes_.reset();
-    readNs_.reset();
-    writeNs_.reset();
-    hops_.reset();
-    hopHist_.reset();
     worst_ = HmcPacket{};
     worstNs_ = -1.0;
     if (hist_)

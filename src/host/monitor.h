@@ -20,9 +20,10 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "hmc/packet.h"
-#include "obs/metrics.h"
 
 namespace hmcsim {
+
+class StatList;
 
 class Monitor
 {
@@ -73,11 +74,13 @@ class Monitor
      *  supplied); all-zero when none recorded. */
     const HmcPacket &worstRead() const { return worst_; }
 
-    /** Register this monitor's stats into a bound MetricSet (the
-     *  owning port calls this at construction). */
-    void registerMetrics(MetricSet &set) const;
+    /** List this monitor's counters, samplers and hop histogram (the
+     *  owning port's Component::listStats calls this). */
+    void listStats(StatList &s) const;
 
-    void reset();
+    /** Clear the state listStats() leaves out: the worst read and the
+     *  optional latency histogram. */
+    void resetUnlisted();
 
   private:
     double baseNs_;

@@ -16,9 +16,6 @@ Port::Port(Kernel &kernel, Component *parent, std::string name, PortId id,
         tracer_ = o->fullTracer();
         lifeTracer_ = o->tracer();
         anatomy_ = o->anatomy();
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.counter("issued", &issued_);
-        monitor_.registerMetrics(obsMetrics_);
     }
 }
 
@@ -107,19 +104,16 @@ Port::idle() const
 }
 
 void
-Port::reportOwnStats(std::map<std::string, double> &out) const
+Port::listStats(StatList &s) const
 {
-    out[statName("issued")] = static_cast<double>(issued_.value());
-    out[statName("reads")] = static_cast<double>(monitor_.reads());
-    out[statName("writes")] = static_cast<double>(monitor_.writes());
-    out[statName("avg_read_latency_ns")] = monitor_.readLatencyNs().mean();
+    s.counter("issued", issued_);
+    monitor_.listStats(s);
 }
 
 void
 Port::resetOwnStats()
 {
-    issued_.reset();
-    monitor_.reset();
+    monitor_.resetUnlisted();
 }
 
 }  // namespace hmcsim

@@ -20,7 +20,6 @@
 #include "host/host_config.h"
 #include "host/monitor.h"
 #include "hmc/packet.h"
-#include "obs/metrics.h"
 #include "sim/component.h"
 
 namespace hmcsim {
@@ -92,7 +91,7 @@ class Port : public Component
     std::uint64_t issuedRequests() const { return issued_.value(); }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
     bool fifoFull() const { return fifo_.size() >= fifoDepth_; }
@@ -118,7 +117,6 @@ class Port : public Component
     std::deque<HmcPacketPtr> fifo_;
     Monitor monitor_;
     Counter issued_;
-    MetricSet obsMetrics_;
     /** Full-mode tracer (per-event hooks); null otherwise. */
     PacketTracer *tracer_ = nullptr;
     /** Any-mode tracer (completion-path lifecycle); null when off. */

@@ -80,7 +80,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // simulation results.
     kernel_.queue().configure(cfg_.sim);
     // Published on the kernel before the tree is built so components
-    // can register metrics / cache tracer pointers in their ctors.
+    // can cache tracer pointers in their ctors.
     // With all obs.* knobs off the layer is never constructed and
     // kernel().obs() stays null everywhere.
     if (cfg_.obs.anyEnabled()) {
@@ -130,6 +130,11 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
         }
     }
     if (obs_) {
+        // Bound after the config-driven ports replaced the defaults, so
+        // the discarded ports never register; later replacements bind
+        // in Fpga::configureWorkloadPort.
+        if (cfg_.obs.metricsEnabled())
+            root_->bindMetrics(obs_->registry());
         if (AnatomyCollector *a = obs_->anatomy()) {
             // The topology-derived cost of one empty-queue chain hop:
             // switch pass-through + SerDes + wire, plus per-flit
@@ -243,6 +248,8 @@ void
 System::resetStats()
 {
     root_->resetStats();
+    if (obs_)
+        obs_->onStatsReset();
 }
 
 ExperimentResult

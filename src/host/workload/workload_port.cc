@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "common/units.h"
 #include "host/workload/sources.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -25,11 +26,6 @@ WorkloadPort::WorkloadPort(Kernel &kernel, Component *parent,
         fatal("WorkloadPort: no traffic source");
     inject_.validate();
     batchRemaining_ = inject_.batchSize;
-    if (obsMetrics_.bound()) {
-        obsMetrics_.gauge("outstanding_now", [this] {
-            return static_cast<double>(outstanding_);
-        });
-    }
 }
 
 bool
@@ -234,13 +230,13 @@ WorkloadPort::idle() const
 }
 
 void
-WorkloadPort::reportOwnStats(std::map<std::string, double> &out) const
+WorkloadPort::listStats(StatList &s) const
 {
-    Port::reportOwnStats(out);
+    Port::listStats(s);
+    s.level("outstanding_now", outstanding_);
     if (openLoop()) {
-        out[statName("offered_requests")] = offered_;
-        out[statName("accepted_requests")] =
-            static_cast<double>(issuedRequests());
+        s.level("offered_requests", offered_);
+        s.counter("accepted_requests", issued_);
     }
 }
 

@@ -61,7 +61,7 @@ class WorkloadPort : public Port
     double offeredRequests() const { return offered_; }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:

@@ -2,6 +2,7 @@
 
 #include "common/log.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -189,22 +190,12 @@ Network::onDelivered(NodeId ep, const NocMessage &msg)
 }
 
 void
-Network::reportOwnStats(std::map<std::string, double> &out) const
+Network::listStats(StatList &s) const
 {
-    out[statName("messages_delivered")] =
-        static_cast<double>(delivered_.value());
-    out[statName("flits_delivered")] =
-        static_cast<double>(flitsDelivered_.value());
-    out[statName("avg_latency_ns")] = latencyNs_.mean();
-    out[statName("max_latency_ns")] = latencyNs_.max();
-}
-
-void
-Network::resetOwnStats()
-{
-    latencyNs_.reset();
-    delivered_.reset();
-    flitsDelivered_.reset();
+    s.counter("messages_delivered", delivered_);
+    s.counter("flits_delivered", flitsDelivered_);
+    s.sampler("avg_latency_ns", latencyNs_);
+    s.gauge("max_latency_ns", [this] { return latencyNs_.max(); });
 }
 
 }  // namespace hmcsim

@@ -102,8 +102,7 @@ class Network : public Component
     std::uint64_t flitsDelivered() const { return flitsDelivered_.value(); }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
-    void resetOwnStats() override;
+    void listStats(StatList &s) const override;
 
   private:
     struct InjectPort {

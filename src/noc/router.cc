@@ -1,6 +1,7 @@
 #include "noc/router.h"
 
 #include "common/log.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 
@@ -180,17 +181,10 @@ Router::kickEject(NodeId ep)
 }
 
 void
-Router::reportOwnStats(std::map<std::string, double> &out) const
+Router::listStats(StatList &s) const
 {
-    out[statName("messages")] = static_cast<double>(messages_.value());
-    out[statName("flits")] = static_cast<double>(flits_.value());
-}
-
-void
-Router::resetOwnStats()
-{
-    messages_.reset();
-    flits_.reset();
+    s.counter("messages", messages_);
+    s.counter("flits", flits_);
 }
 
 }  // namespace hmcsim

@@ -138,8 +138,7 @@ class Router : public Component
     void setPowerProbe(PowerProbe *probe) { probe_ = probe; }
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
-    void resetOwnStats() override;
+    void listStats(StatList &s) const override;
 
   private:
     struct Input {

@@ -98,24 +98,23 @@ AnatomyCollector::AnatomyCollector(const ObsConfig &cfg,
         for (std::size_t p = 0; p < kNumAnatomyPhases; ++p) {
             const auto ph = static_cast<AnatomyPhase>(p);
             metrics_.histogram(rw + "." + toString(ph) + "_ns",
-                               &hist_[w][p]);
+                               hist_[w][p]);
         }
-        metrics_.histogram(rw + ".end_to_end_ns", e2e_[w].get());
+        metrics_.histogram(rw + ".end_to_end_ns", *e2e_[w]);
     }
     for (std::size_t p = 0; p < kNumAnatomyPhases; ++p) {
         const auto ph = static_cast<AnatomyPhase>(p);
-        metrics_.sampler(std::string(toString(ph)) + "_ns", &stats_[p]);
+        metrics_.sampler(std::string(toString(ph)) + "_ns", stats_[p]);
     }
-    metrics_.sampler("end_to_end_ns", &e2eStats_);
-    metrics_.counter("completions", &completions_);
-    metrics_.counter("monotonicity_violations", &monotonicityViolations_);
-    metrics_.counter("residual_violations", &residualViolations_);
+    metrics_.sampler("end_to_end_ns", e2eStats_);
+    metrics_.counter("completions", completions_);
+    metrics_.counter("monotonicity_violations", monotonicityViolations_);
+    metrics_.counter("residual_violations", residualViolations_);
 }
 
 AnatomyCollector::~AnatomyCollector()
 {
-    for (const std::string &p : keyPaths_)
-        reg_->remove(p, this);
+    reg_->removeOwned("obs.anatomy.by_key.", this);
 }
 
 void
@@ -138,9 +137,8 @@ AnatomyCollector::keyStats(const Key &k)
          << ".vault" << k.vault << (k.write ? ".write" : ".read");
     for (std::size_t p = 0; p < kNumAnatomyPhases; ++p) {
         const auto ph = static_cast<AnatomyPhase>(p);
-        std::string path = base.str() + "." + toString(ph) + "_ns";
-        reg_->addSampler(path, &it->second[p], this);
-        keyPaths_.push_back(std::move(path));
+        reg_->addSampler(base.str() + "." + toString(ph) + "_ns",
+                         &it->second[p], this);
     }
     return it->second;
 }

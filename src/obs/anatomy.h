@@ -255,8 +255,6 @@ class AnatomyCollector
     double maxResidualNs_ = 0.0;
 
     std::map<Key, KeyStats> keys_;
-    /** Registry paths of the lazily registered by_key samplers. */
-    std::vector<std::string> keyPaths_;
 
     KeyStats &keyStats(const Key &k);
 };

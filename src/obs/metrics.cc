@@ -6,20 +6,24 @@
 
 namespace hmcsim {
 
-std::string
-toString(MetricKind k)
+void
+StatReset::counter(std::string_view, const Counter &c)
 {
-    switch (k) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Sampler:
-        return "sampler";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "counter";
+    // The listed stats are members of the non-const component being
+    // reset; listStats() hands them out const for the readers.
+    const_cast<Counter &>(c).reset();
+}
+
+void
+StatReset::sampler(std::string_view, const SampleStats &s)
+{
+    const_cast<SampleStats &>(s).reset();
+}
+
+void
+StatReset::histogram(std::string_view, const Histogram &h)
+{
+    const_cast<Histogram &>(h).reset();
 }
 
 void
@@ -114,58 +118,47 @@ MetricsSnapshot::delta(const MetricsSnapshot &earlier) const
 }
 
 void
-MetricsRegistry::addCounter(const std::string &path, const Counter *c,
+MetricsRegistry::addCounter(std::string path, const Counter *c,
                             const void *owner)
 {
-    Entry e;
-    e.kind = MetricKind::Counter;
-    e.counter = c;
-    e.owner = owner;
-    entries_[path] = std::move(e);
+    entries_[std::move(path)] = Entry{MetricKind::Counter, c, {}, nullptr,
+                                      nullptr, owner};
 }
 
 void
-MetricsRegistry::addGauge(const std::string &path,
-                          std::function<double()> fn, const void *owner)
+MetricsRegistry::addGauge(std::string path, StatList::Gauge fn,
+                          const void *owner)
 {
-    Entry e;
-    e.kind = MetricKind::Gauge;
-    e.gauge = std::move(fn);
-    e.owner = owner;
-    entries_[path] = std::move(e);
+    entries_[std::move(path)] = Entry{MetricKind::Gauge, nullptr,
+                                      std::move(fn), nullptr, nullptr, owner};
 }
 
 void
-MetricsRegistry::addSampler(const std::string &path, const SampleStats *s,
+MetricsRegistry::addSampler(std::string path, const SampleStats *s,
                             const void *owner)
 {
-    Entry e;
-    e.kind = MetricKind::Sampler;
-    e.sampler = s;
-    e.owner = owner;
-    entries_[path] = std::move(e);
+    entries_[std::move(path)] = Entry{MetricKind::Sampler, nullptr, {}, s,
+                                      nullptr, owner};
 }
 
 void
-MetricsRegistry::addHistogram(const std::string &path, const Histogram *h,
+MetricsRegistry::addHistogram(std::string path, const Histogram *h,
                               const void *owner)
 {
-    Entry e;
-    e.kind = MetricKind::Histogram;
-    e.histogram = h;
-    e.owner = owner;
-    entries_[path] = std::move(e);
+    entries_[std::move(path)] = Entry{MetricKind::Histogram, nullptr, {},
+                                      nullptr, h, owner};
 }
 
 void
-MetricsRegistry::remove(const std::string &path, const void *owner)
+MetricsRegistry::removeOwned(const std::string &prefix, const void *owner)
 {
-    const auto it = entries_.find(path);
-    if (it == entries_.end())
-        return;
-    if (owner != nullptr && it->second.owner != owner)
-        return;  // someone re-registered the path; it is theirs now
-    entries_.erase(it);
+    for (auto it = entries_.lower_bound(prefix); it != entries_.end() &&
+         it->first.compare(0, prefix.size(), prefix) == 0;) {
+        if (it->second.owner == owner)
+            it = entries_.erase(it);
+        else
+            ++it;
+    }
 }
 
 bool
@@ -251,65 +244,54 @@ MetricsRegistry::snapshotSubtree(const std::string &prefix) const
 
 MetricSet::~MetricSet()
 {
-    if (!reg_)
-        return;
-    for (const std::string &p : paths_)
-        reg_->remove(p, this);
+    if (reg_)
+        reg_->removeOwned(prefix_, this);
 }
 
 void
 MetricSet::bind(MetricsRegistry *reg, std::string base)
 {
-    if (reg_ && !paths_.empty())
-        panic("MetricSet::bind: already bound with live registrations");
+    if (reg_)
+        panic("MetricSet::bind: already bound");
     reg_ = reg;
-    base_ = std::move(base);
+    prefix_ = base.empty() ? base : std::move(base) + ".";
 }
 
 std::string
-MetricSet::qualify(const std::string &name) const
+MetricSet::qualify(std::string_view name) const
 {
-    return base_.empty() ? name : base_ + "." + name;
+    std::string path;
+    path.reserve(prefix_.size() + name.size());
+    path.append(prefix_).append(name);
+    return path;
 }
 
 void
-MetricSet::counter(const std::string &name, const Counter *c)
+MetricSet::counter(std::string_view name, const Counter &c)
 {
-    if (!reg_)
-        return;
-    const std::string p = qualify(name);
-    reg_->addCounter(p, c, this);
-    paths_.push_back(p);
+    if (reg_)
+        reg_->addCounter(qualify(name), &c, this);
 }
 
 void
-MetricSet::gauge(const std::string &name, std::function<double()> fn)
+MetricSet::gauge(std::string_view name, Gauge g)
 {
-    if (!reg_)
-        return;
-    const std::string p = qualify(name);
-    reg_->addGauge(p, std::move(fn), this);
-    paths_.push_back(p);
+    if (reg_)
+        reg_->addGauge(qualify(name), std::move(g), this);
 }
 
 void
-MetricSet::sampler(const std::string &name, const SampleStats *s)
+MetricSet::sampler(std::string_view name, const SampleStats &s)
 {
-    if (!reg_)
-        return;
-    const std::string p = qualify(name);
-    reg_->addSampler(p, s, this);
-    paths_.push_back(p);
+    if (reg_)
+        reg_->addSampler(qualify(name), &s, this);
 }
 
 void
-MetricSet::histogram(const std::string &name, const Histogram *h)
+MetricSet::histogram(std::string_view name, const Histogram &h)
 {
-    if (!reg_)
-        return;
-    const std::string p = qualify(name);
-    reg_->addHistogram(p, h, this);
-    paths_.push_back(p);
+    if (reg_)
+        reg_->addHistogram(qualify(name), &h, this);
 }
 
 }  // namespace hmcsim

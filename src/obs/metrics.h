@@ -3,31 +3,35 @@
  * MetricsRegistry: one queryable tree over every component's live
  * statistics.
  *
- * Components register their existing stat primitives (Counter,
- * SampleStats, Histogram, or an arbitrary gauge callback) under their
- * component path at construction time, through a MetricSet that
- * unregisters everything again when the component dies (ports are
- * replaced in place when experiments reconfigure them, so lifetime
- * tracking matters).  The registry itself stores no values -- a
- * snapshot() materializes the whole tree into plain data with
- * merge/delta/reset semantics, which is what the time-series sampler,
- * the JSON/CSV emitters, and tests consume.
+ * Each component lists its statistics once (Component::listStats into
+ * a StatList); the same list feeds System::stats(), the stats reset
+ * and, when metrics are on, this registry, which System binds once
+ * over the whole tree through one MetricSet per component.  A
+ * MetricSet unregisters its entries when its component dies (ports
+ * are replaced in place).  The registry stores no values -- a
+ * snapshot() materializes the tree into plain data with
+ * merge/delta/reset semantics for the time-series sampler, the
+ * emitters and tests.
  *
- * Path convention: `<component-path>.<stat>`, matching the names
- * Component::reportStats has always used (e.g.
- * "system.hmc.vault3.requests_served", "system.fpga.port0.reads").
+ * Path convention: `<component-path>.<stat>`, the System::stats() key
+ * (e.g. "system.hmc.vault3.requests_served").  A stat's scalar is a
+ * counter's value, a sampler's mean, a histogram's total or a gauge's
+ * reading.  Gauges ending in "_now" (queue depths) or "_in_use"
+ * (tokens, credits) are the occupancy readings the congestion heatmap
+ * samples.
  */
 
 #ifndef HMCSIM_OBS_METRICS_H_
 #define HMCSIM_OBS_METRICS_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/inline_function.h"
 #include "common/stats.h"
 
 namespace hmcsim {
@@ -45,7 +49,44 @@ enum class MetricKind {
     Histogram,
 };
 
-std::string toString(MetricKind k);
+/**
+ * The receiving end of Component::listStats: one call per statistic,
+ * named relative to the component's path.  The stats report, the
+ * stats reset and the registry binding each implement it.
+ */
+class StatList
+{
+  public:
+    /** Reads live state: an occupancy, a peak, a derived figure. */
+    using Gauge = InlineFunction<double()>;
+
+    virtual ~StatList() = default;
+
+    virtual void counter(std::string_view name, const Counter &c) = 0;
+    virtual void sampler(std::string_view name, const SampleStats &s) = 0;
+    virtual void histogram(std::string_view name, const Histogram &h) = 0;
+    /** Gauges are never reset; a component restarts the state they
+     *  read (a peak, a window base) in Component::resetOwnStats. */
+    virtual void gauge(std::string_view name, Gauge g) = 0;
+
+    /** A gauge reading the numeric member @p v. */
+    template <typename T>
+    void
+    level(std::string_view name, const T &v)
+    {
+        gauge(name, [&v] { return static_cast<double>(v); });
+    }
+};
+
+/** Resets every listed counter, sampler and histogram; skips gauges. */
+class StatReset final : public StatList
+{
+  public:
+    void counter(std::string_view name, const Counter &c) override;
+    void sampler(std::string_view name, const SampleStats &s) override;
+    void histogram(std::string_view name, const Histogram &h) override;
+    void gauge(std::string_view, Gauge) override {}
+};
 
 /** One metric's materialized value inside a snapshot. */
 struct MetricPoint {
@@ -105,14 +146,11 @@ class MetricsSnapshot
     Map points_;
 };
 
-class MetricSet;
-
 /**
  * The registry proper: path -> reference to a live stat object (or a
- * gauge callback).  Registration overwrites an existing path -- a
- * replacement port re-registers before its predecessor is destroyed,
- * and the owner token keeps the predecessor's unregistration from
- * tearing down the successor's entries.  Gauge callbacks run while
+ * gauge callback).  Registration overwrites an existing path, and the
+ * owner token keeps an earlier owner's unregistration from tearing
+ * down a later owner's entry at the same path.  Gauge callbacks run while
  * snapshot() iterates the table (or value() looks one up), so a gauge
  * must never call back into the registry.
  */
@@ -124,17 +162,18 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    void addCounter(const std::string &path, const Counter *c,
+    void addCounter(std::string path, const Counter *c,
                     const void *owner = nullptr);
-    void addGauge(const std::string &path, std::function<double()> fn,
+    void addGauge(std::string path, StatList::Gauge fn,
                   const void *owner = nullptr);
-    void addSampler(const std::string &path, const SampleStats *s,
+    void addSampler(std::string path, const SampleStats *s,
                     const void *owner = nullptr);
-    void addHistogram(const std::string &path, const Histogram *h,
+    void addHistogram(std::string path, const Histogram *h,
                       const void *owner = nullptr);
 
-    /** Remove @p path if it is owned by @p owner (nullptr matches any). */
-    void remove(const std::string &path, const void *owner = nullptr);
+    /** Remove every path starting with @p prefix that @p owner
+     *  registered and nobody re-registered since. */
+    void removeOwned(const std::string &prefix, const void *owner);
 
     bool has(const std::string &path) const;
     std::size_t size() const { return entries_.size(); }
@@ -164,7 +203,8 @@ class MetricsRegistry
     struct Entry {
         MetricKind kind = MetricKind::Counter;
         const Counter *counter = nullptr;
-        std::function<double()> gauge;
+        /** Mutable: reading a gauge runs its callback. */
+        mutable StatList::Gauge gauge;
         const SampleStats *sampler = nullptr;
         const Histogram *histogram = nullptr;
         const void *owner = nullptr;
@@ -178,15 +218,14 @@ class MetricsRegistry
 };
 
 /**
- * RAII bundle of registrations sharing one base path.  Components hold
- * one by value; an unbound set is inert, so the disabled-observability
- * path costs a null check per registration call and nothing at runtime.
+ * RAII bundle of registrations sharing one base path: the StatList a
+ * component's listStats() registers through.  An unbound set is inert.
  */
-class MetricSet
+class MetricSet final : public StatList
 {
   public:
     MetricSet() = default;
-    ~MetricSet();
+    ~MetricSet() override;
 
     MetricSet(const MetricSet &) = delete;
     MetricSet &operator=(const MetricSet &) = delete;
@@ -195,18 +234,19 @@ class MetricSet
     void bind(MetricsRegistry *reg, std::string base);
 
     bool bound() const { return reg_ != nullptr; }
+    MetricsRegistry *registry() const { return reg_; }
 
-    void counter(const std::string &name, const Counter *c);
-    void gauge(const std::string &name, std::function<double()> fn);
-    void sampler(const std::string &name, const SampleStats *s);
-    void histogram(const std::string &name, const Histogram *h);
+    void counter(std::string_view name, const Counter &c) override;
+    void sampler(std::string_view name, const SampleStats &s) override;
+    void histogram(std::string_view name, const Histogram &h) override;
+    void gauge(std::string_view name, Gauge g) override;
 
   private:
     MetricsRegistry *reg_ = nullptr;
-    std::string base_;
-    std::vector<std::string> paths_;
+    /** The base path plus '.', or empty for absolute paths. */
+    std::string prefix_;
 
-    std::string qualify(const std::string &name) const;
+    std::string qualify(std::string_view name) const;
 };
 
 }  // namespace hmcsim

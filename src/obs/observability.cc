@@ -72,6 +72,13 @@ Observability::startSampler(Kernel &kernel)
 }
 
 void
+Observability::onStatsReset()
+{
+    if (sampler_)
+        sampler_->rebase();
+}
+
+void
 Observability::dumpTrace(std::ostream &os) const
 {
     if (!tracer_)

@@ -6,9 +6,10 @@
  *
  * System constructs one (only when any `obs.*` feature is enabled) and
  * publishes it on the kernel before building the component tree, so
- * every component can register metrics / cache tracer pointers in its
- * constructor.  With everything at defaults Kernel::obs() stays null
- * and the whole layer costs nothing.
+ * every component can cache tracer pointers in its constructor; with
+ * metrics on, System then binds the finished tree to the registry.
+ * With everything at defaults Kernel::obs() stays null and the whole
+ * layer costs nothing.
  *
  * On destruction: if `obs.trace_json` names a file, the flight
  * recorder is dumped there in Chrome trace_event format.  While alive,
@@ -47,14 +48,6 @@ class Observability
     MetricsRegistry &registry() { return registry_; }
     const MetricsRegistry &registry() const { return registry_; }
 
-    /** Registry to register into, or null when metrics are off --
-     *  components pass this straight to MetricSet::bind. */
-    MetricsRegistry *
-    metricsRegistry()
-    {
-        return cfg_.metricsEnabled() ? &registry_ : nullptr;
-    }
-
     /** Tracer for completion-path lifecycle hooks (summary + full). */
     PacketTracer *tracer() { return tracer_.get(); }
 
@@ -72,6 +65,10 @@ class Observability
     void startSampler(Kernel &kernel);
 
     const TimeSeriesSampler *sampler() const { return sampler_.get(); }
+
+    /** After System::resetStats(): the next time-series row reports
+     *  counts since the reset. */
+    void onStatsReset();
 
     /** Latency-anatomy collector, or null when obs.anatomy is off. */
     AnatomyCollector *anatomy() { return anatomy_.get(); }

@@ -70,6 +70,13 @@ TimeSeriesSampler::fire()
 }
 
 void
+TimeSeriesSampler::rebase()
+{
+    if (started_)
+        prev_ = registry_.snapshot();
+}
+
+void
 TimeSeriesSampler::flushNow()
 {
     if (!started_)

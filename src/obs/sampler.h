@@ -8,6 +8,8 @@
  * interval delta (counters), the current reading (gauges) or the
  * interval mean (samplers).  Histograms are excluded from rows.
  *
+ * A stats reset re-bases the differencing (rebase()).
+ *
  * The column set is frozen at the first fire (sorted registry paths at
  * that moment), so the CSV stays rectangular even if components are
  * later replaced.  Sampling events are observation-only: they read
@@ -46,6 +48,14 @@ class TimeSeriesSampler
      * before start().
      */
     void flushNow();
+
+    /**
+     * Difference the next row against the registry as it reads now.
+     * System::resetStats() calls this, so a row that spans the reset
+     * reports counts since the reset rather than a negative delta.
+     * No-op before start().
+     */
+    void rebase();
 
     std::uint64_t rowsWritten() const { return rows_; }
     const std::string &csvPath() const { return path_; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 
 namespace hmcsim {
@@ -17,15 +17,6 @@ PowerModel::PowerModel(Kernel &kernel, Component *parent, std::string name,
     cfg_.validate();
     lastStepAt_ = now();
     windowStartAt_ = now();
-    if (Observability *o = kernel.obs()) {
-        obsMetrics_.bind(o->metricsRegistry(), path());
-        obsMetrics_.gauge("avg_power_w", [this] { return avgPowerW(); });
-        obsMetrics_.gauge("window_energy_pj",
-                          [this] { return windowEnergyPj(); });
-        obsMetrics_.gauge("slowdown", [this] { return slowdown(); });
-        obsMetrics_.gauge("throttled_fraction",
-                          [this] { return throttledFraction(); });
-    }
 }
 
 void
@@ -149,23 +140,24 @@ PowerModel::avgPowerW() const
 }
 
 void
-PowerModel::reportOwnStats(std::map<std::string, double> &out) const
+PowerModel::listStats(StatList &s) const
 {
-    out[statName("energy_pj")] = windowEnergyPj();
-    out[statName("energy_dynamic_pj")] =
-        energy_.totalDynamicPj() - windowBaseDynamicPj_;
-    out[statName("avg_power_w")] = avgPowerW();
-    out[statName("temp_c")] = thermal_.maxTemperatureC();
+    s.gauge("energy_pj", [this] { return windowEnergyPj(); });
+    s.gauge("energy_dynamic_pj", [this] {
+        return energy_.totalDynamicPj() - windowBaseDynamicPj_;
+    });
+    s.gauge("avg_power_w", [this] { return avgPowerW(); });
+    s.gauge("temp_c", [this] { return thermal_.maxTemperatureC(); });
     for (std::size_t l = 0; l < thermal_.numLayers(); ++l) {
         const std::string label = l == 0
             ? std::string("temp_logic_c")
             : "temp_dram" + std::to_string(l - 1) + "_c";
-        out[statName(label)] = thermal_.temperatureC(l);
+        s.gauge(label, [this, l] { return thermal_.temperatureC(l); });
     }
-    out[statName("throttle_pct")] = 100.0 * throttledFraction();
-    out[statName("throttle_level")] =
-        static_cast<double>(governor_.level());
-    out[statName("slowdown")] = governor_.slowdown();
+    s.gauge("throttle_pct", [this] { return 100.0 * throttledFraction(); });
+    s.gauge("throttle_level",
+            [this] { return static_cast<double>(governor_.level()); });
+    s.gauge("slowdown", [this] { return slowdown(); });
 }
 
 void

@@ -18,7 +18,6 @@
 
 #include <functional>
 
-#include "obs/metrics.h"
 #include "power/energy_model.h"
 #include "power/power_config.h"
 #include "power/throttle_governor.h"
@@ -73,7 +72,7 @@ class PowerModel : public Component, public PowerProbe
     double avgPowerW() const;
 
   protected:
-    void reportOwnStats(std::map<std::string, double> &out) const override;
+    void listStats(StatList &s) const override;
     void resetOwnStats() override;
 
   private:
@@ -83,7 +82,6 @@ class PowerModel : public Component, public PowerProbe
     ThrottleGovernor governor_;
     std::function<void(double)> applyThrottle_;
     bool started_ = false;
-    MetricSet obsMetrics_;
 
     Tick lastStepAt_ = 0;
     double lastDramPj_ = 0.0;

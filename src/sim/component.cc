@@ -3,8 +3,58 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
+
+namespace {
+
+/** Writes each listed statistic's scalar (MetricsRegistry::value's
+ *  rule) under `<prefix><name>`. */
+class StatReport final : public StatList
+{
+  public:
+    StatReport(std::map<std::string, double> &out, std::string prefix)
+        : out_(out), prefix_(std::move(prefix))
+    {
+    }
+
+    void
+    counter(std::string_view name, const Counter &c) override
+    {
+        at(name) = static_cast<double>(c.value());
+    }
+
+    void
+    sampler(std::string_view name, const SampleStats &s) override
+    {
+        at(name) = s.mean();
+    }
+
+    void
+    histogram(std::string_view name, const Histogram &h) override
+    {
+        at(name) = static_cast<double>(h.total());
+    }
+
+    void
+    gauge(std::string_view name, Gauge g) override
+    {
+        at(name) = g();
+    }
+
+  private:
+    std::map<std::string, double> &out_;
+    std::string prefix_;
+
+    double &
+    at(std::string_view name)
+    {
+        return out_[prefix_ + std::string(name)];
+    }
+};
+
+}  // namespace
 
 Component::Component(Kernel &kernel, Component *parent, std::string name)
     : kernel_(kernel), parent_(parent), name_(std::move(name))
@@ -48,7 +98,8 @@ Component::removeChild(Component *child)
 void
 Component::reportStats(std::map<std::string, double> &out) const
 {
-    reportOwnStats(out);
+    StatReport report(out, path() + ".");
+    listStats(report);
     for (const Component *c : children_)
         c->reportStats(out);
 }
@@ -56,25 +107,37 @@ Component::reportStats(std::map<std::string, double> &out) const
 void
 Component::resetStats()
 {
+    StatReset reset;
+    listStats(reset);
     resetOwnStats();
     for (Component *c : children_)
         c->resetStats();
 }
 
 void
-Component::reportOwnStats(std::map<std::string, double> &) const
+Component::bindMetrics(MetricsRegistry &reg)
+{
+    metrics_ = std::make_unique<MetricSet>();
+    metrics_->bind(&reg, path());
+    listStats(*metrics_);
+    for (Component *c : children_)
+        c->bindMetrics(reg);
+}
+
+MetricsRegistry *
+Component::boundRegistry() const
+{
+    return metrics_ ? metrics_->registry() : nullptr;
+}
+
+void
+Component::listStats(StatList &) const
 {
 }
 
 void
 Component::resetOwnStats()
 {
-}
-
-std::string
-Component::statName(const std::string &stat) const
-{
-    return path() + "." + stat;
 }
 
 }  // namespace hmcsim

@@ -3,6 +3,7 @@
 #include "common/log.h"
 #include "common/types.h"
 #include "host/monitor.h"
+#include "obs/metrics.h"
 
 namespace hmcsim {
 namespace {
@@ -71,7 +72,10 @@ TEST(Monitor, ResetClearsEverything)
     Monitor m(0.0);
     m.enableHistogram(0.0, 1000.0, 4);
     m.recordRead(0, 100 * kNanosecond, 64);
-    m.reset();
+    // What the owning port's Component::resetStats() runs.
+    StatReset listed;
+    m.listStats(listed);
+    m.resetUnlisted();
     EXPECT_EQ(m.reads(), 0u);
     EXPECT_EQ(m.wireBytes(), 0u);
     EXPECT_EQ(m.readLatencyNs().count(), 0u);

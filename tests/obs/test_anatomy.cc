@@ -304,12 +304,12 @@ TEST(CongestionRecorder, ReadsReplacedGaugeAfterReRegistration)
                  &oldOwner);
     CongestionRecorder rec(kernel, reg, 100);
     rec.start();
-    // A replaced port re-registers its gauge at the same path before
-    // the predecessor unregisters (which the owner token then ignores).
+    // A new owner re-registers the gauge at the same path before the
+    // old one unregisters (which the owner token then ignores).
     kernel.scheduleIn(150, [&] {
         reg.addGauge("x.port0.outstanding_now", [] { return 7.0; },
                      &newOwner);
-        reg.remove("x.port0.outstanding_now", &oldOwner);
+        reg.removeOwned("x.port0.outstanding_now", &oldOwner);
     });
     kernel.run(400);
 

@@ -183,19 +183,19 @@ TEST(MetricsRegistry, SnapshotResetDropsEverything)
 
 TEST(MetricsRegistry, OwnerTokenProtectsReplacement)
 {
-    // A replacement port registers its metrics (overwriting the path)
-    // before the old port is destroyed; the old port's unregistration
-    // must not tear down the successor's entry.
+    // A later owner overwrites the path before the earlier one
+    // unregisters; that unregistration must not tear down the
+    // successor's entry.
     MetricsRegistry reg;
     Counter oldC, newC;
     oldC.inc(1);
     newC.inc(2);
     reg.addCounter("port0.reads", &oldC, &oldC);
     reg.addCounter("port0.reads", &newC, &newC);  // replacement
-    reg.remove("port0.reads", &oldC);             // old owner dies
+    reg.removeOwned("port0.reads", &oldC);        // old owner dies
     ASSERT_TRUE(reg.has("port0.reads"));
     EXPECT_DOUBLE_EQ(reg.snapshot().value("port0.reads"), 2.0);
-    reg.remove("port0.reads", &newC);
+    reg.removeOwned("port0.reads", &newC);
     EXPECT_FALSE(reg.has("port0.reads"));
 }
 
@@ -204,7 +204,7 @@ TEST(MetricSet, UnboundSetIsInert)
     MetricSet set;
     Counter c;
     EXPECT_FALSE(set.bound());
-    set.counter("x", &c);  // must not crash or register anywhere
+    set.counter("x", c);  // must not crash or register anywhere
     set.gauge("y", [] { return 0.0; });
 }
 
@@ -215,7 +215,7 @@ TEST(MetricSet, UnregistersOnDestruction)
     {
         MetricSet set;
         set.bind(&reg, "sys.comp");
-        set.counter("hits", &c);
+        set.counter("hits", c);
         EXPECT_TRUE(reg.has("sys.comp.hits"));
     }
     EXPECT_FALSE(reg.has("sys.comp.hits"));
@@ -231,8 +231,8 @@ TEST(MetricSet, SubtreeSnapshotFiltersByPrefix)
     MetricSet s1, s2;
     s1.bind(&reg, "sys.vault0");
     s2.bind(&reg, "sys.port0");
-    s1.counter("served", &a);
-    s2.counter("reads", &b);
+    s1.counter("served", a);
+    s2.counter("reads", b);
 
     const MetricsSnapshot sub = reg.snapshotSubtree("sys.vault");
     EXPECT_EQ(sub.size(), 1u);

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
+#include "common/strutil.h"
 #include "host/experiment.h"
 #include "host/system.h"
 #include "obs/observability.h"
@@ -251,6 +253,112 @@ TEST(ObsSystem, SamplerWritesTimeSeriesCsv)
     std::getline(in, row);
     EXPECT_FALSE(row.empty());
     std::remove(path.c_str());
+}
+
+/** Default config plus @p overrides ("key=value"). */
+SystemConfig
+configWith(const std::vector<std::string> &overrides)
+{
+    Config raw;
+    SystemConfig{}.toConfig(raw);
+    raw.applyOverrides(overrides);
+    return SystemConfig::fromConfig(raw);
+}
+
+TEST(ObsSystem, SamplerRowSpanningAStatsResetIsNeverNegative)
+{
+    // measure() resets the stats between two sampler fires; the row at
+    // t = 4000 ns must report counts since the reset, not the reset
+    // counters minus the pre-reset snapshot.
+    const std::string path = "obs_test_reset_timeseries.csv";
+    std::remove(path.c_str());
+    {
+        System sys(configWith(
+            {"host.workload=gups", "host.workload_ports=9",
+             "obs.sample_interval_ns=1000", "obs.sample_csv=" + path}));
+        sys.run(3500 * kNanosecond);
+        sys.measure(2 * kMicrosecond);
+        EXPECT_EQ(sys.obs()->sampler()->rowsWritten(), 5u);
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    std::getline(in, line);
+    const std::vector<std::string> header = split(line, ',');
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+        ++rows;
+        const std::vector<std::string> cells = split(line, ',');
+        ASSERT_EQ(cells.size(), header.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            EXPECT_NE(cells[i].front(), '-')
+                << header[i] << " at t=" << cells[0] << " ns";
+    }
+    EXPECT_EQ(rows, 5u);
+    std::remove(path.c_str());
+}
+
+TEST(ObsSystem, StatsAndRegistryAreOneTree)
+{
+    const std::vector<std::vector<std::string>> configs = {
+        {},
+        {"hmc.num_cubes=8", "hmc.chain_topology=ring"},
+        {"hmc.num_cubes=4", "hmc.chain_topology=ring", "host.num_hosts=2"},
+    };
+    for (std::vector<std::string> overrides : configs) {
+        overrides.insert(overrides.end(), {"obs.metrics=1",
+                                           "host.workload=gups",
+                                           "host.workload_ports=9"});
+        System sys(configWith(overrides));
+        // A port replaced after the tree was bound binds in its place.
+        GupsPortSpec gp;
+        gp.gen.pattern = sys.addressMap().pattern(16, 16);
+        sys.configureGupsPort(0, gp);
+        sys.run(2 * kMicrosecond);
+        const MetricsRegistry &reg = sys.obs()->registry();
+
+        // System::stats() holds exactly the registry's component
+        // paths, each with the registry's scalar.
+        const std::map<std::string, double> stats = sys.stats();
+        std::vector<std::string> paths;
+        for (const std::string &p : reg.paths())
+            if (p.rfind("obs.", 0) != 0)
+                paths.push_back(p);
+        std::vector<std::string> keys;
+        for (const auto &[key, value] : stats) {
+            keys.push_back(key);
+            EXPECT_EQ(value, reg.value(key)) << key;
+        }
+        EXPECT_EQ(keys, paths);
+
+        // The reset walks the same list: every counter, sampler and
+        // histogram reads zero afterwards.
+        std::size_t busy = 0;
+        const MetricsSnapshot before = reg.snapshot();
+        for (const auto &[path, pt] : before.points())
+            busy += pt.kind == MetricKind::Counter && pt.value > 0.0;
+        EXPECT_GT(busy, 0u);
+        sys.resetStats();
+        const MetricsSnapshot after = reg.snapshot();
+        for (const auto &[path, pt] : after.points()) {
+            switch (pt.kind) {
+              case MetricKind::Counter:
+                EXPECT_EQ(pt.value, 0.0) << path;
+                break;
+              case MetricKind::Sampler:
+                EXPECT_EQ(pt.sample.count(), 0u) << path;
+                EXPECT_EQ(pt.value, 0.0) << path;
+                break;
+              case MetricKind::Histogram:
+                EXPECT_EQ(pt.value, 0.0) << path;
+                for (const std::uint64_t n : pt.bins)
+                    EXPECT_EQ(n, 0u) << path;
+                break;
+              case MetricKind::Gauge:
+                break;
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/log.h"
+#include "obs/metrics.h"
 #include "sim/component.h"
 
 namespace hmcsim {
@@ -20,18 +21,18 @@ class Leaf : public Component
     {
     }
 
-    int value = 0;
-    mutable int reports = 0;
+    Counter hits;
+    int peak = 0;
 
   protected:
     void
-    reportOwnStats(std::map<std::string, double> &out) const override
+    listStats(StatList &s) const override
     {
-        out[statName("value")] = value;
-        ++reports;
+        s.counter("hits", hits);
+        s.level("peak", peak);
     }
 
-    void resetOwnStats() override { value = 0; }
+    void resetOwnStats() override { peak = 0; }
 };
 
 TEST(Component, PathConstruction)
@@ -62,12 +63,13 @@ TEST(Component, StatsRecurse)
     Root root(k);
     Leaf a(k, &root, "a");
     Leaf b(k, &root, "b");
-    a.value = 3;
-    b.value = 4;
+    a.hits.inc(3);
+    b.peak = 4;
     std::map<std::string, double> stats;
     root.reportStats(stats);
-    EXPECT_DOUBLE_EQ(stats.at("root.a.value"), 3.0);
-    EXPECT_DOUBLE_EQ(stats.at("root.b.value"), 4.0);
+    EXPECT_EQ(stats.size(), 4u);
+    EXPECT_DOUBLE_EQ(stats.at("root.a.hits"), 3.0);
+    EXPECT_DOUBLE_EQ(stats.at("root.b.peak"), 4.0);
 }
 
 TEST(Component, ResetRecurses)
@@ -75,9 +77,36 @@ TEST(Component, ResetRecurses)
     Kernel k;
     Root root(k);
     Leaf a(k, &root, "a");
-    a.value = 9;
+    Leaf b(k, &a, "b");
+    b.hits.inc(9);
+    b.peak = 9;
     root.resetStats();
-    EXPECT_EQ(a.value, 0);
+    EXPECT_EQ(b.hits.value(), 0u);  // listed: reset by the walk
+    EXPECT_EQ(b.peak, 0);           // gauge state: resetOwnStats
+}
+
+TEST(Component, BindMetricsRegistersTheListedStats)
+{
+    MetricsRegistry reg;  // outlives the components bound to it
+    Kernel k;
+    Root root(k);
+    Leaf a(k, &root, "a");
+    a.hits.inc(2);
+    a.peak = 5;
+    EXPECT_EQ(root.boundRegistry(), nullptr);
+    root.bindMetrics(reg);
+    EXPECT_EQ(a.boundRegistry(), &reg);
+    EXPECT_EQ(reg.paths(),
+              (std::vector<std::string>{"root.a.hits", "root.a.peak"}));
+    EXPECT_DOUBLE_EQ(reg.value("root.a.hits"), 2.0);
+    a.peak = 6;  // gauges read live state
+    EXPECT_DOUBLE_EQ(reg.value("root.a.peak"), 6.0);
+    {
+        Leaf late(k, &root, "late");
+        late.bindMetrics(reg);
+        EXPECT_TRUE(reg.has("root.late.hits"));
+    }
+    EXPECT_FALSE(reg.has("root.late.hits"));  // left with its component
 }
 
 TEST(Component, NowDelegatesToKernel)
