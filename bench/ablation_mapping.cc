@@ -26,8 +26,10 @@ run(const SystemConfig &cfg, bool hot_region, Tick warmup, Tick window)
 {
     System sys(cfg);
     Rng rng(99);
+    WorkloadSpec stream;
+    stream.type = "trace";
     for (PortId p = 0; p < 9; ++p) {
-        StreamPortSpec sp;
+        Trace trace;
         if (hot_region) {
             // All ports hammer one hot 2 KB buffer (half an OS page)
             // with 128 B accesses.  Under the spec's vault-then-bank
@@ -35,15 +37,13 @@ run(const SystemConfig &cfg, bool hot_region, Tick warmup, Tick window)
             // under bank-then-vault they collapse into a single vault
             // and hit its 10 GB/s internal ceiling.
             const AddressPattern hot{0x7FF, 0};
-            sp.trace = makeRandomTrace(rng, hot, cfg.hmc.totalCapacityBytes(),
-                                       8192, 128);
+            trace = makeRandomTrace(rng, hot, cfg.hmc.totalCapacityBytes(),
+                                    8192, 128);
         } else {
-            sp.trace = makeRandomTrace(
-                rng, sys.addressMap().pattern(16, 16),
-                cfg.hmc.totalCapacityBytes(), 8192, 128);
+            trace = makeRandomTrace(rng, sys.addressMap().pattern(16, 16),
+                                    cfg.hmc.totalCapacityBytes(), 8192, 128);
         }
-        sp.loop = true;
-        sys.configureStreamPort(p, sp);
+        sys.configureWorkload(p, stream, std::move(trace));
     }
     sys.run(warmup);
     return sys.measure(window);

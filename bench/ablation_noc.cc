@@ -38,15 +38,10 @@ main(int argc, char **argv)
         for (std::uint32_t bytes : {16u, 128u}) {
             SystemConfig cfg;
             cfg.hmc.topology = topo;
+            WorkloadSpec gups;
+            gups.requestBytes = bytes;
+            addWorkloadPorts(cfg, 9, gups, 31);
             System sys(cfg);
-            for (PortId p = 0; p < 9; ++p) {
-                GupsPortSpec gp;
-                gp.gen.pattern = sys.addressMap().pattern(16, 16);
-                gp.gen.requestBytes = bytes;
-                gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-                gp.gen.seed = 31 + p;
-                sys.configureGupsPort(p, gp);
-            }
             sys.run(warmup);
             const ExperimentResult r = sys.measure(window);
             csv.row()

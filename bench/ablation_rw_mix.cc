@@ -21,7 +21,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const Tick warmup = scaled(fastMode() ? 4 : 10) * kMicrosecond;
     const Tick window = scaled(fastMode() ? 8 : 25) * kMicrosecond;
 
@@ -35,19 +34,15 @@ main(int argc, char **argv)
 
     double best_mixed = 0.0, read_only = 0.0;
     for (double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        System sys(cfg);
         const std::uint32_t writers =
             static_cast<std::uint32_t>(frac * 9 + 0.5);
-        for (PortId p = 0; p < 9; ++p) {
-            GupsPortSpec gp;
-            gp.kind = p < writers ? ReqKind::WriteOnly
-                                  : ReqKind::ReadOnly;
-            gp.gen.pattern = sys.addressMap().pattern(16, 16);
-            gp.gen.requestBytes = 128;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 71 + p;
-            sys.configureGupsPort(p, gp);
-        }
+        WorkloadSpec gups;
+        gups.requestBytes = 128;
+        SystemConfig cfg;
+        addWorkloadPorts(cfg, 9, gups, 71);
+        for (PortId p = 0; p < writers; ++p)
+            cfg.host.portWorkloads[p].spec.kind = ReqKind::WriteOnly;
+        System sys(cfg);
         sys.run(warmup);
         const ExperimentResult r = sys.measure(window);
         std::uint64_t down = 0, up = 0;

@@ -23,8 +23,10 @@ run(const SystemConfig &cfg, bool sequential, Tick warmup, Tick window)
 {
     System sys(cfg);
     Rng rng(4242);
+    WorkloadSpec stream;
+    stream.type = "trace";
     for (PortId p = 0; p < 4; ++p) {
-        StreamPortSpec sp;
+        Trace trace;
         if (sequential) {
             // Row-friendly walk within one vault: eight 32 B beats per
             // 256 B row before moving on, so open page gets 7 hits per
@@ -32,7 +34,7 @@ run(const SystemConfig &cfg, bool sequential, Tick warmup, Tick window)
             DecodedAddr d;
             d.vault = p * 4;
             d.bank = 0;
-            sp.trace.reserve(4096);
+            trace.reserve(4096);
             for (std::uint32_t i = 0; i < 4096; ++i) {
                 d.row = i / 8;
                 d.col = i % 8;
@@ -40,15 +42,14 @@ run(const SystemConfig &cfg, bool sequential, Tick warmup, Tick window)
                 TraceRecord rec;
                 rec.addr = sys.addressMap().encode(d);
                 rec.bytes = 32;
-                sp.trace.push_back(rec);
+                trace.push_back(rec);
             }
         } else {
-            sp.trace = makeRandomTrace(
+            trace = makeRandomTrace(
                 rng, sys.addressMap().vaultPattern(p * 4),
                 cfg.hmc.totalCapacityBytes(), 4096, 32);
         }
-        sp.loop = true;
-        sys.configureStreamPort(p, sp);
+        sys.configureWorkload(p, stream, std::move(trace));
     }
     sys.run(warmup);
     return sys.measure(window);

@@ -54,13 +54,13 @@ main(int argc, char **argv)
     std::map<std::pair<std::string, std::uint32_t>, ExperimentResult> all;
     for (const Pattern &pat : kPatterns) {
         for (std::uint32_t bytes : kSizes) {
-            GupsSpec spec;
-            spec.requestBytes = bytes;
-            spec.numVaults = pat.vaults;
-            spec.numBanks = pat.banks;
-            spec.warmup = warmup;
-            spec.window = window;
-            const ExperimentResult r = runGups(cfg, spec);
+            WorkloadSpec gups;
+            gups.requestBytes = bytes;
+            gups.patternVaults = pat.vaults;
+            gups.patternBanks = pat.banks;
+            SystemConfig point = cfg;
+            addWorkloadPorts(point, 9, gups, 7919);
+            const ExperimentResult r = runPoint(point, warmup, window);
             all[{pat.name, bytes}] = r;
             csv.row()
                 .cell(pat.name)

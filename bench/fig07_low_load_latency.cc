@@ -24,7 +24,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const Tick warmup = scaled(3) * kMicrosecond;
     const Tick window = scaled(fastMode() ? 8 : 20) * kMicrosecond;
     const int step = fastMode() ? 9 : 3;
@@ -43,13 +42,16 @@ main(int argc, char **argv)
         for (std::uint32_t bytes : kSizes) {
             std::vector<ExperimentResult> runs;
             for (VaultId v : vaults) {
-                StreamBatchSpec spec;
-                spec.batchSize = static_cast<std::uint32_t>(n);
-                spec.requestBytes = bytes;
-                spec.vault = v;
-                spec.warmup = warmup;
-                spec.window = window;
-                runs.push_back(runStreamBatch(cfg, spec));
+                WorkloadSpec stream;
+                stream.type = "trace";
+                stream.requestBytes = bytes;
+                stream.patternVaults = 1;
+                stream.baseVault = v;
+                stream.batchSize = static_cast<std::uint32_t>(n);
+                stream.seed = 104729 + v;
+                SystemConfig point;
+                point.host.portWorkloads.push_back({0, stream});
+                runs.push_back(runPoint(point, warmup, window));
             }
             const double us =
                 mergeReadLatencies(runs).mean() / 1000.0;

@@ -24,7 +24,6 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
-    const SystemConfig cfg;
     const Tick warmup = scaled(3) * kMicrosecond;
     const Tick window = scaled(fastMode() ? 8 : 20) * kMicrosecond;
     const int step = fastMode() ? 50 : 15;
@@ -38,13 +37,15 @@ main(int argc, char **argv)
     std::map<std::uint32_t, std::vector<std::pair<int, double>>> series;
     for (int n = 1; n <= 350; n = n == 1 ? step : n + step) {
         for (std::uint32_t bytes : kSizes) {
-            StreamBatchSpec spec;
-            spec.batchSize = static_cast<std::uint32_t>(n);
-            spec.requestBytes = bytes;
-            spec.vault = 0;
-            spec.warmup = warmup;
-            spec.window = window;
-            const ExperimentResult r = runStreamBatch(cfg, spec);
+            WorkloadSpec stream;
+            stream.type = "trace";
+            stream.requestBytes = bytes;
+            stream.patternVaults = 1;
+            stream.batchSize = static_cast<std::uint32_t>(n);
+            stream.seed = 104729;
+            SystemConfig point;
+            point.host.portWorkloads.push_back({0, stream});
+            const ExperimentResult r = runPoint(point, warmup, window);
             series[bytes].emplace_back(n, r.avgReadLatencyNs / 1000.0);
             csv.row().cell(n).cell(bytes).cell(
                 r.avgReadLatencyNs / 1000.0, 3);

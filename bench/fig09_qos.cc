@@ -34,7 +34,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const Tick warmup = scaled(5) * kMicrosecond;
     const Tick window = scaled(fastMode() ? 8 : 20) * kMicrosecond;
     const std::vector<std::uint32_t> sizes =
@@ -55,13 +54,18 @@ main(int argc, char **argv)
             s.bytes = bytes;
             s.collideMaxUs = 0.0;
             for (VaultId fourth = 0; fourth < 16; ++fourth) {
-                StreamVaultsSpec spec;
-                spec.vaults = {pinned, pinned, pinned, fourth};
-                spec.requestBytes = bytes;
-                spec.warmup = warmup;
-                spec.window = window;
-                spec.seed = 17 + fourth;
-                const ExperimentResult r = runStreamVaults(cfg, spec);
+                const VaultId vaults[] = {pinned, pinned, pinned, fourth};
+                WorkloadSpec stream;
+                stream.type = "trace";
+                stream.requestBytes = bytes;
+                stream.patternVaults = 1;
+                SystemConfig point;
+                for (PortId p = 0; p < 4; ++p) {
+                    stream.baseVault = vaults[p];
+                    stream.seed = (17 + fourth) * 31337 + p;
+                    point.host.portWorkloads.push_back({p, stream});
+                }
+                const ExperimentResult r = runPoint(point, warmup, window);
                 const double max_us = r.maxReadLatencyNs / 1000.0;
                 csv.row()
                     .cell(std::uint64_t{pinned})

@@ -53,7 +53,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const bool fast = fastMode();
     const unsigned stride = fast ? 8 : 1;
     const Tick warmup = scaled(2) * kMicrosecond;
@@ -73,13 +72,17 @@ main(int argc, char **argv)
         std::vector<double> combo_avg_ns(combos.size(), 0.0);
         std::vector<SampleStats> per_vault(16);
         for (std::size_t i = 0; i < combos.size(); ++i) {
-            StreamVaultsSpec spec;
-            spec.vaults.assign(combos[i].begin(), combos[i].end());
-            spec.requestBytes = bytes;
-            spec.warmup = warmup;
-            spec.window = window;
-            spec.seed = 1000 + i;
-            const ExperimentResult r = runStreamVaults(cfg, spec);
+            WorkloadSpec stream;
+            stream.type = "trace";
+            stream.requestBytes = bytes;
+            stream.patternVaults = 1;
+            SystemConfig point;
+            for (PortId p = 0; p < 4; ++p) {
+                stream.baseVault = combos[i][p];
+                stream.seed = (1000 + i) * 31337 + p;
+                point.host.portWorkloads.push_back({p, stream});
+            }
+            const ExperimentResult r = runPoint(point, warmup, window);
             combo_avg_ns[i] = r.avgReadLatencyNs;
             for (VaultId v : combos[i])
                 per_vault[v].add(r.avgReadLatencyNs);
@@ -183,13 +186,18 @@ main(int argc, char **argv)
     for (std::uint32_t bytes : sizes) {
         SampleStats floors;
         for (VaultId v = 0; v < 16; ++v) {
-            StreamBatchSpec spec;
-            spec.batchSize = 1;
-            spec.requestBytes = bytes;
-            spec.vault = v;
-            spec.warmup = scaled(2) * kMicrosecond;
-            spec.window = scaled(4) * kMicrosecond;
-            floors.add(runStreamBatch(cfg, spec).avgReadLatencyNs);
+            WorkloadSpec stream;
+            stream.type = "trace";
+            stream.requestBytes = bytes;
+            stream.patternVaults = 1;
+            stream.baseVault = v;
+            stream.batchSize = 1;
+            stream.seed = 104729 + v;
+            SystemConfig point;
+            point.host.portWorkloads.push_back({0, stream});
+            floors.add(runPoint(point, scaled(2) * kMicrosecond,
+                                scaled(4) * kMicrosecond)
+                           .avgReadLatencyNs);
         }
         const double paper_range =
             bytes == 16 ? paper::kFig10Range16BNs

@@ -42,7 +42,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const bool fast = fastMode();
     const Tick warmup = scaled(fast ? 3 : 8) * kMicrosecond;
     const Tick window = scaled(fast ? 6 : 20) * kMicrosecond;
@@ -62,14 +61,13 @@ main(int argc, char **argv)
     for (std::uint32_t bytes : kSizes) {
         for (const Pattern &pat : kPatterns) {
             for (std::uint32_t np : ports) {
-                GupsSpec spec;
-                spec.activePorts = np;
-                spec.requestBytes = bytes;
-                spec.numVaults = pat.vaults;
-                spec.numBanks = pat.banks;
-                spec.warmup = warmup;
-                spec.window = window;
-                const ExperimentResult r = runGups(cfg, spec);
+                WorkloadSpec gups;
+                gups.requestBytes = bytes;
+                gups.patternVaults = pat.vaults;
+                gups.patternBanks = pat.banks;
+                SystemConfig point;
+                addWorkloadPorts(point, np, gups, 7919);
+                const ExperimentResult r = runPoint(point, warmup, window);
                 series[{bytes, pat.name}].push_back(r.bandwidthGBs);
                 csv.row()
                     .cell(bytes)

@@ -24,7 +24,6 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::parseBenchArgs(argc, argv);
     (void)opts;
-    const SystemConfig cfg;
     const bool fast = fastMode();
     const Tick warmup = scaled(fast ? 4 : 10) * kMicrosecond;
     const Tick window = scaled(fast ? 8 : 25) * kMicrosecond;
@@ -46,14 +45,13 @@ main(int argc, char **argv)
             std::vector<double> bw;
             std::vector<ExperimentResult> runs;
             for (std::uint32_t np = 1; np <= 9; np += fast ? 2 : 1) {
-                GupsSpec spec;
-                spec.activePorts = np;
-                spec.requestBytes = bytes;
-                spec.numVaults = 1;
-                spec.numBanks = banks;
-                spec.warmup = warmup;
-                spec.window = window;
-                runs.push_back(runGups(cfg, spec));
+                WorkloadSpec gups;
+                gups.requestBytes = bytes;
+                gups.patternVaults = 1;
+                gups.patternBanks = banks;
+                SystemConfig point;
+                addWorkloadPorts(point, np, gups, 7919);
+                runs.push_back(runPoint(point, warmup, window));
                 bw.push_back(runs.back().bandwidthGBs);
             }
             // Measure at the knee (where the curve first flattens):

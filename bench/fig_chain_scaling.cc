@@ -43,18 +43,29 @@ chainConfig(std::uint32_t cubes, const std::string &topology)
     return cfg;
 }
 
+/** @p cfg under nine ports of 64 B GUPS reads over every cube. */
+SystemConfig
+gups64(SystemConfig cfg)
+{
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return cfg;
+}
+
 double
 lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube, Tick warmup,
                      Tick window)
 {
     System sys(cfg);
     Rng rng(1234 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.batchSize = 1;
+    sys.configureWorkload(
+        0, stream,
+        makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
+                        cfg.hmc.totalCapacityBytes(), 512, 32));
     sys.run(warmup);
     return sys.measure(window).avgReadLatencyNs;
 }
@@ -90,11 +101,8 @@ main(int argc, char **argv)
             if (std::string(topo) == "star" && cubes > 4)
                 continue;  // star needs one host link per cube (max 4)
             const SystemConfig cfg = chainConfig(cubes, topo);
-            GupsSpec spec;
-            spec.requestBytes = 64;
-            spec.warmup = warmup;
-            spec.window = window;
-            const ExperimentResult r = runGups(cfg, spec);
+            const ExperimentResult r =
+                runPoint(gups64(cfg), warmup, window);
 
             // Static metric: derivable from the route table alone.
             const ChainRouteTable rt(
@@ -175,11 +183,8 @@ main(int argc, char **argv)
              "stays bound by the host links while star splits them");
 
     // Per-cube share under the saturated 4-cube daisy run.
-    GupsSpec spec;
-    spec.requestBytes = 64;
-    spec.warmup = warmup;
-    spec.window = window;
-    const ExperimentResult r4 = runGups(chainConfig(4, "daisy"), spec);
+    const ExperimentResult r4 =
+        runPoint(gups64(chainConfig(4, "daisy")), warmup, window);
     rep.section("4-cube daisy per-cube breakdown");
     std::uint64_t total_served = 0;
     for (const CubeStats &cs : r4.cubes)

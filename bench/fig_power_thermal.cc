@@ -46,11 +46,11 @@ loadSweep()
     const Tick window = scaled(fastMode() ? 6 : 30) * kMicrosecond;
 
     for (std::uint32_t bytes : kSizes) {
-        GupsSpec spec;
-        spec.requestBytes = bytes;
-        spec.warmup = warmup;
-        spec.window = window;
-        const ExperimentResult r = runGups(cfg, spec);
+        WorkloadSpec gups;
+        gups.requestBytes = bytes;
+        SystemConfig point = cfg;
+        addWorkloadPorts(point, 9, gups, 7919);
+        const ExperimentResult r = runPoint(point, warmup, window);
         csv.row()
             .cell(bytes)
             .cell(r.bandwidthGBs, 2)
@@ -76,15 +76,10 @@ throttleCliff()
     cfg.hmc.power.throttle.offThresholdC = 47.5;
     cfg.hmc.power.throttle.maxSlowdown = 4.0;
 
+    WorkloadSpec gups;
+    gups.requestBytes = 128;
+    addWorkloadPorts(cfg, 9, gups, 7919);
     System sys(cfg);
-    for (PortId p = 0; p < 9; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 7919 + p;
-        sys.configureGupsPort(p, gp);
-    }
 
     bench::CsvOutput csv_out("fig_power_thermal_throttle");
     CsvWriter csv(csv_out.stream(),

@@ -103,15 +103,10 @@ BM_EndToEndGups(benchmark::State &state)
     const std::uint32_t bytes = static_cast<std::uint32_t>(state.range(0));
     for (auto _ : state) {
         SystemConfig cfg;
+        WorkloadSpec gups;
+        gups.requestBytes = bytes;
+        addWorkloadPorts(cfg, 9, gups, 5);
         System sys(cfg);
-        for (PortId p = 0; p < 9; ++p) {
-            GupsPortSpec gp;
-            gp.gen.pattern = sys.addressMap().pattern(16, 16);
-            gp.gen.requestBytes = bytes;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 5 + p;
-            sys.configureGupsPort(p, gp);
-        }
         sys.run(10 * kMicrosecond);
         benchmark::DoNotOptimize(sys.now());
     }
@@ -124,12 +119,16 @@ void
 BM_StreamBatchExperiment(benchmark::State &state)
 {
     for (auto _ : state) {
-        StreamBatchSpec spec;
-        spec.batchSize = 40;
-        spec.requestBytes = 64;
-        spec.warmup = 2 * kMicrosecond;
-        spec.window = 5 * kMicrosecond;
-        const ExperimentResult r = runStreamBatch(SystemConfig{}, spec);
+        WorkloadSpec stream;
+        stream.type = "trace";
+        stream.requestBytes = 64;
+        stream.patternVaults = 1;
+        stream.batchSize = 40;
+        stream.seed = 104729;
+        SystemConfig point;
+        point.host.portWorkloads.push_back({0, stream});
+        const ExperimentResult r =
+            runPoint(point, 2 * kMicrosecond, 5 * kMicrosecond);
         benchmark::DoNotOptimize(r.avgReadLatencyNs);
     }
 }

@@ -43,14 +43,13 @@ runOne(SystemConfig cfg)
     }
 
     // All nine GUPS ports, random 64 B reads over every cube.
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    gups.patternVaults = cfg.hmc.numVaults;
+    gups.patternBanks = cfg.hmc.numBanksPerVault;
     for (PortId p = 0; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = map.pattern(cfg.hmc.numVaults,
-                                     cfg.hmc.numBanksPerVault);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 17 + p;
-        sys.configureGupsPort(p, gp);
+        gups.seed = 17 + p;
+        sys.configureWorkload(p, gups);
     }
     sys.run(10 * kMicrosecond);
     const ExperimentResult r = sys.measure(25 * kMicrosecond);

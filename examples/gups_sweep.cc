@@ -42,19 +42,18 @@ try {
     if (argc > 1)
         window = static_cast<Tick>(std::atof(argv[1]) * kMicrosecond);
 
-    const SystemConfig cfg;
     CsvWriter csv(std::cout, {"pattern", "vaults", "banks",
                               "request_bytes", "bandwidth_gbs",
                               "avg_latency_ns", "max_latency_ns"});
     for (const Pattern &pat : kPatterns) {
         for (std::uint32_t bytes : {16u, 32u, 64u, 128u}) {
-            GupsSpec spec;
-            spec.requestBytes = bytes;
-            spec.numVaults = pat.vaults;
-            spec.numBanks = pat.banks;
-            spec.warmup = window / 3;
-            spec.window = window;
-            const ExperimentResult r = runGups(cfg, spec);
+            WorkloadSpec gups;
+            gups.requestBytes = bytes;
+            gups.patternVaults = pat.vaults;
+            gups.patternBanks = pat.banks;
+            SystemConfig point;
+            addWorkloadPorts(point, 9, gups, 7919);
+            const ExperimentResult r = runPoint(point, window / 3, window);
             csv.row()
                 .cell(pat.name)
                 .cell(pat.vaults)

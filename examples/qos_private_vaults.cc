@@ -43,33 +43,28 @@ run(bool partitioned)
     cfg.host.deserializerFlitsPerCycle = 16;
     cfg.host.requestsPerCyclePerLink = 4;
     cfg.host.tagsPerPort = 96;
-    System sys(cfg);
-    Rng rng(2024);
 
-    const AddressPattern hi = partitioned
-        ? sys.addressMap().pattern(2, 16, 14)   // private vaults 14-15
-        : sys.addressMap().pattern(4, 16, 12);  // shared hot quadrant
-
-    StreamPortSpec hp;
-    hp.trace = makeRandomTrace(rng, hi, cfg.hmc.totalCapacityBytes(), 4096, 64);
-    hp.loop = true;
+    // Partitioned: the stream owns vaults 14-15, the background 12-13.
+    // Shared: both cover the whole hot quadrant (vaults 12-15).
+    WorkloadSpec hp;
+    hp.type = "trace";
+    hp.requestBytes = 64;
+    hp.patternVaults = partitioned ? 2 : 4;
+    hp.baseVault = partitioned ? 14 : 12;
     hp.window = 8;  // latency-sensitive: shallow queue
-    sys.configureStreamPort(0, hp);
+    hp.seed = 2024;
+    cfg.host.portWorkloads.push_back({0, hp});
 
-    const AddressPattern bg = partitioned
-        ? sys.addressMap().pattern(2, 16, 12)   // vaults 12-13
-        : sys.addressMap().pattern(4, 16, 12);  // whole hot quadrant
+    WorkloadSpec bg;
+    bg.requestBytes = 16;
+    bg.patternVaults = partitioned ? 2 : 4;
+    bg.baseVault = 12;
     for (PortId p = 1; p <= 8; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = bg;
-        gp.gen.requestBytes = 16;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 100 + p;
-        sys.configureGupsPort(p, gp);
+        bg.seed = 100 + p;
+        cfg.host.portWorkloads.push_back({p, bg});
     }
-
-    sys.run(20 * kMicrosecond);
-    const ExperimentResult r = sys.measure(60 * kMicrosecond);
+    const ExperimentResult r =
+        runPoint(cfg, 20 * kMicrosecond, 60 * kMicrosecond);
 
     Outcome o{};
     for (const PortStats &ps : r.ports) {

@@ -35,12 +35,12 @@ try {
                 cfg.hmc.peakBandwidthGBs());
 
     // One GUPS port, random 64 B reads over every vault and bank.
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(cfg.hmc.numVaults,
-                                              cfg.hmc.numBanksPerVault);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    gups.patternVaults = cfg.hmc.numVaults;
+    gups.patternBanks = cfg.hmc.numBanksPerVault;
+    gups.seed = 1;
+    sys.configureWorkload(0, gups);
 
     sys.run(20 * kMicrosecond);                       // warm up
     ExperimentResult r = sys.measure(50 * kMicrosecond);
@@ -56,9 +56,8 @@ try {
 
     // Scale up to all nine ports, like the paper's GUPS runs.
     for (PortId p = 1; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec pp = gp;
-        pp.gen.seed = gp.gen.seed + p;
-        sys.configureGupsPort(p, pp);
+        gups.seed = 1 + p;
+        sys.configureWorkload(p, gups);
     }
     sys.run(20 * kMicrosecond);
     r = sys.measure(50 * kMicrosecond);

@@ -36,14 +36,13 @@ try {
     const SystemConfig cfg = SystemConfig::fromConfig(overrides);
 
     System sys(cfg);
+    WorkloadSpec gups;
+    gups.requestBytes = 128;
+    gups.patternVaults = cfg.hmc.numVaults;
+    gups.patternBanks = cfg.hmc.numBanksPerVault;
     for (PortId p = 0; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(
-            cfg.hmc.numVaults, cfg.hmc.numBanksPerVault);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 7919 + p;
-        sys.configureGupsPort(p, gp);
+        gups.seed = 7919 + p;
+        sys.configureWorkload(p, gups);
     }
 
     std::printf("thermal throttle scenario: 9-port GUPS, 128 B reads\n");

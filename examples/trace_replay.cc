@@ -33,14 +33,14 @@ report(const char *name, System &sys, PortId port)
 int
 replayFile(const std::string &path)
 {
-    SystemConfig cfg;
-    System sys(cfg);
-    StreamPortSpec sp;
-    sp.trace = loadTraceFile(path);
-    sp.loop = false;
-    sys.configureStreamPort(0, sp);
-    std::printf("replaying %zu records from %s\n", sp.trace.size(),
+    System sys;
+    Trace trace = loadTraceFile(path);
+    std::printf("replaying %zu records from %s\n", trace.size(),
                 path.c_str());
+    WorkloadSpec replay;
+    replay.type = "trace";
+    replay.traceLoop = false;
+    sys.configureWorkload(0, replay, std::move(trace));
     if (!sys.runUntilIdle(100 * kMillisecond)) {
         std::fprintf(stderr, "trace did not finish within 100 ms\n");
         return 1;
@@ -62,28 +62,24 @@ try {
     System sys(cfg);
     Rng rng(7);
 
+    WorkloadSpec replay;
+    replay.type = "trace";
+
     // Streaming: sequential 128 B lines -- rides the vault-then-bank
     // interleave perfectly.
-    StreamPortSpec stream;
-    stream.trace = makeStreamTrace(0, 8192, 128, 128);
-    stream.loop = true;
-    sys.configureStreamPort(0, stream);
+    sys.configureWorkload(0, replay, makeStreamTrace(0, 8192, 128, 128));
 
     // Random: uniform 64 B over the whole cube.
-    StreamPortSpec random;
-    random.trace = makeRandomTrace(
-        rng, sys.addressMap().pattern(16, 16), cfg.hmc.totalCapacityBytes(),
-        8192, 64);
-    random.loop = true;
-    sys.configureStreamPort(1, random);
+    sys.configureWorkload(
+        1, replay,
+        makeRandomTrace(rng, sys.addressMap().pattern(16, 16),
+                        cfg.hmc.totalCapacityBytes(), 8192, 64));
 
     // Pointer chase: dependent-ish hops inside a 16 MB pool with a
     // shallow window, the latency-bound extreme.
-    StreamPortSpec chase;
-    chase.trace = makePointerChaseTrace(rng, 0, 16ull << 20, 8192, 16);
-    chase.loop = true;
-    chase.window = 1;  // one dependent load at a time
-    sys.configureStreamPort(2, chase);
+    replay.window = 1;  // one dependent load at a time
+    sys.configureWorkload(
+        2, replay, makePointerChaseTrace(rng, 0, 16ull << 20, 8192, 16));
 
     sys.run(20 * kMicrosecond);
     const ExperimentResult r = sys.measure(60 * kMicrosecond);

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Figure identity: every figure, table and ablation binary's --fast
-output must match the digests pinned in tests/golden/figures.sha256.
+output must match the digests pinned in tests/golden/figures.sha256,
+and every deterministic example's stdout those in
+tests/golden/examples.sha256.
 
 Runs each bench/ binary (all of bench/*.cc except micro_kernel, the
 Google Benchmark engine sweep) with --fast --csv-dir=<tmp>, then takes
 a SHA-256 of every CSV it wrote and of its stdout report with the
 "csv written to <path>" lines removed (the path is the temp dir).
+Runs each example in EXAMPLES with no arguments and takes a SHA-256 of
+its stdout.
 
     figure_identity.py BIN_DIR            # check (ctest figure_identity)
-    figure_identity.py BIN_DIR --update   # rewrite the golden file
+    figure_identity.py BIN_DIR --update   # rewrite both golden files
 
 A change that moves a figure on purpose regenerates the file with
 --update in the same commit and names each changed entry.  Digests
@@ -30,7 +34,13 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(REPO, "tests", "golden", "figures.sha256")
+EXAMPLES_GOLDEN = os.path.join(REPO, "tests", "golden", "examples.sha256")
 EXCLUDED = {"micro_kernel"}
+# Every example, run without arguments (trace_replay then replays its
+# synthetic traces).
+EXAMPLES = ["chain_topologies", "gups_sweep", "qos_private_vaults",
+            "quickstart", "thermal_throttle", "trace_replay",
+            "workload_playground"]
 CSV_LINE = "csv written to "
 
 
@@ -68,15 +78,32 @@ def run_one(bin_dir, name, work):
     return out
 
 
+def run_example(bin_dir, name):
+    """Run one example; return {entry name: digest of its stdout}."""
+    exe = "example_" + name
+    proc = subprocess.run([os.path.join(bin_dir, exe)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          check=False)
+    if proc.returncode != 0:
+        raise RuntimeError("%s exited %d:\n%s" % (
+            exe, proc.returncode, proc.stderr.decode(errors="replace")))
+    return {exe + ".stdout": sha256(proc.stdout)}
+
+
 def measure(bin_dir):
-    digests = {}
+    """Return ({figure entry: digest}, {example entry: digest})."""
+    figures, examples = {}, {}
     with tempfile.TemporaryDirectory(prefix="figure_identity_") as work:
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
             futures = [pool.submit(run_one, bin_dir, n, work)
                        for n in binaries()]
+            ex_futures = [pool.submit(run_example, bin_dir, n)
+                          for n in EXAMPLES]
             for f in futures:
-                digests.update(f.result())
-    return digests
+                figures.update(f.result())
+            for f in ex_futures:
+                examples.update(f.result())
+    return figures, examples
 
 
 def read_golden(path):
@@ -90,30 +117,18 @@ def read_golden(path):
     return golden
 
 
-def write_golden(path, digests):
+def write_golden(path, header, digests):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# --fast output digests of every bench/ figure, table "
-                 "and ablation binary;\n"
+        fh.write("# %s;\n"
                  "# regenerate with scripts/figure_identity.py BIN_DIR "
-                 "--update\n")
+                 "--update\n" % header)
         for name in sorted(digests):
             fh.write("%s  %s\n" % (digests[name], name))
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("bin_dir", help="build directory holding the binaries")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the golden file from this build")
-    args = ap.parse_args()
-
-    digests = measure(os.path.abspath(args.bin_dir))
-    if args.update:
-        write_golden(GOLDEN, digests)
-        print("wrote %d digests to %s" % (len(digests), GOLDEN))
-        return 0
-
-    golden = read_golden(GOLDEN)
+def check(path, digests):
+    """Print every mismatch against the golden file; return their count."""
+    golden = read_golden(path)
     bad = []
     for name in sorted(set(golden) | set(digests)):
         if name not in digests:
@@ -126,7 +141,27 @@ def main():
         print(line)
     print("%d of %d outputs match %s" % (
         sum(1 for n in golden if digests.get(n) == golden[n]),
-        len(golden), os.path.relpath(GOLDEN, REPO)))
+        len(golden), os.path.relpath(path, REPO)))
+    return len(bad)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("bin_dir", help="build directory holding the binaries")
+    ap.add_argument("--update", action="store_true",
+                    help="rewrite the golden file from this build")
+    args = ap.parse_args()
+
+    figures, examples = measure(os.path.abspath(args.bin_dir))
+    if args.update:
+        write_golden(GOLDEN, "--fast output digests of every bench/ "
+                     "figure, table and ablation binary", figures)
+        write_golden(EXAMPLES_GOLDEN, "stdout digests of the "
+                     "deterministic examples (no arguments)", examples)
+        print("wrote %d + %d digests to %s and %s" % (
+            len(figures), len(examples), GOLDEN, EXAMPLES_GOLDEN))
+        return 0
+    bad = check(GOLDEN, figures) + check(EXAMPLES_GOLDEN, examples)
     return 1 if bad else 0
 
 

@@ -189,81 +189,21 @@ collectResult(System &sys, Tick window_ticks)
 }
 
 ExperimentResult
-runGups(const SystemConfig &cfg, const GupsSpec &spec)
+runPoint(const SystemConfig &cfg, Tick warmup, Tick window)
 {
     System sys(cfg);
-    if (spec.activePorts == 0 || spec.activePorts > cfg.host.numPorts)
-        fatal("runGups: active port count out of range");
-
-    const AddressPattern pattern = sys.addressMap().pattern(
-        spec.numVaults, spec.numBanks, spec.baseVault, spec.baseBank);
-
-    const std::uint32_t write_ports = static_cast<std::uint32_t>(
-        spec.writePortFraction * spec.activePorts + 0.5);
-
-    for (PortId p = 0; p < spec.activePorts; ++p) {
-        GupsPortSpec gp;
-        gp.kind = p < write_ports ? ReqKind::WriteOnly : spec.kind;
-        gp.gen.mode = spec.mode;
-        gp.gen.pattern = pattern;
-        gp.gen.requestBytes = spec.requestBytes;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        // Kept verbatim from the seed (not mixSeeds) so the paper
-        // figures' address streams stay bit-identical.
-        gp.gen.seed = spec.seed * 7919 + p;
-        sys.configureGupsPort(p, gp);
-    }
-
-    sys.run(spec.warmup);
-    return sys.measure(spec.window);
+    sys.run(warmup);
+    return sys.measure(window);
 }
 
-ExperimentResult
-runStreamBatch(const SystemConfig &cfg, const StreamBatchSpec &spec)
+void
+addWorkloadPorts(SystemConfig &cfg, std::uint32_t ports, WorkloadSpec w,
+                 std::uint64_t seed)
 {
-    System sys(cfg);
-    Rng rng(spec.seed * 104729 + spec.vault);
-    const AddressPattern pattern =
-        sys.addressMap().pattern(1, spec.numBanks, spec.vault, 0);
-
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, pattern, cfg.hmc.totalCapacityBytes(),
-                               spec.traceLength, spec.requestBytes);
-    sp.loop = true;
-    sp.batchSize = spec.batchSize;
-    // The in-flight window stays at the hardware default: for batches
-    // beyond the window, later requests wait (untimed) in the stream
-    // buffer, which is what produces the paper's constant region in
-    // Fig. 8.
-    sp.window = 0;
-    sys.configureStreamPort(0, sp);
-
-    sys.run(spec.warmup);
-    return sys.measure(spec.window);
-}
-
-ExperimentResult
-runStreamVaults(const SystemConfig &cfg, const StreamVaultsSpec &spec)
-{
-    if (spec.vaults.empty())
-        fatal("runStreamVaults: no vaults given");
-    if (spec.vaults.size() > cfg.host.numPorts)
-        fatal("runStreamVaults: more vaults than ports");
-
-    System sys(cfg);
-    for (std::size_t i = 0; i < spec.vaults.size(); ++i) {
-        Rng rng(spec.seed * 31337 + i);
-        StreamPortSpec sp;
-        sp.trace = makeRandomTrace(
-            rng, sys.addressMap().vaultPattern(spec.vaults[i]),
-            cfg.hmc.totalCapacityBytes(), spec.traceLength, spec.requestBytes);
-        sp.loop = true;
-        sp.window = spec.inFlightWindow;
-        sys.configureStreamPort(static_cast<PortId>(i), sp);
+    for (PortId p = 0; p < ports; ++p) {
+        w.seed = seed + p;
+        cfg.host.portWorkloads.push_back({p, w});
     }
-
-    sys.run(spec.warmup);
-    return sys.measure(spec.window);
 }
 
 ExperimentResult

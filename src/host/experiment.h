@@ -1,9 +1,10 @@
 /**
  * @file
- * Experiment harness: result structures and canned experiment runners
- * that the benchmark binaries share.  Each runner builds a fresh
- * System, configures ports per the spec, runs a warmup window, then
- * measures a steady-state window and returns paper-formula statistics.
+ * Experiment harness: result structures and the two ways the
+ * benchmark binaries run a point.  runPoint() builds a fresh System
+ * from a SystemConfig that describes every port; runWorkload() spreads
+ * one WorkloadSpec over N ports.  Both run a warmup window, then
+ * measure a steady-state window and return paper-formula statistics.
  */
 
 #ifndef HMCSIM_HOST_EXPERIMENT_H_
@@ -14,7 +15,6 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "host/addr_gen.h"
 #include "host/workload/workload_spec.h"
 
 namespace hmcsim {
@@ -178,61 +178,23 @@ struct ExperimentResult {
 /** Collect a result from @p sys over a window that just ended. */
 ExperimentResult collectResult(System &sys, Tick window_ticks);
 
-// ----- GUPS experiments (Figs. 6, 13, 14) -----
-
-struct GupsSpec {
-    std::uint32_t activePorts = 9;
-    std::uint32_t requestBytes = 32;
-    /** Access-pattern confinement (power-of-two counts). */
-    std::uint32_t numVaults = 16;
-    std::uint32_t numBanks = 16;
-    VaultId baseVault = 0;
-    BankId baseBank = 0;
-    ReqKind kind = ReqKind::ReadOnly;
-    AddrMode mode = AddrMode::Random;
-    /** Fraction of GUPS ports configured as write-only (0 or the
-     *  read/write-mix ablation). */
-    double writePortFraction = 0.0;
-    Tick warmup = 20 * kMicrosecond;
-    Tick window = 60 * kMicrosecond;
-    std::uint64_t seed = 1;
-};
-
 struct SystemConfig;  // host/system.h
 
-ExperimentResult runGups(const SystemConfig &cfg, const GupsSpec &spec);
+/**
+ * One figure point: build a System from @p cfg, whose host.workload*
+ * and host.port<N>.workload* entries describe the ports, run
+ * @p warmup, then measure @p window.
+ */
+ExperimentResult runPoint(const SystemConfig &cfg, Tick warmup,
+                          Tick window);
 
-// ----- stream experiments (Figs. 7-12) -----
-
-/** Fig. 7/8: one port, batches of N reads into one vault's banks. */
-struct StreamBatchSpec {
-    std::uint32_t batchSize = 8;
-    std::uint32_t requestBytes = 32;
-    VaultId vault = 0;
-    std::uint32_t numBanks = 16;
-    std::size_t traceLength = 4096;
-    Tick warmup = 20 * kMicrosecond;
-    Tick window = 60 * kMicrosecond;
-    std::uint64_t seed = 1;
-};
-
-ExperimentResult runStreamBatch(const SystemConfig &cfg,
-                                const StreamBatchSpec &spec);
-
-/** Figs. 9-12: one stream port per listed vault, continuous load. */
-struct StreamVaultsSpec {
-    std::vector<VaultId> vaults;
-    std::uint32_t requestBytes = 32;
-    std::size_t traceLength = 4096;
-    /** Per-port in-flight window; 0 uses the host config default. */
-    std::uint32_t inFlightWindow = 0;
-    Tick warmup = 10 * kMicrosecond;
-    Tick window = 30 * kMicrosecond;
-    std::uint64_t seed = 1;
-};
-
-ExperimentResult runStreamVaults(const SystemConfig &cfg,
-                                 const StreamVaultsSpec &spec);
+/**
+ * Point ports [0, @p ports) of @p cfg at @p w, port p seeded
+ * @p seed + p.  The GUPS figures keep their historic address streams
+ * this way: a run seed s becomes seed s * 7919.
+ */
+void addWorkloadPorts(SystemConfig &cfg, std::uint32_t ports,
+                      WorkloadSpec w, std::uint64_t seed);
 
 // ----- pluggable workload experiments (bench/fig_workload_sweep) -----
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "obs/observability.h"
 #include "sim/kernel.h"
 
 namespace hmcsim {
@@ -44,14 +45,10 @@ Fpga::Fpga(Kernel &kernel, Component *parent, std::string name,
 WorkloadPort::Params
 Fpga::defaultPortParams(PortId p) const
 {
-    GupsPortSpec spec;
-    spec.kind = ReqKind::ReadOnly;
-    spec.gen.mode = AddrMode::Random;
-    spec.gen.pattern = AddressPattern{attach_.totalCapacityBytes - 1, 0};
-    spec.gen.requestBytes = 32;
-    spec.gen.capacity = attach_.totalCapacityBytes;
-    spec.gen.seed = mixSeeds(cfg_.seed, p);
-    return workloadFromGupsSpec(spec, cfg_);
+    WorkloadSpec spec;  // 32 B random reads over every vault and bank
+    spec.patternVaults = 1u << attach_.map->vaultBits();
+    spec.patternBanks = 1u << attach_.map->bankBits();
+    return buildWorkloadParams(spec, *attach_.map, cfg_, p);
 }
 
 Port &
@@ -85,36 +82,40 @@ Fpga::configureWorkloadPort(PortId p, WorkloadPort::Params params)
 {
     if (p >= ports_.size())
         panic("Fpga::configureWorkloadPort: port out of range");
+    if (const std::uint32_t in_flight = ports_[p]->inFlight())
+        fatal(path() + ": cannot replace port " + std::to_string(p) +
+              " with " + std::to_string(in_flight) +
+              " requests in flight; deactivate it and run until it "
+              "drains first");
     auto port = std::make_unique<WorkloadPort>(
         kernel(), this, "port" + std::to_string(p), p, cfg_,
         std::move(params));
     WorkloadPort &ref = *port;
     adopt(ref);
     ports_[p] = std::move(port);  // the old port leaves the registry
-    if (MetricsRegistry *reg = boundRegistry())
+    if (MetricsRegistry *reg = boundRegistry()) {
         ref.bindMetrics(*reg);
+        if (Observability *obs = kernel().obs())
+            obs->onComponentReplaced(ref.path());
+    }
     ref.setActive(true);
     rebindController();
     return ref;
 }
 
 WorkloadPort &
-Fpga::configureWorkload(PortId p, const WorkloadSpec &spec)
+Fpga::configureWorkload(PortId p, const WorkloadSpec &spec,
+                        std::optional<Trace> trace)
 {
     return configureWorkloadPort(
-        p, buildWorkloadParams(spec, *attach_.map, cfg_, p));
+        p, buildWorkloadParams(spec, *attach_.map, cfg_, p,
+                               std::move(trace)));
 }
 
 WorkloadPort &
 Fpga::configureGupsPort(PortId p, const GupsPortSpec &params)
 {
-    return configureWorkloadPort(p, workloadFromGupsSpec(params, cfg_));
-}
-
-WorkloadPort &
-Fpga::configureStreamPort(PortId p, const StreamPortSpec &params)
-{
-    return configureWorkloadPort(p, workloadFromStreamSpec(params, cfg_));
+    return configureWorkloadPort(p, workloadFromGupsPortSpec(params, cfg_));
 }
 
 void

@@ -34,19 +34,21 @@ class Fpga : public Component
     Port &port(PortId p);
     std::uint32_t numPorts() const { return cfg_.numPorts; }
 
-    /** Replace port @p p with a fully parameterized port (active). */
+    /**
+     * Replace port @p p with a fully parameterized port (active).  The
+     * old port must have no request in flight (fatal otherwise): its
+     * responses would reach the new port's tag pool.
+     */
     WorkloadPort &configureWorkloadPort(PortId p,
                                         WorkloadPort::Params params);
 
-    /** Replace port @p p per a config-level workload spec (active). */
-    WorkloadPort &configureWorkload(PortId p, const WorkloadSpec &spec);
+    /** Replace port @p p per a config-level workload spec (active);
+     *  a given @p trace is replayed (see buildWorkloadParams). */
+    WorkloadPort &configureWorkload(PortId p, const WorkloadSpec &spec,
+                                    std::optional<Trace> trace = {});
 
     /** Replace port @p p with a GUPS-firmware port (active). */
     WorkloadPort &configureGupsPort(PortId p, const GupsPortSpec &params);
-
-    /** Replace port @p p with a stream-firmware port (active). */
-    WorkloadPort &configureStreamPort(PortId p,
-                                      const StreamPortSpec &params);
 
     /** Deactivate every port (they keep their workload). */
     void deactivateAllPorts();
@@ -63,7 +65,7 @@ class Fpga : public Component
     HostConfig cfg_;
     HostAttach attach_;
     ClockDomain clock_;
-    std::vector<std::unique_ptr<Port>> ports_;
+    std::vector<std::unique_ptr<WorkloadPort>> ports_;
     std::unique_ptr<HmcHostController> ctrl_;
     bool running_ = false;
     /** False when a wake could not keep the free-running order (see

@@ -35,7 +35,6 @@ namespace hmcsim {
 struct HostAttach {
     const AddressMap *map = nullptr;
     std::uint32_t numCubes = 1;
-    std::uint64_t totalCapacityBytes = 0;
     /** This controller's host id; stamped on every request so the
      *  chain returns the response to this host's entry cube. */
     HostId hostId = 0;

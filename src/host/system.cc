@@ -166,7 +166,6 @@ System::makeAttach(HostId h)
     HostAttach a;
     a.hostId = h;
     a.numCubes = numCubes();
-    a.totalCapacityBytes = cfg_.hmc.totalCapacityBytes();
     a.map = &addressMap();
     if (cube_) {
         for (LinkId l = 0; l < cfg_.hmc.numLinks; ++l) {

@@ -7,19 +7,20 @@
  * Quickstart:
  * @code
  *   SystemConfig cfg;                       // paper's AC-510 defaults
+ *   WorkloadSpec gups;                      // random reads, whole cube
+ *   gups.requestBytes = 64;
+ *   cfg.host.portWorkloads.push_back({0, gups});  // on port 0
  *   System sys(cfg);
- *   GupsPortSpec gp;
- *   gp.gen.pattern = sys.addressMap().pattern(16, 16);
- *   gp.gen.requestBytes = 64;
- *   sys.configureGupsPort(0, gp);
  *   sys.run(20 * kMicrosecond);             // warm up
  *   ExperimentResult r = sys.measure(50 * kMicrosecond);
  * @endcode
  *
- * Workloads can also be declared entirely in config
- * (host.workload_ports=N, host.workload=zipf, host.port0.workload=...,
- * see host/workload/workload_spec.h); such ports are configured and
- * activated at System construction.
+ * Ports are declared in config (host.workload_ports=N,
+ * host.workload=zipf, host.port0.workload=..., see
+ * host/workload/workload_spec.h) and are configured and activated at
+ * System construction; in code, push PortWorkload entries onto
+ * cfg.host.portWorkloads.  configureWorkload() replaces a port of a
+ * running System.
  *
  * Multi-host fabrics: host.num_hosts builds N independent FPGA hosts
  * (each with its own ports, controller, tag pools) attached at
@@ -34,6 +35,7 @@
 #define HMCSIM_HOST_SYSTEM_H_
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -110,10 +112,13 @@ class System
         return fpga().configureWorkloadPort(p, std::move(params));
     }
 
+    /** Replace port @p p of host 0; a given @p trace is replayed
+     *  (see buildWorkloadParams). */
     WorkloadPort &
-    configureWorkload(PortId p, const WorkloadSpec &spec)
+    configureWorkload(PortId p, const WorkloadSpec &spec,
+                      std::optional<Trace> trace = {})
     {
-        return fpga().configureWorkload(p, spec);
+        return fpga().configureWorkload(p, spec, std::move(trace));
     }
 
     /** Configure one port of one specific host. */
@@ -127,12 +132,6 @@ class System
     configureGupsPort(PortId p, const GupsPortSpec &params)
     {
         return fpga().configureGupsPort(p, params);
-    }
-
-    WorkloadPort &
-    configureStreamPort(PortId p, const StreamPortSpec &params)
-    {
-        return fpga().configureStreamPort(p, params);
     }
 
     /** Advance simulated time by @p duration. */

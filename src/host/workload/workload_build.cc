@@ -126,13 +126,21 @@ buildTrafficSource(const WorkloadSpec &spec, const AddressMap &map,
 
 WorkloadPort::Params
 buildWorkloadParams(const WorkloadSpec &spec, const AddressMap &map,
-                    const HostConfig &host, PortId port)
+                    const HostConfig &host, PortId port,
+                    std::optional<Trace> trace)
 {
     spec.validate();
-    const std::uint64_t seed =
-        spec.seed != 0 ? spec.seed : mixSeeds(host.seed, port);
     WorkloadPort::Params p;
-    p.source = buildTrafficSource(spec, map, seed);
+    if (trace) {
+        if (spec.type != "trace")
+            fatal("workload: a given trace needs workload type 'trace', "
+                  "not '" + spec.type + "'");
+        p.source = std::make_unique<TraceSource>(
+            TraceSource::Params{std::move(*trace), spec.traceLoop});
+    } else {
+        p.source = buildTrafficSource(
+            spec, map, spec.seed != 0 ? spec.seed : mixSeeds(host.seed, port));
+    }
     p.kind = spec.kind;
     p.inject.mode = injectModeFromString(spec.inject);
     p.inject.window = spec.window;

@@ -9,7 +9,10 @@
 #ifndef HMCSIM_HOST_WORKLOAD_WORKLOAD_BUILD_H_
 #define HMCSIM_HOST_WORKLOAD_WORKLOAD_BUILD_H_
 
+#include <optional>
+
 #include "hmc/address_map.h"
+#include "host/trace.h"
 #include "host/workload/workload_port.h"
 #include "host/workload/workload_spec.h"
 
@@ -28,12 +31,15 @@ TrafficSourcePtr buildTrafficSource(const WorkloadSpec &spec,
 
 /**
  * Resolve @p spec into full port parameters for @p port.  A zero
- * spec.seed derives the port seed as mixSeeds(host.seed, port).
+ * spec.seed derives the port seed as mixSeeds(host.seed, port).  A
+ * given @p trace is replayed (looping per spec.traceLoop) instead of
+ * the spec's trace file or synthetic trace; spec.type must be "trace".
  */
 WorkloadPort::Params buildWorkloadParams(const WorkloadSpec &spec,
                                          const AddressMap &map,
                                          const HostConfig &host,
-                                         PortId port);
+                                         PortId port,
+                                         std::optional<Trace> trace = {});
 
 }  // namespace hmcsim
 

@@ -247,10 +247,10 @@ WorkloadPort::resetOwnStats()
     offered_ = 0.0;
 }
 
-// ----- legacy firmware spec mappings -----
+// ----- legacy GUPS firmware spec mapping -----
 
 WorkloadPort::Params
-workloadFromGupsSpec(const GupsPortSpec &spec, const HostConfig &cfg)
+workloadFromGupsPortSpec(const GupsPortSpec &spec, const HostConfig &cfg)
 {
     GupsSource::Params sp;
     sp.gen = spec.gen;
@@ -260,24 +260,6 @@ workloadFromGupsSpec(const GupsPortSpec &spec, const HostConfig &cfg)
     p.inject.mode = InjectMode::ClosedLoop;
     p.inject.window = cfg.tagsPerPort;
     p.drainFlitsPerCycle = 0;
-    return p;
-}
-
-WorkloadPort::Params
-workloadFromStreamSpec(StreamPortSpec spec, const HostConfig &cfg)
-{
-    if (spec.trace.empty())
-        fatal("StreamPort: empty trace");
-    TraceSource::Params tp;
-    tp.trace = std::move(spec.trace);
-    tp.loop = spec.loop;
-    WorkloadPort::Params p;
-    p.source = std::make_unique<TraceSource>(std::move(tp));
-    p.kind = ReqKind::ReadOnly;
-    p.inject.mode = InjectMode::ClosedLoop;
-    p.inject.window = spec.window != 0 ? spec.window : cfg.streamWindow;
-    p.inject.batchSize = spec.batchSize;
-    p.drainFlitsPerCycle = cfg.streamDrainFlitsPerCycle;
     return p;
 }
 

@@ -4,9 +4,8 @@
  * TrafficSource (what to access) and an InjectionConfig (when to
  * inject).  It subsumes the seed's GupsPort (tag-limited generated
  * traffic, immediate response completion) and StreamPort (windowed
- * trace replay with a rate-limited response drain); the legacy
- * GupsPortSpec / StreamPortSpec mappings reproduce both firmware
- * behaviours bit-identically.
+ * trace replay with a rate-limited response drain); a WorkloadSpec
+ * describes either (see workload_build.h).
  */
 
 #ifndef HMCSIM_HOST_WORKLOAD_WORKLOAD_PORT_H_
@@ -15,7 +14,6 @@
 #include "host/addr_gen.h"
 #include "host/port.h"
 #include "host/tag_pool.h"
-#include "host/trace.h"
 #include "host/workload/injection.h"
 #include "host/workload/traffic_source.h"
 
@@ -106,7 +104,7 @@ class WorkloadPort : public Port
     void complete(const HmcPacketPtr &pkt);
 };
 
-// ----- legacy firmware specs (the seed's port parameterizations) -----
+// ----- legacy GUPS firmware spec (the seed's port parameterization) -----
 
 /** The vendor GUPS firmware: tag-limited generated traffic. */
 struct GupsPortSpec {
@@ -114,28 +112,9 @@ struct GupsPortSpec {
     GupsAddrGen::Params gen;
 };
 
-/** The multi-port stream firmware: windowed trace replay. */
-struct StreamPortSpec {
-    Trace trace;
-    /** Loop the trace forever (continuous load). */
-    bool loop = true;
-    /** Max requests in flight; 0 uses the host config default. */
-    std::uint32_t window = 0;
-    /**
-     * Batch mode: issue @p batchSize requests, wait for all
-     * responses, repeat.  0 = continuous windowed issue.
-     * This is the paper's "number of requests in a stream".
-     */
-    std::uint32_t batchSize = 0;
-};
-
 /** Map a legacy GUPS spec onto WorkloadPort parameters. */
-WorkloadPort::Params workloadFromGupsSpec(const GupsPortSpec &spec,
-                                          const HostConfig &cfg);
-
-/** Map a legacy stream spec onto WorkloadPort parameters. */
-WorkloadPort::Params workloadFromStreamSpec(StreamPortSpec spec,
-                                            const HostConfig &cfg);
+WorkloadPort::Params workloadFromGupsPortSpec(const GupsPortSpec &spec,
+                                              const HostConfig &cfg);
 
 }  // namespace hmcsim
 

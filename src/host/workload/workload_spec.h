@@ -50,7 +50,8 @@ struct WorkloadSpec {
     std::uint32_t requestBytes = 32;
     ReqKind kind = ReqKind::ReadOnly;
     double writeFraction = 0.0;
-    /** Mask-confinement of generated addresses (GupsSpec-style). */
+    /** Mask-confinement of generated addresses (the paper's GUPS
+     *  mask/anti-mask). */
     std::uint32_t patternVaults = 16;
     std::uint32_t patternBanks = 16;
     std::uint32_t baseVault = 0;

@@ -79,6 +79,13 @@ Observability::onStatsReset()
 }
 
 void
+Observability::onComponentReplaced(const std::string &path)
+{
+    if (sampler_)
+        sampler_->restart(path + ".");
+}
+
+void
 Observability::dumpTrace(std::ostream &os) const
 {
     if (!tracer_)

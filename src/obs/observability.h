@@ -70,6 +70,10 @@ class Observability
      *  counts since the reset. */
     void onStatsReset();
 
+    /** After the component at @p path was replaced by a fresh one: the
+     *  next time-series row counts its paths from zero. */
+    void onComponentReplaced(const std::string &path);
+
     /** Latency-anatomy collector, or null when obs.anatomy is off. */
     AnatomyCollector *anatomy() { return anatomy_.get(); }
     const AnatomyCollector *anatomy() const { return anatomy_.get(); }

@@ -77,6 +77,15 @@ TimeSeriesSampler::rebase()
 }
 
 void
+TimeSeriesSampler::restart(const std::string &prefix)
+{
+    MetricsSnapshot::Map &prev = prev_.mutablePoints();
+    auto it = prev.lower_bound(prefix);
+    while (it != prev.end() && startsWith(it->first, prefix))
+        it = prev.erase(it);
+}
+
+void
 TimeSeriesSampler::flushNow()
 {
     if (!started_)

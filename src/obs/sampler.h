@@ -8,7 +8,8 @@
  * interval delta (counters), the current reading (gauges) or the
  * interval mean (samplers).  Histograms are excluded from rows.
  *
- * A stats reset re-bases the differencing (rebase()).
+ * A stats reset re-bases the differencing (rebase()), and a replaced
+ * component's paths restart from zero (restart()).
  *
  * The column set is frozen at the first fire (sorted registry paths at
  * that moment), so the CSV stays rectangular even if components are
@@ -56,6 +57,12 @@ class TimeSeriesSampler
      * No-op before start().
      */
     void rebase();
+
+    /**
+     * Difference the next row of the paths under @p prefix against
+     * zero: the component there was replaced and its stats restarted.
+     */
+    void restart(const std::string &prefix);
 
     std::uint64_t rowsWritten() const { return rows_; }
     const std::string &csvPath() const { return path_; }

@@ -19,6 +19,7 @@
 #include "common/log.h"
 #include "host/experiment.h"
 #include "host/system.h"
+#include "host/workload/sources.h"
 #include "host/workload/workload_spec.h"
 
 namespace hmcsim {
@@ -305,19 +306,42 @@ chainConfig(std::uint32_t cubes, const std::string &topology,
     return cfg;
 }
 
+/** Nine ports of 64 B GUPS reads over every cube of @p cfg. */
+ExperimentResult
+gupsPoint(SystemConfig cfg)
+{
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return runPoint(cfg, 3 * kMicrosecond, 8 * kMicrosecond);
+}
+
+/**
+ * A GUPS port of @p bytes confined to @p pattern.  Cube-confined
+ * patterns are not WorkloadSpec keys, so the port is built from its
+ * traffic source.
+ */
+WorkloadPort::Params
+gupsAt(const SystemConfig &cfg, AddressPattern pattern, std::uint32_t bytes,
+       std::uint64_t seed, ReqKind kind = ReqKind::ReadOnly)
+{
+    GupsSource::Params g;
+    g.gen.pattern = pattern;
+    g.gen.requestBytes = bytes;
+    g.gen.capacity = cfg.hmc.totalCapacityBytes();
+    g.gen.seed = seed;
+    WorkloadPort::Params p;
+    p.source = std::make_unique<GupsSource>(g);
+    p.kind = kind;
+    return p;
+}
+
 /** Issue from three ports, quiesce, check conservation on all cubes. */
 void
-runConservation(const SystemConfig &cfg)
+runConservation(SystemConfig cfg)
 {
+    addWorkloadPorts(cfg, 3, WorkloadSpec{}, 707);
     System sys(cfg);
-    for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 707 + p;
-        sys.configureGupsPort(p, gp);
-    }
     sys.run(6 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
         sys.port(p).setActive(false);
@@ -364,12 +388,13 @@ lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube)
 {
     System sys(cfg);
     Rng rng(99 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec replay;
+    replay.type = "trace";
+    replay.batchSize = 1;
+    sys.configureWorkload(
+        0, replay,
+        makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
+                        cfg.hmc.totalCapacityBytes(), 512, 32));
     sys.run(4 * kMicrosecond);
     return sys.measure(10 * kMicrosecond).avgReadLatencyNs;
 }
@@ -394,12 +419,13 @@ TEST(AdaptiveChainSystem, ZeroLoadTakesNoAdaptiveExits)
     SystemConfig cfg = chainConfig(4, "ring", "adaptive");
     System sys(cfg);
     Rng rng(4242);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(2),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec replay;
+    replay.type = "trace";
+    replay.batchSize = 1;
+    sys.configureWorkload(
+        0, replay,
+        makeRandomTrace(rng, sys.addressMap().cubePattern(2),
+                        cfg.hmc.totalCapacityBytes(), 512, 32));
     sys.run(10 * kMicrosecond);
     const auto stats = sys.stats();
     for (CubeId c = 0; c < 4; ++c) {
@@ -415,18 +441,12 @@ TEST(AdaptiveChainSystem, StaticModeMatchesDefaultConfigExactly)
     // round-trip must not perturb static-chain timing at all -- the
     // in-test half of the "static is bit-identical to the pre-policy
     // build" guarantee.
-    GupsSpec spec;
-    spec.warmup = 3 * kMicrosecond;
-    spec.window = 8 * kMicrosecond;
-    spec.requestBytes = 64;
-
     const ExperimentResult base =
-        runGups(chainConfig(4, "ring", "static"), spec);
+        gupsPoint(chainConfig(4, "ring", "static"));
 
     Config raw;
     chainConfig(4, "ring", "static").toConfig(raw);
-    const ExperimentResult same =
-        runGups(SystemConfig::fromConfig(raw), spec);
+    const ExperimentResult same = gupsPoint(SystemConfig::fromConfig(raw));
 
     EXPECT_EQ(base.totalReads, same.totalReads);
     EXPECT_EQ(base.totalWireBytes, same.totalWireBytes);
@@ -455,25 +475,14 @@ void
 driveHotAndTie(System &sys, const SystemConfig &cfg, CubeId hot,
                CubeId tie)
 {
-    for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.kind = ReqKind::WriteOnly;
-        gp.gen.pattern =
-            confineToCube(sys.addressMap(),
-                          sys.addressMap().pattern(1, 1), hot);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 11 + p;
-        sys.configureGupsPort(p, gp);
-    }
-    for (PortId p = 3; p < 6; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().cubePattern(tie);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 11 + p;
-        sys.configureGupsPort(p, gp);
-    }
+    const AddressMap &map = sys.addressMap();
+    for (PortId p = 0; p < 3; ++p)
+        sys.configureWorkloadPort(
+            p, gupsAt(cfg, confineToCube(map, map.pattern(1, 1), hot), 64,
+                      11 + p, ReqKind::WriteOnly));
+    for (PortId p = 3; p < 6; ++p)
+        sys.configureWorkloadPort(
+            p, gupsAt(cfg, map.cubePattern(tie), 64, 11 + p));
     sys.run(30 * kMicrosecond);
 }
 
@@ -482,14 +491,9 @@ TEST(AdaptiveChainSystem, StarAdaptiveIsIdenticalToStatic)
     // A star link reaches exactly one cube: there is no path or entry
     // diversity, so adaptive must match static even under full load
     // (the entry-spread stays disabled for stars).
-    GupsSpec spec;
-    spec.warmup = 3 * kMicrosecond;
-    spec.window = 8 * kMicrosecond;
-    spec.requestBytes = 64;
-    const ExperimentResult s =
-        runGups(chainConfig(2, "star", "static"), spec);
+    const ExperimentResult s = gupsPoint(chainConfig(2, "star", "static"));
     const ExperimentResult a =
-        runGups(chainConfig(2, "star", "adaptive"), spec);
+        gupsPoint(chainConfig(2, "star", "adaptive"));
     EXPECT_EQ(s.totalReads, a.totalReads);
     EXPECT_EQ(s.totalWireBytes, a.totalWireBytes);
     EXPECT_DOUBLE_EQ(s.avgReadLatencyNs, a.avgReadLatencyNs);
@@ -576,23 +580,14 @@ TEST(ChainSwitchRegression, RxHolBlockingIsAccounted)
         cfg.hmc.chain.forwardQueuePackets = 1;
         cfg.host.tagsPerPort = 256;
         System sys(cfg);
-        for (PortId p = 0; p < 3; ++p) {
-            GupsPortSpec gp;
-            gp.kind = ReqKind::WriteOnly;
-            gp.gen.pattern = sys.addressMap().cubePattern(3);
-            gp.gen.requestBytes = 128;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 31 + p;
-            sys.configureGupsPort(p, gp);
-        }
-        for (PortId p = 3; p < 6; ++p) {
-            GupsPortSpec gp;
-            gp.gen.pattern = sys.addressMap().cubePattern(0);
-            gp.gen.requestBytes = 64;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 31 + p;
-            sys.configureGupsPort(p, gp);
-        }
+        const AddressMap &map = sys.addressMap();
+        for (PortId p = 0; p < 3; ++p)
+            sys.configureWorkloadPort(
+                p, gupsAt(cfg, map.cubePattern(3), 128, 31 + p,
+                          ReqKind::WriteOnly));
+        for (PortId p = 3; p < 6; ++p)
+            sys.configureWorkloadPort(
+                p, gupsAt(cfg, map.cubePattern(0), 64, 31 + p));
         sys.run(30 * kMicrosecond);
         EXPECT_EQ(holStallsPerCube(sys, 4),
                   (std::vector<std::uint64_t>{1386, 0, 0, 0}));

@@ -31,29 +31,32 @@ chainConfig(std::uint32_t cubes, const std::string &topology,
     return cfg;
 }
 
-GupsSpec
-quickSpec()
+/** @p cfg under nine ports of 64 B GUPS reads over every cube. */
+SystemConfig
+withGups(SystemConfig cfg)
 {
-    GupsSpec spec;
-    spec.warmup = 3 * kMicrosecond;
-    spec.window = 8 * kMicrosecond;
-    spec.requestBytes = 64;
-    return spec;
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return cfg;
+}
+
+/** @p cfg with port 0 running 32 B GUPS reads over every cube. */
+SystemConfig
+withOnePort(SystemConfig cfg)
+{
+    WorkloadSpec gups;
+    gups.seed = 1;
+    cfg.host.portWorkloads.push_back({0, gups});
+    return cfg;
 }
 
 /** Issue, quiesce, and check conservation across all cubes. */
 void
-runConservation(const SystemConfig &cfg)
+runConservation(SystemConfig cfg)
 {
+    addWorkloadPorts(cfg, 3, WorkloadSpec{}, 101);
     System sys(cfg);
-    for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 101 + p;
-        sys.configureGupsPort(p, gp);
-    }
     sys.run(6 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
         sys.port(p).setActive(false);
@@ -127,12 +130,16 @@ TEST(ChainSystem, SingleCubeExplicitChainKeysAreIdentical)
 {
     // Setting every chain key to its default through the config
     // round-trip must not perturb timing at all.
-    const ExperimentResult base = runGups(SystemConfig{}, quickSpec());
+    const Tick warmup = 3 * kMicrosecond;
+    const Tick window = 8 * kMicrosecond;
+    const ExperimentResult base =
+        runPoint(withGups(SystemConfig{}), warmup, window);
 
     Config raw;
     SystemConfig{}.toConfig(raw);
     const SystemConfig roundtrip = SystemConfig::fromConfig(raw);
-    const ExperimentResult same = runGups(roundtrip, quickSpec());
+    const ExperimentResult same =
+        runPoint(withGups(roundtrip), warmup, window);
 
     EXPECT_EQ(base.totalReads, same.totalReads);
     EXPECT_EQ(base.totalWireBytes, same.totalWireBytes);
@@ -150,11 +157,13 @@ TEST(ChainSystem, CubePatternConfinesTraffic)
 {
     const SystemConfig cfg = chainConfig(4, "daisy");
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().cubePattern(2);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    Rng rng(1);
+    WorkloadSpec replay;
+    replay.type = "trace";
+    sys.configureWorkload(
+        0, replay,
+        makeRandomTrace(rng, sys.addressMap().cubePattern(2),
+                        cfg.hmc.totalCapacityBytes(), 4096, 32));
     sys.run(5 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(30 * kMicrosecond);
@@ -172,12 +181,13 @@ lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube)
 {
     System sys(cfg);
     Rng rng(42 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;  // one request in flight: pure latency floor
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec replay;
+    replay.type = "trace";
+    replay.batchSize = 1;  // one request in flight: pure latency floor
+    sys.configureWorkload(
+        0, replay,
+        makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
+                        cfg.hmc.totalCapacityBytes(), 512, 32));
     sys.run(4 * kMicrosecond);
     const ExperimentResult r = sys.measure(10 * kMicrosecond);
     return r.avgReadLatencyNs;
@@ -216,13 +226,7 @@ TEST(ChainSystem, RingShortcutsTheFarCube)
 
 TEST(ChainSystem, StarHasNoHops)
 {
-    const SystemConfig cfg = chainConfig(4, "star");
-    System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    System sys(withOnePort(chainConfig(4, "star")));
     sys.run(5 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);
@@ -236,13 +240,7 @@ TEST(ChainSystem, StarHasNoHops)
 
 TEST(ChainSystem, StatsExposeChainTree)
 {
-    const SystemConfig cfg = chainConfig(4, "daisy");
-    System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    System sys(withOnePort(chainConfig(4, "daisy")));
     sys.run(6 * kMicrosecond);
 
     const auto stats = sys.stats();
@@ -254,15 +252,14 @@ TEST(ChainSystem, StatsExposeChainTree)
     // Cube 0's switch forwards three cubes' worth of traffic.
     EXPECT_GT(stats.at("system.chain.hmc0.fwd.fwd_requests"), 0.0);
     EXPECT_GT(stats.at("system.chain.hmc0.fwd.fwd_responses"), 0.0);
+    for (CubeId c = 0; c < 4; ++c)
+        EXPECT_GT(sys.device(c).totalRequestsServed(), 0u) << "cube " << c;
 }
 
 TEST(ChainSystem, ChainedResultReportsPerCube)
 {
-    GupsSpec spec = quickSpec();
-    spec.warmup = 2 * kMicrosecond;
-    spec.window = 6 * kMicrosecond;
-    const ExperimentResult r =
-        runGups(chainConfig(4, "daisy"), spec);
+    const ExperimentResult r = runPoint(withGups(chainConfig(4, "daisy")),
+                                        2 * kMicrosecond, 6 * kMicrosecond);
     ASSERT_EQ(r.cubes.size(), 4u);
     EXPECT_GT(r.avgChainHops, 0.0);
     for (CubeId c = 0; c < 4; ++c) {

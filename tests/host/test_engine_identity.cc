@@ -69,15 +69,12 @@ geometrySweep(SystemConfig base)
 
 /** The fig06 ingredient: a 9-port GUPS run on @p cfg. */
 ExperimentResult
-fig06Slice(const SystemConfig &cfg)
+fig06Slice(SystemConfig cfg)
 {
-    GupsSpec spec;
-    spec.requestBytes = 64;
-    spec.numVaults = 16;
-    spec.numBanks = 16;
-    spec.warmup = 4 * kMicrosecond;
-    spec.window = 10 * kMicrosecond;
-    return runGups(cfg, spec);
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return runPoint(cfg, 4 * kMicrosecond, 10 * kMicrosecond);
 }
 
 /**
@@ -100,15 +97,15 @@ gupsSliceWithEvents(const SystemConfig &cfg)
 
 /** The fig08 ingredient: one batched stream into vault 0. */
 ExperimentResult
-fig08Slice(const SystemConfig &cfg)
+fig08Slice(SystemConfig cfg)
 {
-    StreamBatchSpec spec;
-    spec.batchSize = 64;
-    spec.requestBytes = 32;
-    spec.vault = 0;
-    spec.warmup = 3 * kMicrosecond;
-    spec.window = 8 * kMicrosecond;
-    return runStreamBatch(cfg, spec);
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.patternVaults = 1;
+    stream.batchSize = 64;
+    stream.seed = 104729;
+    cfg.host.portWorkloads.push_back({0, stream});
+    return runPoint(cfg, 3 * kMicrosecond, 8 * kMicrosecond);
 }
 
 TEST(EngineIdentity, Fig06IdenticalAcrossGeometries)

@@ -41,28 +41,25 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
 
 /** The fig06 ingredient: a 9-port GUPS run on @p cfg. */
 ExperimentResult
-fig06Slice(const SystemConfig &cfg)
+fig06Slice(SystemConfig cfg)
 {
-    GupsSpec spec;
-    spec.requestBytes = 64;
-    spec.numVaults = 16;
-    spec.numBanks = 16;
-    spec.warmup = 4 * kMicrosecond;
-    spec.window = 10 * kMicrosecond;
-    return runGups(cfg, spec);
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return runPoint(cfg, 4 * kMicrosecond, 10 * kMicrosecond);
 }
 
 /** The fig08 ingredient: one batched stream into vault 0. */
 ExperimentResult
-fig08Slice(const SystemConfig &cfg)
+fig08Slice(SystemConfig cfg)
 {
-    StreamBatchSpec spec;
-    spec.batchSize = 64;
-    spec.requestBytes = 32;
-    spec.vault = 0;
-    spec.warmup = 3 * kMicrosecond;
-    spec.window = 8 * kMicrosecond;
-    return runStreamBatch(cfg, spec);
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.patternVaults = 1;
+    stream.batchSize = 64;
+    stream.seed = 104729;
+    cfg.host.portWorkloads.push_back({0, stream});
+    return runPoint(cfg, 3 * kMicrosecond, 8 * kMicrosecond);
 }
 
 TEST(MultiHostIdentity, ExplicitSingleHostMatchesDefaultFig06)
@@ -113,13 +110,11 @@ TEST(MultiHostIdentity, SingleHostKeepsLegacyStatNamespace)
 {
     // The classic fabric keeps its "fpga" component (and stat key)
     // namespace; nothing moved under a host0 prefix.
-    System sys((SystemConfig()));
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = SystemConfig{}.hmc.totalCapacityBytes();
-    gp.gen.seed = 9;
-    sys.configureGupsPort(0, gp);
+    SystemConfig cfg;
+    WorkloadSpec gups;
+    gups.seed = 9;
+    cfg.host.portWorkloads.push_back({0, gups});
+    System sys(cfg);
     sys.run(3 * kMicrosecond);
     const auto stats = sys.stats();
     EXPECT_EQ(stats.count("system.fpga.controller.requests_sent"), 1u);

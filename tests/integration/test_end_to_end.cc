@@ -13,22 +13,45 @@
 namespace hmcsim {
 namespace {
 
-SystemConfig
-fastCfg()
+/** GUPS reads of @p bytes over @p vaults x @p banks. */
+WorkloadSpec
+gups(std::uint32_t bytes, std::uint32_t vaults = 16, std::uint32_t banks = 16)
 {
-    SystemConfig cfg;
-    // Keep defaults (paper hardware) but short RNG-independent runs
-    // are configured per test.
-    return cfg;
+    WorkloadSpec w;
+    w.requestBytes = bytes;
+    w.patternVaults = vaults;
+    w.patternBanks = banks;
+    return w;
+}
+
+/** Nine ports of @p w on @p cfg, seeded as the GUPS figures seed them. */
+ExperimentResult
+gupsRun(const WorkloadSpec &w, Tick warmup, Tick window,
+        SystemConfig cfg = SystemConfig{})
+{
+    addWorkloadPorts(cfg, 9, w, 7919);
+    return runPoint(cfg, warmup, window);
+}
+
+/** One stream port issuing batches of @p batch reads into vault 0. */
+ExperimentResult
+batchRun(std::uint32_t batch, std::uint32_t bytes, Tick warmup,
+         Tick window, SystemConfig cfg = SystemConfig{})
+{
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.requestBytes = bytes;
+    stream.patternVaults = 1;
+    stream.batchSize = batch;
+    stream.seed = 104729;
+    cfg.host.portWorkloads.push_back({0, stream});
+    return runPoint(cfg, warmup, window);
 }
 
 TEST(EndToEnd, GupsReadOnlyReachesPaperCeiling128B)
 {
-    GupsSpec spec;
-    spec.requestBytes = 128;
-    spec.warmup = 10 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    const ExperimentResult r = runGups(fastCfg(), spec);
+    const ExperimentResult r =
+        gupsRun(gups(128), 10 * kMicrosecond, 20 * kMicrosecond);
     EXPECT_GT(r.bandwidthGBs, 20.0);
     EXPECT_LT(r.bandwidthGBs, 26.0);
     EXPECT_GT(r.totalReads, 1000u);
@@ -37,50 +60,36 @@ TEST(EndToEnd, GupsReadOnlyReachesPaperCeiling128B)
 
 TEST(EndToEnd, SmallRequestsWasteBandwidth)
 {
-    GupsSpec spec;
-    spec.warmup = 10 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    spec.requestBytes = 16;
-    const double bw16 = runGups(fastCfg(), spec).bandwidthGBs;
-    spec.requestBytes = 128;
-    const double bw128 = runGups(fastCfg(), spec).bandwidthGBs;
+    const Tick warmup = 10 * kMicrosecond;
+    const Tick window = 20 * kMicrosecond;
+    const double bw16 = gupsRun(gups(16), warmup, window).bandwidthGBs;
+    const double bw128 = gupsRun(gups(128), warmup, window).bandwidthGBs;
     // Section IV-A: large packets always utilize bandwidth better.
     EXPECT_GT(bw128, 1.8 * bw16);
 }
 
 TEST(EndToEnd, LargeRequestsPayLatency)
 {
-    GupsSpec spec;
-    spec.warmup = 10 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    spec.requestBytes = 16;
-    const double lat16 = runGups(fastCfg(), spec).avgReadLatencyNs;
-    spec.requestBytes = 128;
-    const double lat128 = runGups(fastCfg(), spec).avgReadLatencyNs;
+    const Tick warmup = 10 * kMicrosecond;
+    const Tick window = 20 * kMicrosecond;
+    const double lat16 =
+        gupsRun(gups(16), warmup, window).avgReadLatencyNs;
+    const double lat128 =
+        gupsRun(gups(128), warmup, window).avgReadLatencyNs;
     EXPECT_GT(lat128, lat16);
 }
 
 TEST(EndToEnd, OneVaultCapsNearTenGBs)
 {
-    GupsSpec spec;
-    spec.requestBytes = 32;
-    spec.numVaults = 1;
-    spec.numBanks = 16;
-    spec.warmup = 10 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    const ExperimentResult r = runGups(fastCfg(), spec);
+    const ExperimentResult r =
+        gupsRun(gups(32, 1, 16), 10 * kMicrosecond, 20 * kMicrosecond);
     EXPECT_NEAR(r.bandwidthGBs, 10.0, 1.5);
 }
 
 TEST(EndToEnd, SingleBankIsWorstCase)
 {
-    GupsSpec spec;
-    spec.requestBytes = 32;
-    spec.numVaults = 1;
-    spec.numBanks = 1;
-    spec.warmup = 10 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    const ExperimentResult r = runGups(fastCfg(), spec);
+    const ExperimentResult r =
+        gupsRun(gups(32, 1, 1), 10 * kMicrosecond, 20 * kMicrosecond);
     // Paper: ~2 GB/s for 32 B single-bank accesses.
     EXPECT_NEAR(r.bandwidthGBs, 2.0, 0.4);
     // And latency an order of magnitude above the distributed case.
@@ -89,50 +98,35 @@ TEST(EndToEnd, SingleBankIsWorstCase)
 
 TEST(EndToEnd, BandwidthOrderingAcrossPatterns)
 {
-    GupsSpec spec;
-    spec.requestBytes = 64;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 15 * kMicrosecond;
+    const Tick warmup = 5 * kMicrosecond;
+    const Tick window = 15 * kMicrosecond;
     std::vector<double> bw;
-    for (std::uint32_t banks : {1u, 2u, 4u, 8u}) {
-        spec.numVaults = 1;
-        spec.numBanks = banks;
-        bw.push_back(runGups(fastCfg(), spec).bandwidthGBs);
-    }
-    spec.numVaults = 16;
-    spec.numBanks = 16;
-    bw.push_back(runGups(fastCfg(), spec).bandwidthGBs);
+    for (std::uint32_t banks : {1u, 2u, 4u, 8u})
+        bw.push_back(
+            gupsRun(gups(64, 1, banks), warmup, window).bandwidthGBs);
+    bw.push_back(gupsRun(gups(64), warmup, window).bandwidthGBs);
     for (std::size_t i = 1; i < bw.size(); ++i)
         EXPECT_GT(bw[i], bw[i - 1] * 0.99) << "pattern step " << i;
 }
 
 TEST(EndToEnd, LowLoadFloorNearPaper)
 {
-    StreamBatchSpec spec;
-    spec.batchSize = 1;
-    spec.requestBytes = 16;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    const ExperimentResult r = runStreamBatch(fastCfg(), spec);
+    const ExperimentResult r =
+        batchRun(1, 16, 5 * kMicrosecond, 20 * kMicrosecond);
     // ~0.7 us: 547 ns infrastructure + 100-180 ns in-cube.
     EXPECT_NEAR(r.avgReadLatencyNs, 700.0, 120.0);
 }
 
 TEST(EndToEnd, LatencyGrowsLinearlyThenSaturates)
 {
-    SystemConfig cfg = fastCfg();
-    StreamBatchSpec spec;
-    spec.requestBytes = 128;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 20 * kMicrosecond;
-    spec.batchSize = 1;
-    const double l1 = runStreamBatch(cfg, spec).avgReadLatencyNs;
-    spec.batchSize = 40;
-    const double l40 = runStreamBatch(cfg, spec).avgReadLatencyNs;
-    spec.batchSize = 200;
-    const double l200 = runStreamBatch(cfg, spec).avgReadLatencyNs;
-    spec.batchSize = 340;
-    const double l340 = runStreamBatch(cfg, spec).avgReadLatencyNs;
+    const auto latency = [](std::uint32_t batch) {
+        return batchRun(batch, 128, 5 * kMicrosecond, 20 * kMicrosecond)
+            .avgReadLatencyNs;
+    };
+    const double l1 = latency(1);
+    const double l40 = latency(40);
+    const double l200 = latency(200);
+    const double l340 = latency(340);
     EXPECT_GT(l40, l1 * 1.3);       // linear growth region
     EXPECT_GT(l200, l40);
     EXPECT_NEAR(l340 / l200, 1.0, 0.12);  // saturated region is flat
@@ -140,13 +134,11 @@ TEST(EndToEnd, LatencyGrowsLinearlyThenSaturates)
 
 TEST(EndToEnd, ResponsesMatchRequests)
 {
-    SystemConfig cfg = fastCfg();
+    SystemConfig cfg;
+    WorkloadSpec w = gups(64);
+    w.seed = 1;
+    cfg.host.portWorkloads.push_back({0, w});
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
     sys.run(20 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);  // drain
@@ -160,12 +152,10 @@ TEST(EndToEnd, ResponsesMatchRequests)
 
 TEST(EndToEnd, WriteOnlyTrafficWorks)
 {
-    GupsSpec spec;
-    spec.kind = ReqKind::WriteOnly;
-    spec.requestBytes = 64;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 15 * kMicrosecond;
-    const ExperimentResult r = runGups(fastCfg(), spec);
+    WorkloadSpec w = gups(64);
+    w.kind = ReqKind::WriteOnly;
+    const ExperimentResult r =
+        gupsRun(w, 5 * kMicrosecond, 15 * kMicrosecond);
     EXPECT_GT(r.totalWrites, 500u);
     EXPECT_EQ(r.totalReads, 0u);
     EXPECT_GT(r.bandwidthGBs, 5.0);
@@ -173,14 +163,12 @@ TEST(EndToEnd, WriteOnlyTrafficWorks)
 
 TEST(EndToEnd, ReadModifyWriteProducesBoth)
 {
-    SystemConfig cfg = fastCfg();
+    SystemConfig cfg;
+    WorkloadSpec w = gups(32);
+    w.kind = ReqKind::ReadModifyWrite;
+    w.seed = 1;
+    cfg.host.portWorkloads.push_back({0, w});
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.kind = ReqKind::ReadModifyWrite;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
     sys.run(20 * kMicrosecond);
     const Monitor &m = sys.port(0).monitor();
     EXPECT_GT(m.reads(), 100u);
@@ -195,42 +183,33 @@ TEST(EndToEnd, CrcErrorsDegradeButDoNotBreak)
     // ceiling, so mild error rates are absorbed invisibly (retries
     // only shift where the closed-loop population queues).  Past that
     // headroom the retry traffic must eat into throughput.
-    SystemConfig cfg = fastCfg();
-    GupsSpec spec;
-    spec.requestBytes = 128;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 15 * kMicrosecond;
-    const ExperimentResult clean = runGups(cfg, spec);
+    const Tick warmup = 5 * kMicrosecond;
+    const Tick window = 15 * kMicrosecond;
+    SystemConfig cfg;
+    const ExperimentResult clean = gupsRun(gups(128), warmup, window, cfg);
     cfg.hmc.crcErrorProb = 0.45;
     cfg.hmc.retryDelay = 400 * kNanosecond;
-    const ExperimentResult noisy = runGups(cfg, spec);
+    const ExperimentResult noisy = gupsRun(gups(128), warmup, window, cfg);
     EXPECT_GT(noisy.totalReads, 500u);  // still functional, no losses
     EXPECT_LT(noisy.bandwidthGBs, 0.95 * clean.bandwidthGBs);
 
     // At low load the retry delay shows up directly in the floor.
-    StreamBatchSpec one;
-    one.batchSize = 1;
-    one.requestBytes = 64;
-    one.warmup = 5 * kMicrosecond;
-    one.window = 15 * kMicrosecond;
     const double clean_floor =
-        runStreamBatch(fastCfg(), one).avgReadLatencyNs;
-    SystemConfig noisy_cfg = fastCfg();
+        batchRun(1, 64, warmup, window).avgReadLatencyNs;
+    SystemConfig noisy_cfg;
     noisy_cfg.hmc.crcErrorProb = 0.4;
     noisy_cfg.hmc.retryDelay = 400 * kNanosecond;
     const double noisy_floor =
-        runStreamBatch(noisy_cfg, one).avgReadLatencyNs;
+        batchRun(1, 64, warmup, window, noisy_cfg).avgReadLatencyNs;
     EXPECT_GT(noisy_floor, clean_floor + 50.0);
 }
 
 TEST(EndToEnd, DeterministicAcrossRuns)
 {
-    GupsSpec spec;
-    spec.requestBytes = 64;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 10 * kMicrosecond;
-    const ExperimentResult a = runGups(fastCfg(), spec);
-    const ExperimentResult b = runGups(fastCfg(), spec);
+    const ExperimentResult a =
+        gupsRun(gups(64), 5 * kMicrosecond, 10 * kMicrosecond);
+    const ExperimentResult b =
+        gupsRun(gups(64), 5 * kMicrosecond, 10 * kMicrosecond);
     EXPECT_EQ(a.totalReads, b.totalReads);
     EXPECT_DOUBLE_EQ(a.avgReadLatencyNs, b.avgReadLatencyNs);
     EXPECT_DOUBLE_EQ(a.bandwidthGBs, b.bandwidthGBs);
@@ -238,16 +217,13 @@ TEST(EndToEnd, DeterministicAcrossRuns)
 
 TEST(EndToEnd, RefreshStealsBandwidth)
 {
-    SystemConfig cfg = fastCfg();
-    GupsSpec spec;
-    spec.requestBytes = 32;
-    spec.numVaults = 1;
-    spec.numBanks = 16;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 15 * kMicrosecond;
-    const double clean = runGups(cfg, spec).bandwidthGBs;
+    const WorkloadSpec w = gups(32, 1, 16);
+    const Tick warmup = 5 * kMicrosecond;
+    const Tick window = 15 * kMicrosecond;
+    SystemConfig cfg;
+    const double clean = gupsRun(w, warmup, window, cfg).bandwidthGBs;
     cfg.hmc.trefi = 2 * kMicrosecond;  // aggressive refresh
-    const double refreshed = runGups(cfg, spec).bandwidthGBs;
+    const double refreshed = gupsRun(w, warmup, window, cfg).bandwidthGBs;
     EXPECT_LT(refreshed, clean);
     EXPECT_GT(refreshed, 0.5 * clean);
 }

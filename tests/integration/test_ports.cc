@@ -16,24 +16,29 @@ class PortsTest : public ::testing::Test
   protected:
     PortsTest() : sys_(SystemConfig{}) {}
 
-    GupsPortSpec
-    gupsParams(std::uint32_t bytes = 32)
+    static WorkloadSpec
+    gups(std::uint32_t bytes = 32)
     {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys_.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = bytes;
-        gp.gen.capacity = sys_.config().hmc.capacityBytes;
-        gp.gen.seed = 9;
-        return gp;
+        WorkloadSpec w;
+        w.requestBytes = bytes;
+        w.seed = 9;
+        return w;
     }
 
-    StreamPortSpec
-    streamParams(std::size_t n = 64, std::uint32_t bytes = 32)
+    /** A trace-replay port (the stream firmware), one pass by default. */
+    static WorkloadSpec
+    stream(bool loop = false)
     {
-        StreamPortSpec sp;
-        sp.trace = makeStreamTrace(0, n, bytes, bytes);
-        sp.loop = false;
-        return sp;
+        WorkloadSpec w;
+        w.type = "trace";
+        w.traceLoop = loop;
+        return w;
+    }
+
+    static Trace
+    sequential(std::size_t n, std::uint32_t bytes = 32)
+    {
+        return makeStreamTrace(0, n, bytes, bytes);
     }
 
     System sys_;
@@ -48,7 +53,7 @@ TEST_F(PortsTest, InactivePortGeneratesNothing)
 
 TEST_F(PortsTest, GupsPortRespectsTagLimit)
 {
-    WorkloadPort &port = sys_.configureGupsPort(0, gupsParams());
+    WorkloadPort &port = sys_.configureWorkload(0, gups());
     sys_.run(10 * kMicrosecond);
     EXPECT_LE(port.tags().peakInUse(),
               sys_.config().host.tagsPerPort);
@@ -57,7 +62,7 @@ TEST_F(PortsTest, GupsPortRespectsTagLimit)
 
 TEST_F(PortsTest, GupsDeactivationDrains)
 {
-    WorkloadPort &port = sys_.configureGupsPort(0, gupsParams());
+    WorkloadPort &port = sys_.configureWorkload(0, gups());
     sys_.run(10 * kMicrosecond);
     port.setActive(false);
     sys_.run(20 * kMicrosecond);
@@ -68,17 +73,16 @@ TEST_F(PortsTest, GupsDeactivationDrains)
 
 TEST_F(PortsTest, StreamPortFinishesFiniteTrace)
 {
-    sys_.configureStreamPort(0, streamParams(64));
+    sys_.configureWorkload(0, stream(), sequential(64));
     EXPECT_TRUE(sys_.runUntilIdle(100 * kMicrosecond));
     EXPECT_EQ(sys_.port(0).monitor().reads(), 64u);
 }
 
 TEST_F(PortsTest, StreamPortHonoursWindow)
 {
-    StreamPortSpec sp = streamParams(5000, 32);
-    sp.loop = true;
-    sp.window = 4;
-    WorkloadPort &port = sys_.configureStreamPort(0, sp);
+    WorkloadSpec w = stream(true);
+    w.window = 4;
+    WorkloadPort &port = sys_.configureWorkload(0, w, sequential(5000));
     sys_.run(5 * kMicrosecond);
     EXPECT_LE(port.inFlight(), 4u);
     EXPECT_GT(port.monitor().reads(), 10u);
@@ -86,10 +90,9 @@ TEST_F(PortsTest, StreamPortHonoursWindow)
 
 TEST_F(PortsTest, StreamBatchesComplete)
 {
-    StreamPortSpec sp = streamParams(4096, 32);
-    sp.loop = true;
-    sp.batchSize = 10;
-    WorkloadPort &port = sys_.configureStreamPort(0, sp);
+    WorkloadSpec w = stream(true);
+    w.batchSize = 10;
+    WorkloadPort &port = sys_.configureWorkload(0, w, sequential(4096));
     sys_.run(30 * kMicrosecond);
     EXPECT_GT(port.batchesCompleted(), 10u);
     // Reads arrive in multiples of the batch size (plus the batch in
@@ -99,19 +102,15 @@ TEST_F(PortsTest, StreamBatchesComplete)
 
 TEST_F(PortsTest, StreamRecordDelaysThrottle)
 {
-    StreamPortSpec fast = streamParams(200, 32);
-    fast.loop = false;
-    sys_.configureStreamPort(0, fast);
+    sys_.configureWorkload(0, stream(), sequential(200));
     ASSERT_TRUE(sys_.runUntilIdle(1 * kMillisecond));
     const Tick fast_done = sys_.now();
 
     System slow_sys{SystemConfig{}};
-    StreamPortSpec slow;
-    slow.trace = makeStreamTrace(0, 200, 32, 32);
-    for (auto &r : slow.trace)
+    Trace slow = sequential(200);
+    for (auto &r : slow)
         r.delayNs = 100;  // 100 ns between issues
-    slow.loop = false;
-    slow_sys.configureStreamPort(0, slow);
+    slow_sys.configureWorkload(0, stream(), std::move(slow));
     ASSERT_TRUE(slow_sys.runUntilIdle(1 * kMillisecond));
     EXPECT_GT(slow_sys.now(), fast_done);
     EXPECT_GE(slow_sys.now(), 200 * 100 * kNanosecond);
@@ -119,10 +118,8 @@ TEST_F(PortsTest, StreamRecordDelaysThrottle)
 
 TEST_F(PortsTest, MixedPortTypesCoexist)
 {
-    sys_.configureGupsPort(0, gupsParams(64));
-    StreamPortSpec sp = streamParams(4096, 64);
-    sp.loop = true;
-    sys_.configureStreamPort(1, sp);
+    sys_.configureWorkload(0, gups(64));
+    sys_.configureWorkload(1, stream(true), sequential(4096, 64));
     sys_.run(20 * kMicrosecond);
     EXPECT_GT(sys_.port(0).monitor().reads(), 100u);
     EXPECT_GT(sys_.port(1).monitor().reads(), 100u);
@@ -131,9 +128,9 @@ TEST_F(PortsTest, MixedPortTypesCoexist)
 TEST_F(PortsTest, NinePortsShareFairly)
 {
     for (PortId p = 0; p < 9; ++p) {
-        GupsPortSpec gp = gupsParams(32);
-        gp.gen.seed = 100 + p;
-        sys_.configureGupsPort(p, gp);
+        WorkloadSpec w = gups();
+        w.seed = 100 + p;
+        sys_.configureWorkload(p, w);
     }
     sys_.run(10 * kMicrosecond);
     sys_.resetStats();
@@ -154,7 +151,7 @@ TEST_F(PortsTest, NinePortsShareFairly)
 
 TEST_F(PortsTest, MonitorBandwidthUsesPaperFormula)
 {
-    sys_.configureGupsPort(0, gupsParams(32));
+    sys_.configureWorkload(0, gups());
     sys_.run(10 * kMicrosecond);
     const Monitor &m = sys_.port(0).monitor();
     // Every 32 B read moves 16 B request + 48 B response on the wire.
@@ -163,17 +160,45 @@ TEST_F(PortsTest, MonitorBandwidthUsesPaperFormula)
 
 TEST_F(PortsTest, EmptyTraceIsFatal)
 {
-    StreamPortSpec sp;
-    sp.trace = {};
-    EXPECT_THROW(sys_.configureStreamPort(0, sp), FatalError);
+    EXPECT_THROW(sys_.configureWorkload(0, stream(), Trace{}), FatalError);
+}
+
+TEST_F(PortsTest, GivenTraceNeedsTraceWorkload)
+{
+    EXPECT_THROW(sys_.configureWorkload(0, gups(), sequential(8)),
+                 FatalError);
+}
+
+TEST_F(PortsTest, ReplacingAPortWithRequestsInFlightIsFatal)
+{
+    // Its responses would reach the replacement's tag pool.
+    sys_.configureWorkload(0, gups(64));
+    sys_.run(3500 * kNanosecond);
+    const std::uint32_t in_flight =
+        static_cast<const WorkloadPort &>(sys_.port(0)).inFlight();
+    ASSERT_GT(in_flight, 0u);
+    try {
+        sys_.configureWorkload(0, gups(64));
+        FAIL() << "replacing a busy port must be fatal";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("port 0"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(in_flight) + " requests"),
+                  std::string::npos)
+            << msg;
+    }
+    // Deactivated and drained, the port can be replaced and runs on.
+    sys_.port(0).setActive(false);
+    sys_.run(20 * kMicrosecond);
+    WorkloadPort &fresh = sys_.configureWorkload(0, gups(64));
+    sys_.run(5 * kMicrosecond);
+    EXPECT_GT(fresh.monitor().reads(), 100u);
 }
 
 TEST_F(PortsTest, WritesInTraceProduceWrites)
 {
-    StreamPortSpec sp;
-    sp.trace = makeStreamTrace(0, 50, 64, 64, /*writes=*/true);
-    sp.loop = false;
-    sys_.configureStreamPort(0, sp);
+    sys_.configureWorkload(0, stream(),
+                           makeStreamTrace(0, 50, 64, 64, /*writes=*/true));
     ASSERT_TRUE(sys_.runUntilIdle(200 * kMicrosecond));
     EXPECT_EQ(sys_.port(0).monitor().writes(), 50u);
     EXPECT_EQ(sys_.port(0).monitor().reads(), 0u);

@@ -350,17 +350,11 @@ TEST(CongestionRecorder, FreezesEmptyColumnSetAtFirstWindow)
 
 /** The standard 4-port GUPS scenario from the obs system tests. */
 ExperimentResult
-runGupsScenario(const SystemConfig &cfg, System **out = nullptr,
-                std::unique_ptr<System> *keep = nullptr)
+gupsScenario(SystemConfig cfg, System **out = nullptr,
+             std::unique_ptr<System> *keep = nullptr)
 {
+    addWorkloadPorts(cfg, 4, WorkloadSpec{}, 0xabc);
     auto sys = std::make_unique<System>(cfg);
-    for (PortId p = 0; p < 4; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys->addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.seed = 0xabc + p;
-        sys->configureGupsPort(p, gp);
-    }
     sys->run(2 * kMicrosecond);
     const ExperimentResult r = sys->measure(5 * kMicrosecond);
     if (out)
@@ -374,11 +368,11 @@ TEST(AnatomySystem, IsObservationOnly)
 {
     // Same seeds, anatomy off vs on: every simulated result must be
     // bit-identical -- the engine only reads timestamps and gauges.
-    const ExperimentResult off = runGupsScenario(SystemConfig{});
+    const ExperimentResult off = gupsScenario(SystemConfig{});
 
     SystemConfig cfg;
     cfg.obs.anatomy = true;
-    const ExperimentResult on = runGupsScenario(cfg);
+    const ExperimentResult on = gupsScenario(cfg);
 
     EXPECT_EQ(on.totalReads, off.totalReads);
     EXPECT_EQ(on.totalWrites, off.totalWrites);
@@ -393,7 +387,7 @@ TEST(AnatomySystem, CollectsEveryCompletionWithZeroResidual)
     SystemConfig cfg;
     cfg.obs.anatomy = true;
     std::unique_ptr<System> sys;
-    const ExperimentResult r = runGupsScenario(cfg, nullptr, &sys);
+    const ExperimentResult r = gupsScenario(cfg, nullptr, &sys);
 
     const AnatomyCollector *a = sys->obs()->anatomy();
     ASSERT_NE(a, nullptr);
@@ -420,7 +414,7 @@ TEST(AnatomySystem, SamplerStartAlsoWindowsCongestion)
     cfg.obs.anatomy = true;
     cfg.obs.sampleIntervalNs = 500;
     std::unique_ptr<System> sys;
-    runGupsScenario(cfg, nullptr, &sys);
+    gupsScenario(cfg, nullptr, &sys);
 
     const CongestionRecorder *c = sys->obs()->congestion();
     ASSERT_NE(c, nullptr);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -28,17 +29,10 @@ namespace {
 
 /** Build the standard 4-port GUPS scenario on @p cfg. */
 std::unique_ptr<System>
-makeScenario(const SystemConfig &cfg)
+makeScenario(SystemConfig cfg)
 {
-    auto sys = std::make_unique<System>(cfg);
-    for (PortId p = 0; p < 4; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys->addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.seed = 0xabc + p;
-        sys->configureGupsPort(p, gp);
-    }
-    return sys;
+    addWorkloadPorts(cfg, 4, WorkloadSpec{}, 0xabc);
+    return std::make_unique<System>(cfg);
 }
 
 /** Warm up and measure the standard scenario. */
@@ -265,6 +259,29 @@ configWith(const std::vector<std::string> &overrides)
     return SystemConfig::fromConfig(raw);
 }
 
+/** Data rows of the time-series CSV at @p path; fails on a negative
+ *  cell or a ragged row. */
+std::size_t
+rowsWithoutNegativeCells(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::string line;
+    std::getline(in, line);
+    const std::vector<std::string> header = split(line, ',');
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+        ++rows;
+        const std::vector<std::string> cells = split(line, ',');
+        EXPECT_EQ(cells.size(), header.size());
+        for (std::size_t i = 0; i < std::min(cells.size(), header.size());
+             ++i)
+            EXPECT_NE(cells[i].front(), '-')
+                << header[i] << " at t=" << cells[0] << " ns";
+    }
+    return rows;
+}
+
 TEST(ObsSystem, SamplerRowSpanningAStatsResetIsNeverNegative)
 {
     // measure() resets the stats between two sampler fires; the row at
@@ -280,21 +297,31 @@ TEST(ObsSystem, SamplerRowSpanningAStatsResetIsNeverNegative)
         sys.measure(2 * kMicrosecond);
         EXPECT_EQ(sys.obs()->sampler()->rowsWritten(), 5u);
     }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::getline(in, line);
-    const std::vector<std::string> header = split(line, ',');
-    std::size_t rows = 0;
-    while (std::getline(in, line)) {
-        ++rows;
-        const std::vector<std::string> cells = split(line, ',');
-        ASSERT_EQ(cells.size(), header.size());
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            EXPECT_NE(cells[i].front(), '-')
-                << header[i] << " at t=" << cells[0] << " ns";
+    EXPECT_EQ(rowsWithoutNegativeCells(path), 5u);
+    std::remove(path.c_str());
+}
+
+TEST(ObsSystem, SamplerRowSpanningAPortReplacementIsNeverNegative)
+{
+    // Port 0 is drained and replaced between the fires at 3000 and
+    // 4000 ns; the replacement's stats start from zero, so the row at
+    // t = 4000 ns must count from the replacement, not subtract the
+    // old port's totals.
+    const std::string path = "obs_test_replace_timeseries.csv";
+    std::remove(path.c_str());
+    {
+        System sys(configWith(
+            {"host.workload=gups", "host.workload_ports=1",
+             "obs.sample_interval_ns=1000", "obs.sample_csv=" + path}));
+        sys.run(2 * kMicrosecond);
+        sys.port(0).setActive(false);
+        sys.run(1500 * kNanosecond);
+        ASSERT_TRUE(sys.port(0).idle());
+        sys.configureWorkload(0, WorkloadSpec{});
+        sys.run(2500 * kNanosecond);
+        EXPECT_EQ(sys.obs()->sampler()->rowsWritten(), 6u);
     }
-    EXPECT_EQ(rows, 5u);
+    EXPECT_EQ(rowsWithoutNegativeCells(path), 6u);
     std::remove(path.c_str());
 }
 
@@ -311,9 +338,7 @@ TEST(ObsSystem, StatsAndRegistryAreOneTree)
                                            "host.workload_ports=9"});
         System sys(configWith(overrides));
         // A port replaced after the tree was bound binds in its place.
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        sys.configureGupsPort(0, gp);
+        sys.configureWorkload(0, WorkloadSpec{});
         sys.run(2 * kMicrosecond);
         const MetricsRegistry &reg = sys.obs()->registry();
 

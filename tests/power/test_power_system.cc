@@ -14,14 +14,14 @@
 namespace hmcsim {
 namespace {
 
-GupsSpec
-quickSpec()
+/** Nine ports of 64 B GUPS reads on @p cfg, measured for 6 us. */
+ExperimentResult
+gupsRun(SystemConfig cfg, Tick warmup = 2 * kMicrosecond)
 {
-    GupsSpec spec;
-    spec.warmup = 2 * kMicrosecond;
-    spec.window = 6 * kMicrosecond;
-    spec.requestBytes = 64;
-    return spec;
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    addWorkloadPorts(cfg, 9, gups, 7919);
+    return runPoint(cfg, warmup, 6 * kMicrosecond);
 }
 
 TEST(PowerSystem, ObservationOnlyIsTimingInvariant)
@@ -33,8 +33,8 @@ TEST(PowerSystem, ObservationOnlyIsTimingInvariant)
     SystemConfig without_power;
     without_power.hmc.power.enabled = false;
 
-    const ExperimentResult a = runGups(with_power, quickSpec());
-    const ExperimentResult b = runGups(without_power, quickSpec());
+    const ExperimentResult a = gupsRun(with_power);
+    const ExperimentResult b = gupsRun(without_power);
 
     // Bit-identical traffic: the power model only observes.
     EXPECT_EQ(a.totalReads, b.totalReads);
@@ -53,12 +53,11 @@ TEST(PowerSystem, ObservationOnlyIsTimingInvariant)
 TEST(PowerSystem, StatsExposePowerTree)
 {
     SystemConfig cfg;
+    WorkloadSpec gups;
+    gups.requestBytes = 64;
+    gups.seed = 1;
+    cfg.host.portWorkloads.push_back({0, gups});
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
     sys.run(2 * kMicrosecond);
     sys.resetStats();
     sys.run(5 * kMicrosecond);
@@ -94,11 +93,9 @@ TEST(PowerSystem, ThermalLimitThrottlesBandwidth)
     SystemConfig cool = hot;
     cool.hmc.power.throttle.enabled = false;
 
-    GupsSpec spec = quickSpec();
-    spec.warmup = 6 * kMicrosecond;  // let the throttle loop settle
-
-    const ExperimentResult throttled = runGups(hot, spec);
-    const ExperimentResult free_run = runGups(cool, spec);
+    // A longer warmup lets the throttle loop settle.
+    const ExperimentResult throttled = gupsRun(hot, 6 * kMicrosecond);
+    const ExperimentResult free_run = gupsRun(cool, 6 * kMicrosecond);
 
     EXPECT_GT(throttled.throttlePct, 50.0);
     EXPECT_DOUBLE_EQ(free_run.throttlePct, 0.0);

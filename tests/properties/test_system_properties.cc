@@ -14,6 +14,49 @@
 namespace hmcsim {
 namespace {
 
+/** A config with port 0 running GUPS reads of @p bytes, whole cube. */
+SystemConfig
+onePortGups(std::uint32_t bytes = 32)
+{
+    WorkloadSpec gups;
+    gups.requestBytes = bytes;
+    gups.seed = 1;
+    SystemConfig cfg;
+    cfg.host.portWorkloads.push_back({0, gups});
+    return cfg;
+}
+
+/** One stream port issuing batches of @p batch reads into vault 0. */
+ExperimentResult
+batchRun(std::uint32_t batch, std::uint32_t bytes)
+{
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.requestBytes = bytes;
+    stream.patternVaults = 1;
+    stream.batchSize = batch;
+    stream.seed = 104729;
+    SystemConfig cfg;
+    cfg.host.portWorkloads.push_back({0, stream});
+    return runPoint(cfg, 5 * kMicrosecond, 10 * kMicrosecond);
+}
+
+/** Four stream ports, port p into @p vaults[p]. */
+ExperimentResult
+streamVaults(SystemConfig cfg, const VaultId (&vaults)[4])
+{
+    WorkloadSpec stream;
+    stream.type = "trace";
+    stream.requestBytes = 16;
+    stream.patternVaults = 1;
+    for (PortId p = 0; p < 4; ++p) {
+        stream.baseVault = vaults[p];
+        stream.seed = 31337 + p;
+        cfg.host.portWorkloads.push_back({p, stream});
+    }
+    return runPoint(cfg, 5 * kMicrosecond, 15 * kMicrosecond);
+}
+
 // ----- conservation across sizes and patterns -----
 
 using SizePattern = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
@@ -25,16 +68,13 @@ class SystemConservation : public ::testing::TestWithParam<SizePattern>
 TEST_P(SystemConservation, NoRequestLostOrDuplicated)
 {
     const auto &[bytes, vaults, banks] = GetParam();
+    WorkloadSpec gups;
+    gups.requestBytes = bytes;
+    gups.patternVaults = vaults;
+    gups.patternBanks = banks;
     SystemConfig cfg;
+    addWorkloadPorts(cfg, 3, gups, 55);
     System sys(cfg);
-    for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(vaults, banks);
-        gp.gen.requestBytes = bytes;
-        gp.gen.capacity = cfg.hmc.capacityBytes;
-        gp.gen.seed = 55 + p;
-        sys.configureGupsPort(p, gp);
-    }
     sys.run(8 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
         sys.port(p).setActive(false);
@@ -69,27 +109,14 @@ TEST_P(LowLoadSize, FloorIsSizeInsensitiveAtOneRequest)
 {
     // Paper Fig. 7: with a single request in flight, the size of the
     // request barely affects latency.
-    StreamBatchSpec spec;
-    spec.batchSize = 1;
-    spec.requestBytes = GetParam();
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 10 * kMicrosecond;
-    const ExperimentResult r = runStreamBatch(SystemConfig{}, spec);
+    const ExperimentResult r = batchRun(1, GetParam());
     EXPECT_NEAR(r.avgReadLatencyNs, 720.0, 130.0);
 }
 
 TEST_P(LowLoadSize, LatencyIncreasesWithBatchSize)
 {
-    StreamBatchSpec spec;
-    spec.requestBytes = GetParam();
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 10 * kMicrosecond;
-    spec.batchSize = 2;
-    const double small = runStreamBatch(SystemConfig{}, spec)
-        .avgReadLatencyNs;
-    spec.batchSize = 48;
-    const double large = runStreamBatch(SystemConfig{}, spec)
-        .avgReadLatencyNs;
+    const double small = batchRun(2, GetParam()).avgReadLatencyNs;
+    const double large = batchRun(48, GetParam()).avgReadLatencyNs;
     EXPECT_GT(large, small);
 }
 
@@ -107,12 +134,12 @@ TEST_P(PortScaling, BandwidthNeverDecreasesWithMorePorts)
     const std::uint32_t bytes = GetParam();
     double prev = 0.0;
     for (std::uint32_t ports : {1u, 3u, 6u, 9u}) {
-        GupsSpec spec;
-        spec.activePorts = ports;
-        spec.requestBytes = bytes;
-        spec.warmup = 5 * kMicrosecond;
-        spec.window = 10 * kMicrosecond;
-        const double bw = runGups(SystemConfig{}, spec).bandwidthGBs;
+        WorkloadSpec gups;
+        gups.requestBytes = bytes;
+        SystemConfig cfg;
+        addWorkloadPorts(cfg, ports, gups, 7919);
+        const double bw =
+            runPoint(cfg, 5 * kMicrosecond, 10 * kMicrosecond).bandwidthGBs;
         EXPECT_GE(bw, prev * 0.98) << ports << " ports";
         prev = bw;
     }
@@ -125,13 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PortScaling,
 
 TEST(SystemAccounting, LinkFlitsMatchPacketSizes)
 {
-    SystemConfig cfg;
-    System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    System sys(onePortGups(64));
     sys.run(10 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);
@@ -148,13 +169,7 @@ TEST(SystemAccounting, LinkFlitsMatchPacketSizes)
 
 TEST(SystemAccounting, StatsTreeExposesEveryLayer)
 {
-    SystemConfig cfg;
-    System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    System sys(onePortGups());
     sys.run(5 * kMicrosecond);
     const auto stats = sys.stats();
     EXPECT_TRUE(stats.count("system.fpga.controller.requests_sent"));
@@ -167,13 +182,7 @@ TEST(SystemAccounting, StatsTreeExposesEveryLayer)
 
 TEST(SystemAccounting, ResetStatsZeroesWindow)
 {
-    SystemConfig cfg;
-    System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    System sys(onePortGups());
     sys.run(5 * kMicrosecond);
     EXPECT_GT(sys.port(0).monitor().reads(), 0u);
     sys.resetStats();
@@ -195,14 +204,10 @@ TEST(QosProperty, SharedVaultRaisesMaxLatency)
     cfg.host.deserializerPacketsPerCycle = 4;
     cfg.host.deserializerPacketBudgetCap = 8;
     cfg.host.deserializerFlitsPerCycle = 16;
-    StreamVaultsSpec spec;
-    spec.requestBytes = 16;
-    spec.warmup = 5 * kMicrosecond;
-    spec.window = 15 * kMicrosecond;
-    spec.vaults = {1, 1, 1, 1};  // full collision
-    const ExperimentResult collided = runStreamVaults(cfg, spec);
-    spec.vaults = {0, 4, 8, 12};  // fully spread
-    const ExperimentResult spread = runStreamVaults(cfg, spec);
+    const ExperimentResult collided =
+        streamVaults(cfg, {1, 1, 1, 1});  // full collision
+    const ExperimentResult spread =
+        streamVaults(cfg, {0, 4, 8, 12});  // fully spread
     // The paper's Fig. 9 metric is the *maximum* observed latency.
     EXPECT_GT(collided.maxReadLatencyNs, spread.maxReadLatencyNs * 1.2);
     // The average moves less: the host deserializer almost bounds the

@@ -3,8 +3,9 @@
  * Bit-identity guarantees of the workload refactor: the config-level
  * `workload=gups` path, the legacy GupsPortSpec path and the seed
  * GupsPort behaviour must produce identical results (same counts,
- * identical latency statistics), and the trace path must match the
- * seed StreamPort the same way.  The fig06/07/08 CSVs depend on this.
+ * identical latency statistics), and a synthetic trace must replay
+ * exactly like the same trace handed in.  The fig06/07/08 CSVs depend
+ * on this.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_DOUBLE_EQ(a.stddevReadLatencyNs, b.stddevReadLatencyNs);
 }
 
-TEST(WorkloadIdentity, ConfigGupsMatchesLegacyGupsSpec)
+TEST(WorkloadIdentity, ConfigGupsMatchesLegacyGupsPortSpec)
 {
     const SystemConfig cfg;
 
@@ -58,7 +59,7 @@ TEST(WorkloadIdentity, ConfigGupsMatchesLegacyGupsSpec)
     expectIdentical(a, b);
 }
 
-TEST(WorkloadIdentity, ConfigKeysMatchLegacyGupsSpec)
+TEST(WorkloadIdentity, ConfigKeysMatchLegacyGupsPortSpec)
 {
     // Same as above but through the full Config-file route
     // (host.workload_ports=1), including warmup handled by System
@@ -88,28 +89,27 @@ TEST(WorkloadIdentity, ConfigKeysMatchLegacyGupsSpec)
     expectIdentical(a, b);
 }
 
-TEST(WorkloadIdentity, TraceWorkloadMatchesLegacyStreamSpec)
+TEST(WorkloadIdentity, SyntheticTraceMatchesGivenTrace)
 {
     const SystemConfig cfg;
-
-    System legacy(cfg);
-    Rng rng(314);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, legacy.addressMap().pattern(16, 16),
-                               cfg.hmc.totalCapacityBytes(), 2048, 32);
-    sp.loop = true;
-    legacy.configureStreamPort(0, sp);
-    legacy.run(5 * kMicrosecond);
-    const ExperimentResult a = legacy.measure(10 * kMicrosecond);
-
-    // The config path generates the synthetic trace from the same
-    // seed, pattern and length, so the replay must be identical.
-    System modern(cfg);
     WorkloadSpec w;
     w.type = "trace";
     w.requestBytes = 32;
     w.traceLength = 2048;
     w.seed = 314;
+
+    System given(cfg);
+    Rng rng(314);
+    given.configureWorkload(
+        0, w,
+        makeRandomTrace(rng, given.addressMap().pattern(16, 16),
+                        cfg.hmc.totalCapacityBytes(), 2048, 32));
+    given.run(5 * kMicrosecond);
+    const ExperimentResult a = given.measure(10 * kMicrosecond);
+
+    // The config path generates the synthetic trace from the same
+    // seed, pattern and length, so the replay must be identical.
+    System modern(cfg);
     modern.configureWorkload(0, w);
     modern.run(5 * kMicrosecond);
     const ExperimentResult b = modern.measure(10 * kMicrosecond);
