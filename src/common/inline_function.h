@@ -54,19 +54,7 @@ class InlineFunction<R(Args...), Capacity>
                   !std::is_same_v<std::decay_t<F>, InlineFunction>>>
     InlineFunction(F &&fn)  // NOLINT: implicit, mirrors std::function
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= Capacity,
-                      "callback capture exceeds this InlineFunction's "
-                      "inline capacity; raise it deliberately");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned callback capture");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "callback captures must be nothrow-movable");
-        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
-                      "callable does not match this InlineFunction's "
-                      "signature");
-        new (buf_) Fn(std::forward<F>(fn));
-        ops_ = &OpsFor<Fn>::ops;
+        construct(std::forward<F>(fn));
     }
 
     InlineFunction(InlineFunction &&other) noexcept : ops_(other.ops_)
@@ -101,6 +89,31 @@ class InlineFunction<R(Args...), Capacity>
             ops_->destroy(buf_);
     }
 
+    /**
+     * Build @p fn's capture directly in this (empty or not) function,
+     * with no intermediate InlineFunction to relocate from.
+     */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        reset();
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>)
+            *this = std::forward<F>(fn);
+        else
+            construct(std::forward<F>(fn));
+    }
+
+    /** Destroy the held capture, if any. */
+    void
+    reset()
+    {
+        if (ops_) {
+            ops_->destroy(buf_);
+            ops_ = nullptr;
+        }
+    }
+
     /** True when a callable is held (mirrors std::function). */
     explicit operator bool() const { return ops_ != nullptr; }
 
@@ -112,6 +125,25 @@ class InlineFunction<R(Args...), Capacity>
     }
 
   private:
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Capacity,
+                      "callback capture exceeds this InlineFunction's "
+                      "inline capacity; raise it deliberately");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned callback capture");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "callback captures must be nothrow-movable");
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "callable does not match this InlineFunction's "
+                      "signature");
+        new (buf_) Fn(std::forward<F>(fn));
+        ops_ = &OpsFor<Fn>::ops;
+    }
+
     struct Ops {
         R (*invoke)(void *self, Args... args);
         /** Move-construct dst from src, then destroy src. */

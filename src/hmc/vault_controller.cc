@@ -19,7 +19,8 @@ VaultController::VaultController(Kernel &kernel, Component *parent,
     : Component(kernel, parent, std::move(name)), vault_(vault),
       endpoint_(endpoint), net_(net), map_(map), params_(params),
       mem_(kernel, this, "mem", timing, num_banks),
-      refresh_(params.trefi, num_banks), banks_(num_banks)
+      refresh_(params.trefi, num_banks), banks_(num_banks),
+      readyBanks_((num_banks + 63) / 64, 0)
 {
     if (Observability *o = kernel.obs())
         tracer_ = o->fullTracer();
@@ -79,6 +80,8 @@ VaultController::processInput()
             return;  // head-of-line block; trySchedule() drains banks
         const std::uint32_t flits = pkt->flits();
         bank.q.push_back(pkt);
+        if (!bank.busy)
+            setReady(d.bank, true);
         ++bankQOccupancy_;
         peakBankQ_ = std::max(peakBankQ_, bankQOccupancy_);
         inputQ_.pop_front();
@@ -107,16 +110,45 @@ VaultController::pickRequest(const BankState &bank) const
 }
 
 void
+VaultController::setReady(BankId b, bool ready)
+{
+    const std::uint64_t bit = std::uint64_t(1) << (b & 63);
+    if (ready)
+        readyBanks_[b >> 6] |= bit;
+    else
+        readyBanks_[b >> 6] &= ~bit;
+}
+
+void
 VaultController::tryScheduleAll()
 {
     // Rotate the starting bank so saturated vaults serve banks fairly.
-    // The base must be a snapshot: trySchedule() advances
+    // The start must be a snapshot: trySchedule() advances
     // lastPlannedBank_ when it plans, and deriving indices from the
     // live value would skip banks (and strand their queued requests).
+    // Only ready banks are visited: trySchedule() returns at once for
+    // a busy or empty bank.
     const std::uint32_t n = static_cast<std::uint32_t>(banks_.size());
-    const std::uint32_t base = lastPlannedBank_;
-    for (std::uint32_t i = 1; i <= n; ++i)
-        trySchedule((base + i) % n);
+    const std::uint32_t start = (lastPlannedBank_ + 1) % n;
+    scheduleReady(start, n);
+    scheduleReady(0, start);
+}
+
+void
+VaultController::scheduleReady(std::uint32_t from, std::uint32_t to)
+{
+    // trySchedule(b) changes only b's bit, so a word read once still
+    // holds the banks after b that are left to visit.
+    for (std::uint32_t w = from >> 6; w << 6 < to; ++w) {
+        std::uint64_t bits = readyBanks_[w];
+        if (w == from >> 6)
+            bits &= ~std::uint64_t(0) << (from & 63);
+        if ((w + 1) << 6 > to)
+            bits &= (std::uint64_t(1) << (to & 63)) - 1;
+        for (; bits != 0; bits &= bits - 1)
+            trySchedule((w << 6) +
+                        static_cast<std::uint32_t>(__builtin_ctzll(bits)));
+    }
 }
 
 void
@@ -161,6 +193,7 @@ VaultController::trySchedule(BankId b)
     bank.q.erase(bank.q.begin() + static_cast<std::ptrdiff_t>(idx));
     --bankQOccupancy_;
     bank.busy = true;
+    setReady(b, false);
     pkt->dramStartAt = now();
     nextPlanAllowed_ = now() + effectiveRequestCycle();
     lastPlannedBank_ = b;
@@ -182,6 +215,7 @@ VaultController::trySchedule(BankId b)
     // own timing constraints keep it legal).
     kernel().scheduleAt(std::max(now(), res.colTime), [this, b] {
         banks_[b].busy = false;
+        setReady(b, !banks_[b].q.empty());
         trySchedule(b);
         processInput();
     });

@@ -133,6 +133,9 @@ class VaultController : public Component
     std::uint32_t inputUsedFlits_ = 0;
 
     std::vector<BankState> banks_;
+    /** One bit per bank, set while the bank is idle with requests
+     *  queued: the banks tryScheduleAll() has work for. */
+    std::vector<std::uint64_t> readyBanks_;
     std::uint32_t bankQOccupancy_ = 0;
     std::uint32_t peakBankQ_ = 0;
 
@@ -155,7 +158,10 @@ class VaultController : public Component
     Tick effectiveRequestCycle() const;
     void processInput();
     void tryScheduleAll();
+    /** trySchedule() every ready bank in [from, to), in order. */
+    void scheduleReady(std::uint32_t from, std::uint32_t to);
     void trySchedule(BankId b);
+    void setReady(BankId b, bool ready);
     void finishRequest(const HmcPacketPtr &pkt);
     void tryInjectResponses();
     std::size_t pickRequest(const BankState &bank) const;

@@ -1,5 +1,6 @@
 #include "host/host_config.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -162,13 +163,34 @@ HostConfig::fromConfig(const Config &cfg)
     }
     c.workload = WorkloadSpec::fromConfig(cfg, "host.", c.workload);
     for (PortId p = 0; p < c.numPorts; ++p) {
-        if (p < c.workloadPorts || portHasWorkloadKey[p]) {
-            c.portWorkloads.push_back(
-                {p, WorkloadSpec::fromConfig(cfg, portPrefix(p), c.workload)});
-        }
+        if (portHasWorkloadKey[p])
+            c.portWorkloads.push_back({p, c.workload});
     }
+    c.portWorkloads = c.resolvedPortWorkloads();
+    std::sort(c.portWorkloads.begin(), c.portWorkloads.end(),
+              [](const PortWorkload &a, const PortWorkload &b) {
+                  return a.port < b.port;
+              });
+    for (PortWorkload &pw : c.portWorkloads)
+        pw.spec = WorkloadSpec::fromConfig(cfg, portPrefix(pw.port), c.workload);
     c.validate();
     return c;
+}
+
+std::vector<PortWorkload>
+HostConfig::resolvedPortWorkloads() const
+{
+    std::vector<PortWorkload> out = portWorkloads;
+    std::vector<bool> given(workloadPorts, false);
+    for (const PortWorkload &pw : portWorkloads) {
+        if (pw.port < workloadPorts)
+            given[pw.port] = true;
+    }
+    for (PortId p = 0; p < workloadPorts; ++p) {
+        if (!given[p])
+            out.push_back({p, workload});
+    }
+    return out;
 }
 
 void

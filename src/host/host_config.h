@@ -114,8 +114,15 @@ struct HostConfig {
     /** Shared workload defaults (host.workload*). */
     WorkloadSpec workload;
 
-    /** Fully resolved per-port workloads, sorted by port. */
+    /** Per-port workloads (fromConfig fills one for every port that
+     *  runs one, sorted by port). */
     std::vector<PortWorkload> portWorkloads;
+
+    /**
+     * The ports System configures: portWorkloads, then every port
+     * below workloadPorts that has no entry, running `workload`.
+     */
+    std::vector<PortWorkload> resolvedPortWorkloads() const;
 
     void validate() const;
 

@@ -121,8 +121,9 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // re-mixed per host so the fabrics issue decorrelated streams
     // (seed-0 specs already decorrelate through the per-host
     // HostConfig seed).
+    const std::vector<PortWorkload> ports = cfg_.host.resolvedPortWorkloads();
     for (HostId h = 0; h < numHosts(); ++h) {
-        for (const PortWorkload &pw : cfg_.host.portWorkloads) {
+        for (const PortWorkload &pw : ports) {
             WorkloadSpec spec = pw.spec;
             if (h > 0 && spec.seed != 0)
                 spec.seed = mixSeeds(spec.seed, kHostSeedStream + h);

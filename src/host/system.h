@@ -19,8 +19,9 @@
  * host.workload=zipf, host.port0.workload=..., see
  * host/workload/workload_spec.h) and are configured and activated at
  * System construction; in code, push PortWorkload entries onto
- * cfg.host.portWorkloads.  configureWorkload() replaces a port of a
- * running System.
+ * cfg.host.portWorkloads, or set cfg.host.workloadPorts to run
+ * cfg.host.workload on the first ports.  configureWorkload() replaces
+ * a port of a running System.
  *
  * Multi-host fabrics: host.num_hosts builds N independent FPGA hosts
  * (each with its own ports, controller, tag pools) attached at

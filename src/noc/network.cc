@@ -150,11 +150,7 @@ Network::inject(NodeId ep, NocMessage msg)
     ip.credits.consume(msg.flits);
     msg.injectedAt = now();
     const Channel::Times t = ip.chan->reserve(msg.flits, now());
-    Router *router = ip.router;
-    const int input = ip.input;
-    kernel().scheduleAt(t.arrival, [router, input, msg] {
-        router->acceptMessage(input, msg);
-    });
+    ip.router->acceptMessage(ip.input, msg, t.arrival);
 }
 
 void

@@ -71,15 +71,26 @@ Router::routeFor(NodeId dst) const
 }
 
 void
-Router::acceptMessage(int input, const NocMessage &msg)
+Router::acceptMessage(int input, const NocMessage &msg, Tick arrival)
 {
     if (input < 0 || static_cast<std::size_t>(input) >= inputs_.size())
         panic("Router::acceptMessage: invalid input port");
-    Input &in = inputs_[static_cast<std::size_t>(input)];
-    const Tick ready = now() + params_.routerLatency;
-    in.q.emplace_back(ready, msg);
     const std::size_t idx = static_cast<std::size_t>(input);
-    kernel().scheduleAt(ready, [this, idx] { processInput(idx); });
+    Input &in = inputs_[idx];
+    const Tick ready = arrival + params_.routerLatency;
+    if (arrival < now() || (!in.q.empty() && in.q.back().ready > ready))
+        panic("Router::acceptMessage: arrival out of order on input " +
+              std::to_string(input));
+    const EventSlot relay = kernel().scheduleRelay(
+        arrival, ready, [this, idx] { processInput(idx); });
+    in.q.push_back(Entry{ready, relay.seq, msg});
+    // An unposted serializer slot at the ready time fires before the
+    // message's event, so its input scan takes the message: post it.
+    for (std::size_t o = 0; o < outputs_.size() && lazySlots_ != 0; ++o) {
+        const Output &out = *outputs_[o];
+        if (out.sending && !out.serDonePosted && out.serDone.when == ready)
+            postSerDone(o);
+    }
 }
 
 void
@@ -87,18 +98,23 @@ Router::processInput(std::size_t i)
 {
     Input &in = inputs_[i];
     while (!in.q.empty()) {
-        const auto &[ready, msg] = in.q.front();
-        if (ready > now()) {
-            // A later event (already scheduled at arrival) handles it.
-            return;
+        const Entry &head = in.q.front();
+        const NocMessage &msg = head.msg;
+        if (head.ready > now()) {
+            // Its own event, due at its ready time, handles it.
+            break;
         }
         const std::size_t o = static_cast<std::size_t>(routeFor(msg.dst));
         Output &out = *outputs_[o];
+        fold(out);
         if (!out.q.canAccept(msg.flits)) {
             // Head-of-line blocked; outputSerDone retries all inputs.
+            setBlocked(in, true);
             return;
         }
         out.q.push(msg);
+        if (out.sending && !out.serDonePosted)
+            postSerDone(o);
         messages_.inc();
         flits_.inc(msg.flits);
         if (probe_)
@@ -108,12 +124,30 @@ Router::processInput(std::size_t i)
         in.q.pop_front();
         tryDrain(o);
     }
+    setBlocked(in, false);
+}
+
+void
+Router::setBlocked(Input &in, bool blocked)
+{
+    if (in.blocked == blocked)
+        return;
+    in.blocked = blocked;
+    if (blocked) {
+        ++blockedInputs_;
+        // Every serializer-done event scans the inputs: post them all.
+        for (std::size_t o = 0; o < outputs_.size() && lazySlots_ != 0; ++o)
+            postSerDone(o);
+    } else {
+        --blockedInputs_;
+    }
 }
 
 void
 Router::tryDrain(std::size_t o)
 {
     Output &out = *outputs_[o];
+    fold(out);
     if (out.sending || out.q.empty())
         return;
     const NocMessage &head = out.q.front();
@@ -130,31 +164,73 @@ Router::tryDrain(std::size_t o)
     }
     out.sending = true;
     const Channel::Times t = out.chan->reserve(head.flits, now());
-    // One copy of the message for the in-flight arrival lambda (the
-    // queue entry is popped when the channel frees); the Output lives
-    // behind a unique_ptr, so its address is stable to capture.
-    NocMessage msg = head;
-    kernel().scheduleAt(t.serDone, [this, o] { outputSerDone(o); });
+    out.serDone = kernel().reserveIn(t.serDone - now());
+    out.serDonePosted = false;
+    ++lazySlots_;
+    // Post the slot if its event would do more than the fold: drain
+    // another queued message, or scan inputs that are blocked or whose
+    // message becomes ready right then, ahead of that message's own
+    // event (its arrival relay has not passed yet).
+    bool wanted = out.q.size() > 1 || blockedInputs_ != 0;
+    for (std::size_t i = 0; i < inputs_.size() && !wanted; ++i) {
+        const auto &q = inputs_[i].q;
+        for (auto it = q.rbegin(); it != q.rend() && it->ready >= t.serDone;
+             ++it) {
+            if (it->ready == t.serDone &&
+                !kernel().passed(EventSlot{
+                    it->ready - params_.routerLatency, 0, it->seq}))
+                wanted = true;
+        }
+    }
+    if (wanted)
+        postSerDone(o);
     if (out.dstRouter) {
-        Router *dst = out.dstRouter;
-        const int di = out.dstInput;
-        kernel().scheduleAt(t.arrival, [dst, di, msg = std::move(msg)] {
-            dst->acceptMessage(di, msg);
-        });
+        out.dstRouter->acceptMessage(out.dstInput, head, t.arrival);
     } else {
-        Output *op = outputs_[o].get();
-        kernel().scheduleAt(t.arrival, [op, msg = std::move(msg)] {
+        // One copy of the message for the in-flight delivery (the
+        // queue entry is popped when the channel frees); the Output
+        // lives behind a unique_ptr, so its address is stable to
+        // capture.
+        Output *op = &out;
+        kernel().scheduleAt(t.arrival, [op, msg = head] {
             op->eject.deliver(msg);
         });
     }
 }
 
 void
+Router::fold(Output &out)
+{
+    if (out.sending && !out.serDonePosted && kernel().passed(out.serDone)) {
+        out.q.pop();
+        out.sending = false;
+        ++inputRR_;
+        --lazySlots_;
+    }
+}
+
+void
+Router::postSerDone(std::size_t o)
+{
+    Output &out = *outputs_[o];
+    fold(out);
+    if (!out.sending || out.serDonePosted)
+        return;
+    out.serDonePosted = true;
+    --lazySlots_;
+    kernel().scheduleAt(out.serDone, [this, o] { outputSerDone(o); });
+}
+
+void
 Router::outputSerDone(std::size_t o)
 {
+    // Slots that passed before this one advanced the rotation.
+    for (std::size_t k = 0; k < outputs_.size() && lazySlots_ != 0; ++k)
+        fold(*outputs_[k]);
     Output &out = *outputs_[o];
     out.q.pop();
     out.sending = false;
+    out.serDonePosted = false;
     tryDrain(o);
     // Output-queue space freed: unblock HOL-stalled inputs.  The scan
     // starts at a rotating index; a fixed order would give one input

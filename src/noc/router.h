@@ -3,12 +3,36 @@
  * Input-queued virtual cut-through router with credit-based flow
  * control.
  *
- * Pipeline per message: arrival -> (router latency) -> route lookup and
- * move to the target output queue (stalls on output-queue space: this is
- * the head-of-line blocking point) -> switch/channel traversal gated by
- * downstream credits (router hop) or an endpoint reservation (eject).
- * Credits return to the upstream sender's CreditPool, creditLatency
- * after a message leaves the input queue.
+ * Pipeline per message: the sender reserves a channel and queues the
+ * message at this router's input with ready time = arrival +
+ * routerLatency (acceptMessage) -> one event at the ready time: route
+ * lookup and move to the target output queue (stalls on output-queue
+ * space: this is the head-of-line blocking point) -> switch/channel
+ * traversal gated by downstream credits (router hop) or an endpoint
+ * reservation (eject).  Credits return to the upstream sender's
+ * CreditPool, creditLatency after a message leaves the input queue.
+ * Each input is fed by one FIFO channel, so its ready times never
+ * decrease.
+ *
+ * The route-ready event is scheduled through a relay at the arrival
+ * time (Kernel::scheduleRelay): it takes the place among same-tick
+ * events that an arrival event scheduling it would have given it.  A
+ * sequence number drawn at send time instead would run it ahead of
+ * events that other routers and endpoints schedule while the message
+ * is in flight; tests/noc/test_noc_differential.cc catches that as
+ * changed delivery times.
+ *
+ * An output's serializer is a busy-until slot, folded lazily the way
+ * CreditPool folds returns.  When the message sent was the output's
+ * only one, the serializer-done slot is reserved, not posted: once it
+ * passes, the first reader pops the head, clears the output and
+ * advances the input round-robin, exactly what the event would have
+ * done.  An event goes into the slot only when it would do more than
+ * that -- when, before the slot passes, another message is queued on
+ * the output, any input of the router is head-of-line blocked (the
+ * event's input scan retries it), or a message becomes ready at
+ * exactly the slot's time ahead of its own event (the scan would have
+ * taken it).
  */
 
 #ifndef HMCSIM_NOC_ROUTER_H_
@@ -109,8 +133,12 @@ class Router : public Component
 
     // ----- runtime -----
 
-    /** Message fully arrived on input port @p input. */
-    void acceptMessage(int input, const NocMessage &msg);
+    /**
+     * Queue @p msg at input port @p input, fully arrived at
+     * @p arrival (>= now, and not before the input's previous
+     * arrival): it is routed routerLatency later.
+     */
+    void acceptMessage(int input, const NocMessage &msg, Tick arrival);
 
     /** Endpoint @p ep freed space; retry its blocked output if any. */
     void kickEject(NodeId ep);
@@ -141,10 +169,20 @@ class Router : public Component
     void listStats(StatList &s) const override;
 
   private:
+    struct Entry {
+        Tick ready;
+        /** Sequence number of the arrival relay (slot {ready -
+         *  routerLatency, 0, seq}). */
+        std::uint64_t seq;
+        NocMessage msg;
+    };
+
     struct Input {
-        /** (ready time, message) in arrival order. */
-        std::deque<std::pair<Tick, NocMessage>> q;
+        /** Queued messages in arrival order. */
+        std::deque<Entry> q;
         CreditPool *upstream;
+        /** The ready head does not fit its output queue. */
+        bool blocked = false;
     };
 
     struct Output {
@@ -160,6 +198,10 @@ class Router : public Component
         Eject eject;
         bool sending = false;
         bool blockedOnEject = false;
+        /** While sending: when the channel frees (see the file
+         *  comment), and whether an event is posted in that slot. */
+        EventSlot serDone;
+        bool serDonePosted = false;
     };
 
     std::uint32_t id_;
@@ -168,13 +210,22 @@ class Router : public Component
     std::vector<std::unique_ptr<Output>> outputs_;
     std::vector<int> routeOut_;
     std::size_t inputRR_ = 0;
+    /** Inputs with blocked set. */
+    std::uint32_t blockedInputs_ = 0;
+    /** Outputs sending with their serializer-done slot unposted. */
+    std::uint32_t lazySlots_ = 0;
     Counter messages_;
     Counter flits_;
     PowerProbe *probe_ = nullptr;
 
     void processInput(std::size_t i);
+    void setBlocked(Input &in, bool blocked);
     void tryDrain(std::size_t o);
     void outputSerDone(std::size_t o);
+    /** Apply @p out's serializer-done slot if it passed unposted. */
+    void fold(Output &out);
+    /** Post output @p o's pending slot unless it has passed. */
+    void postSerDone(std::size_t o);
     int routeFor(NodeId dst) const;
 };
 

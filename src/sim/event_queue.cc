@@ -66,6 +66,13 @@ EventQueue::panicNullEvent()
 }
 
 void
+EventQueue::panicRelayExecute()
+{
+    panic("EventQueue::executeNext on an unresolved relay "
+          "(call nextTime first)");
+}
+
+void
 EventQueue::panicEmptyExecute()
 {
     panic("EventQueue::executeNext on empty queue");
@@ -81,8 +88,10 @@ EventQueue::clear()
     }
     std::fill(occupied_.begin(), occupied_.end(), 0);
     far_.clear();
-    slots_.clear();
+    chunks_.clear();
+    slotCount_ = 0;
     freeSlots_.clear();
+    relayTo_.clear();
     ringCount_ = 0;
     curIdx_ = 0;
     curBucketStart_ = 0;
@@ -106,12 +115,13 @@ EventQueue::settleBack(Bucket &b)
 }
 
 std::uint32_t
-EventQueue::newSlot(InlineEvent &&fn)
+EventQueue::newSlot()
 {
-    if (slots_.size() > std::numeric_limits<std::uint32_t>::max())
-        panic("EventQueue: more than 2^32 pending events");
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    if (slotCount_ == kRelayBit)
+        panic("EventQueue: more than 2^31 pending events");
+    if (slotCount_ == chunks_.size() * kChunkSlots)
+        chunks_.push_back(std::make_unique<InlineEvent[]>(kChunkSlots));
+    return slotCount_++;
 }
 
 void

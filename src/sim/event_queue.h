@@ -17,9 +17,12 @@
  * events sharing a bucket.
  *
  * Buckets and the far heap hold only a trivially copyable 24-byte key
- * (time, seq, priority, slot).  Each callback is written once into a
- * slot array on insert and moved out once when it fires; sorting,
- * heap sifts and bucket growth move keys, never captures.  A ring
+ * (time, seq, priority, slot).  Each callback is built once in a slot
+ * of a chunked array on insert and runs in that slot when it fires;
+ * sorting, heap sifts and bucket growth move keys, never captures.  A
+ * relay (scheduleRelay) is a key whose sequence number is drawn when
+ * the queue reaches its relay time -- an event's place among
+ * same-time events without a callback run to take it.  A ring
  * occupancy bitmap (one bit per bucket) lets the ring jump straight to
  * the next non-empty bucket, so the cost of an idle stretch is one
  * word scan per 64 buckets, not one step per bucket.
@@ -40,7 +43,9 @@
 #define HMCSIM_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -96,11 +101,13 @@ class EventQueue
         configure(cfg.calendarBucketPs, cfg.calendarBuckets);
     }
 
-    /** Schedule @p fn at absolute time @p when. */
+    /** Schedule @p fn (a callable or an EventFn) at absolute time
+     *  @p when. */
+    template <typename F>
     void
-    schedule(Tick when, EventFn fn, int priority = 0)
+    schedule(Tick when, F &&fn, int priority = 0)
     {
-        insert(when, priority, nextSeq_++, std::move(fn));
+        insert(when, priority, nextSeq_++, std::forward<F>(fn));
     }
 
     /**
@@ -119,10 +126,32 @@ class EventQueue
      * exactly where an event scheduled at reservation time would
      * have.  Each slot takes at most one event.
      */
+    template <typename F>
     void
-    schedule(const EventSlot &slot, EventFn fn)
+    schedule(const EventSlot &slot, F &&fn)
     {
-        insert(slot.when, slot.priority, slot.seq, std::move(fn));
+        insert(slot.when, slot.priority, slot.seq, std::forward<F>(fn));
+    }
+
+    /**
+     * Schedule @p fn at @p when with the place among same-time events
+     * that it would take if an event firing at @p at scheduled it:
+     * the key waits in the queue at (@p at, priority 0) and draws its
+     * sequence number when the queue reaches that place, without
+     * running a callback there.  Relays due by a run's horizon resolve
+     * in nextTime().  Returns the relay's own slot.
+     */
+    template <typename F>
+    EventSlot
+    scheduleRelay(Tick at, Tick when, F &&fn)
+    {
+        const EventSlot relay{at, 0, nextSeq_++};
+        const std::uint32_t slot = store(std::forward<F>(fn));
+        if (relayTo_.size() <= slot)
+            relayTo_.resize(slotCount_);
+        relayTo_[slot] = when;
+        place(Key{at, relay.seq, 0, slot | kRelayBit});
+        return relay;
     }
 
     /**
@@ -153,61 +182,68 @@ class EventQueue
     /** Number of pending events. */
     std::size_t size() const { return size_; }
 
-    /** Time of the earliest pending event; kTickNever if empty. */
+    /**
+     * Time of the earliest pending key; kTickNever if empty.  Relays
+     * due at or before @p until resolve first, so the answer is an
+     * event's time unless it lies past @p until.  Call it between
+     * events only: a relay draws its sequence number here.
+     */
     Tick
-    nextTime() const
+    nextTime(Tick until = kTickNever)
     {
-        if (size_ == 0)
-            return kTickNever;
-        const Bucket &b = ring_[curIdx_];
-        if (b.sorted)  // sorted implies current and non-empty
-            return b.v[b.head].when;
-        // peek lazily advances the ring and sorts the current bucket
-        // -- internal bookkeeping that never changes the abstract
-        // queue state, so nextTime stays logically const.
-        return const_cast<EventQueue *>(this)->peek()->when;
+        for (;;) {
+            if (size_ == 0)
+                return kTickNever;
+            const Bucket &b = ring_[curIdx_];
+            // sorted implies current and non-empty; peek lazily
+            // advances the ring and sorts the current bucket.
+            const Key &k = b.sorted ? b.v[b.head] : *peek();
+            if (!(k.slot & kRelayBit) || k.when > until)
+                return k.when;
+            resolveRelay();
+        }
     }
 
     /**
      * Pop and execute the earliest event.
      * @return the time the event fired.
-     * Must not be called on an empty queue.
+     * Must not be called on an empty queue, nor with a relay at the
+     * head (nextTime() resolves it first).
      */
     Tick
     executeNext()
     {
         if (size_ == 0)
             panicEmptyExecute();
+        const Key head = popHead();
+        if (head.slot & kRelayBit)
+            panicRelayExecute();
         --size_;
         ++executed_;
-        Bucket *b = &ring_[curIdx_];
-        if (!b->sorted) {
-            peek();  // advance + sort; may move the ring
-            b = &ring_[curIdx_];
-        }
-        const Key head = b->v[b->head];
         frontier_ = EventSlot{head.when, head.priority, head.seq};
         frontierSeq_ = nextSeq_;
-        if (++b->head == b->v.size()) {
-            b->v.clear();
-            b->head = 0;
-            b->sorted = false;
-            occupied_[curIdx_ >> 6] &= ~(std::uint64_t(1) << (curIdx_ & 63));
-        }
-        --ringCount_;
-        // The queue is fully updated, and the callback moved out of its
-        // slot, before it runs: event handlers re-enter schedule(),
-        // which may reuse the slot or grow the slot array.
-        InlineEvent fn = std::move(slots_[head.slot]);
-        freeSlots_.push_back(head.slot);
-        fn();
+        // The queue is fully updated before the callback runs in its
+        // slot: event handlers re-enter schedule(), which may add slot
+        // chunks (slots never move) but cannot take this slot, freed
+        // only once the callback returns or throws.
+        struct Release {
+            EventQueue &q;
+            std::uint32_t slot;
+            ~Release()
+            {
+                q.slotAt(slot).reset();
+                q.freeSlots_.push_back(slot);
+            }
+        } release{*this, head.slot};
+        slotAt(head.slot)();
         return head.when;
     }
 
     /** Total events executed so far (for engine micro-benchmarks). */
     std::uint64_t executedCount() const { return executed_; }
 
-    /** Drop every pending event, destroying each callback once. */
+    /** Drop every pending event, destroying each callback once (not
+     *  from within an event: it frees the running callback's slot). */
     void clear();
 
   private:
@@ -280,26 +316,81 @@ class EventQueue
      * call site; clamped and far-future inserts take the out-of-line
      * path.
      */
+    template <typename F>
     void
-    insert(Tick when, int priority, std::uint64_t seq, InlineEvent &&fn)
+    insert(Tick when, int priority, std::uint64_t seq, F &&fn)
     {
-        if (!fn)
-            panicNullEvent();
+        place(Key{when, seq, priority, store(std::forward<F>(fn))});
+    }
+
+    /** Build @p fn in a free slot (counting one pending key). */
+    template <typename F>
+    std::uint32_t
+    store(F &&fn)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineEvent>) {
+            if (!fn)
+                panicNullEvent();
+        }
         ++size_;
         std::uint32_t slot;
         if (freeSlots_.empty()) {
-            slot = newSlot(std::move(fn));
+            slot = newSlot();
         } else {
             slot = freeSlots_.back();
             freeSlots_.pop_back();
-            slots_[slot] = std::move(fn);
         }
-        const Key k{when, seq, priority, slot};
-        if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
-            append(static_cast<std::size_t>(when >> shift_) & ringMask_, k);
+        slotAt(slot).emplace(std::forward<F>(fn));
+        return slot;
+    }
+
+    /** Callback slot @p s; its address never changes. */
+    InlineEvent &
+    slotAt(std::uint32_t s)
+    {
+        return chunks_[s / kChunkSlots][s % kChunkSlots];
+    }
+
+    /** File @p k in its bucket, or the far heap. */
+    void
+    place(const Key &k)
+    {
+        if (k.when > curBucketStart_ &&
+            k.when - curBucketStart_ < ringSpan()) {
+            append(static_cast<std::size_t>(k.when >> shift_) & ringMask_,
+                   k);
             return;
         }
         pushSlow(k);
+    }
+
+    /** Remove and return the earliest key (the queue is non-empty). */
+    Key
+    popHead()
+    {
+        Bucket *b = &ring_[curIdx_];
+        if (!b->sorted) {
+            peek();  // advance + sort; may move the ring
+            b = &ring_[curIdx_];
+        }
+        const Key head = b->v[b->head];
+        if (++b->head == b->v.size()) {
+            b->v.clear();
+            b->head = 0;
+            b->sorted = false;
+            occupied_[curIdx_ >> 6] &= ~(std::uint64_t(1) << (curIdx_ & 63));
+        }
+        --ringCount_;
+        return head;
+    }
+
+    /** Turn the relay at the head into its event's key. */
+    void
+    resolveRelay()
+    {
+        const Key r = popHead();
+        const std::uint32_t slot = r.slot & ~kRelayBit;
+        place(Key{relayTo_[slot], nextSeq_++, 0, slot});
     }
 
     /** Add @p k to bucket @p idx, keeping a sorted bucket in order. */
@@ -319,8 +410,9 @@ class EventQueue
 
     /** Rare out-of-order insert: move v.back() into fire order. */
     static void settleBack(Bucket &b);
-    /** Store @p fn in a slot appended to slots_; return its index. */
-    std::uint32_t newSlot(InlineEvent &&fn);
+    /** Index of a fresh empty slot, adding a chunk when all are
+     *  taken. */
+    std::uint32_t newSlot();
     /** Clamped-to-now and beyond-horizon inserts. */
     void pushSlow(const Key &k);
     /** Earliest pending key; advances the ring to its bucket. */
@@ -334,7 +426,11 @@ class EventQueue
 
     Tick ringSpan() const { return Tick(ring_.size()) << shift_; }
 
+    /** Key::slot bit marking a relay (see scheduleRelay). */
+    static constexpr std::uint32_t kRelayBit = 0x80000000u;
+
     [[noreturn]] static void panicNullEvent();
+    [[noreturn]] static void panicRelayExecute();
     [[noreturn]] static void panicEmptyExecute();
 
     std::uint64_t nextSeq_ = 0;
@@ -356,10 +452,16 @@ class EventQueue
     std::size_t ringCount_ = 0; ///< pending keys resident in the ring
     std::vector<Key> far_;      ///< min-heap of keys beyond the ring
 
-    /** Callbacks of pending events, indexed by Key::slot; a free slot
-     *  holds an empty InlineEvent. */
-    std::vector<InlineEvent> slots_;
+    /** Callbacks of pending events, indexed by Key::slot, in chunks
+     *  of kChunkSlots that never move (an event runs in its slot); a
+     *  free slot holds an empty InlineEvent. */
+    static constexpr std::uint32_t kChunkSlots = 1024;
+    std::vector<std::unique_ptr<InlineEvent[]>> chunks_;
+    /** Slots handed out so far (all chunks' slots below it). */
+    std::uint32_t slotCount_ = 0;
     std::vector<std::uint32_t> freeSlots_;
+    /** Event time of each relay's slot (see scheduleRelay). */
+    std::vector<Tick> relayTo_;
 };
 
 }  // namespace hmcsim

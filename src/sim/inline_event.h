@@ -12,10 +12,12 @@
  * time, so schedule() never allocates.
  *
  * Events are move-only; a move transfers the capture and empties the
- * source.  The event queue moves each one twice: into a slot of its
- * callback array on schedule, and out of it just before invoking it.
- * Bucket sorts and heap sifts move only the queue's small keys.  The
- * slot array and its free list keep their capacity across the run, so
+ * source.  The event queue never moves one: schedule() builds the
+ * capture directly in a free slot of its callback array
+ * (InlineFunction::emplace), and executeNext() runs it in that slot
+ * and then destroys it.  Bucket sorts and heap sifts move only the
+ * queue's small keys.  The slots sit in fixed chunks that never move,
+ * and the chunks and the free list stay allocated across the run, so
  * after warmup no event path touches the allocator.
  *
  * InlineEvent is the `void()` instantiation of the general
@@ -34,11 +36,11 @@ namespace hmcsim {
 
 /**
  * Inline capture capacity in bytes.  Sized for the largest scheduled
- * lambda in the tree (Router::tryDrain's router-to-router arrival:
- * Router* + port int + a 48 B NocMessage).  Growing a capture past
- * this is a compile error at the schedule() site, not a silent
- * fallback to heap allocation -- raise the constant deliberately; it
- * sets the size of every slot in the queue's callback array.
+ * lambda in the tree (Router::tryDrain's ejection delivery: an Output*
+ * and a 48 B NocMessage, 56 B).  Growing a capture past this is a
+ * compile error at the schedule() site, not a silent fallback to heap
+ * allocation -- raise the constant deliberately; it sets the size of
+ * every slot in the queue's callback array.
  */
 constexpr std::size_t kInlineEventCapacity = 64;
 

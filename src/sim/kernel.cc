@@ -36,7 +36,7 @@ Kernel::run(Tick until)
     stopRequested_ = false;
     std::uint64_t executed = 0;
     while (!queue_.empty() && !stopRequested_) {
-        const Tick next = queue_.nextTime();
+        const Tick next = queue_.nextTime(until);
         if (next > until)
             break;
         now_ = next;
@@ -60,7 +60,7 @@ Kernel::runUntil(const std::function<bool()> &pred, Tick until)
             predHit = true;
             break;
         }
-        const Tick next = queue_.nextTime();
+        const Tick next = queue_.nextTime(until);
         if (next > until)
             break;
         now_ = next;

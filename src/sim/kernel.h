@@ -35,21 +35,39 @@ class Kernel
      * past and is silently mis-ordered (calendar mode would clamp it
      * to now), so it is never what the caller meant.
      */
+    template <typename F>
     void
-    scheduleIn(Tick delay, EventFn fn, int priority = 0)
+    scheduleIn(Tick delay, F &&fn, int priority = 0)
     {
         if (delay > kTickNever - now_)
             panicOverflow(delay);
-        queue_.schedule(now_ + delay, std::move(fn), priority);
+        queue_.schedule(now_ + delay, std::forward<F>(fn), priority);
     }
 
     /** Schedule @p fn at absolute @p when; panics if @p when is past. */
+    template <typename F>
     void
-    scheduleAt(Tick when, EventFn fn, int priority = 0)
+    scheduleAt(Tick when, F &&fn, int priority = 0)
     {
         if (when < now_)
             panicPast(when);
-        queue_.schedule(when, std::move(fn), priority);
+        queue_.schedule(when, std::forward<F>(fn), priority);
+    }
+
+    /**
+     * Schedule @p fn at @p when as if an event at @p at (now or
+     * later) scheduled it, without that event: see
+     * EventQueue::scheduleRelay.  Returns the relay's slot.
+     */
+    template <typename F>
+    EventSlot
+    scheduleRelay(Tick at, Tick when, F &&fn)
+    {
+        if (at < now_)
+            panicPast(at);
+        if (when < at)
+            panic("Kernel::scheduleRelay: event before its relay");
+        return queue_.scheduleRelay(at, when, std::forward<F>(fn));
     }
 
     /**
@@ -65,12 +83,13 @@ class Kernel
     }
 
     /** Schedule @p fn into a reserved slot; panics if it is past. */
+    template <typename F>
     void
-    scheduleAt(const EventSlot &slot, EventFn fn)
+    scheduleAt(const EventSlot &slot, F &&fn)
     {
         if (slot.when < now_)
             panicPast(slot.when);
-        queue_.schedule(slot, std::move(fn));
+        queue_.schedule(slot, std::forward<F>(fn));
     }
 
     /**

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/log.h"
@@ -27,7 +28,8 @@ class VaultControllerTest : public ::testing::Test
 {
   protected:
     void
-    build(VaultController::Params params = VaultController::Params{})
+    build(VaultController::Params params = VaultController::Params{},
+          std::uint32_t num_banks = 16)
     {
         // Tear down any previous tree child-first: assigning root_
         // below would otherwise free the old root while net_/vc_
@@ -36,6 +38,7 @@ class VaultControllerTest : public ::testing::Test
         net_.reset();
         root_.reset();
         cfg_ = HmcConfig{};
+        cfg_.numBanksPerVault = num_banks;
         map_ = std::make_unique<AddressMap>(cfg_);
         root_ = std::make_unique<RootComponent>(kernel_);
         RouterParams rp;
@@ -44,7 +47,7 @@ class VaultControllerTest : public ::testing::Test
             makeSingleSwitchTopology(/*vaults=*/1, /*links=*/1), rp);
         vc_ = std::make_unique<VaultController>(
             kernel_, root_.get(), "vault0", 0, /*endpoint=*/1, *net_,
-            *map_, DramTimingParams::hmcGen2(), 16, params);
+            *map_, DramTimingParams::hmcGen2(), num_banks, params);
 
         Network::EndpointOps vault_ops;
         vault_ops.tryReserve = [this](std::uint32_t flits) {
@@ -83,6 +86,42 @@ class VaultControllerTest : public ::testing::Test
         EXPECT_TRUE(net_->canInject(0, m.flits));
         net_->inject(0, m);
         return pkt;
+    }
+
+    /**
+     * Keep a vault of @p num_banks banks saturated with @p requests
+     * 32 B reads to pseudo-random banks behind a one-response queue,
+     * so every plan after a drained response comes from the rotating
+     * scan; return the banks in the order they were planned.
+     */
+    std::vector<BankId>
+    plannedBanks(std::uint32_t num_banks, int requests)
+    {
+        VaultController::Params p;
+        p.responseQueueFlits = 3;
+        build(p, num_banks);
+        responses_.clear();
+        std::uint64_t lcg = 12345;
+        int sent = 0;
+        while (sent < requests) {
+            while (sent < requests && net_->canInject(0, 1)) {
+                lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+                sendRead(static_cast<BankId>((lcg >> 33) % num_banks),
+                         static_cast<RowId>((lcg >> 20) % 64));
+                ++sent;
+            }
+            kernel_.run(kernel_.now() + 2000);
+        }
+        kernel_.run();
+        EXPECT_EQ(responses_.size(), static_cast<std::size_t>(requests));
+        std::vector<std::pair<Tick, BankId>> plans;
+        for (const HmcPacketPtr &r : responses_)
+            plans.emplace_back(r->dramStartAt, map_->decode(r->addr).bank);
+        std::sort(plans.begin(), plans.end());
+        std::vector<BankId> order;
+        for (const auto &pl : plans)
+            order.push_back(pl.second);
+        return order;
     }
 
     Kernel kernel_;
@@ -257,6 +296,45 @@ TEST_F(VaultControllerTest, PeakBankQueueTracked)
         sendRead(0, r);  // all to one bank
     kernel_.run();
     EXPECT_GE(vc_->peakBankQueueOccupancy(), 5u);
+}
+
+std::string
+joined(const std::vector<BankId> &v)
+{
+    std::string s;
+    for (BankId b : v)
+        s += (s.empty() ? "" : ",") + std::to_string(b);
+    return s;
+}
+
+// The two plan orders below were recorded from the controller that
+// rescanned every bank on each retry; the ready-bank mask must visit
+// the same banks in the same rotation.
+TEST_F(VaultControllerTest, SaturatedVaultPlansBanksInRotation)
+{
+    EXPECT_EQ(joined(plannedBanks(16, 160)),
+              "8,9,10,11,12,13,14,15,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,"
+              "15,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0,1,2,3,4,5,6,7,"
+              "8,10,11,12,13,14,15,0,1,2,3,4,5,6,7,8,10,11,12,13,14,15,0,"
+              "1,2,3,4,5,6,7,8,10,11,12,13,14,15,0,1,2,3,4,5,6,7,8,10,11,"
+              "13,14,0,1,2,3,4,5,6,7,8,10,11,12,13,14,0,1,2,3,4,5,6,7,8,"
+              "9,10,11,13,14,0,1,2,3,4,5,6,7,8,10,14,0,1,4,6,7,8,14,0,1,"
+              "4,6,14,0,1,4,6,0,1,6,0,1,0,0");
+}
+
+TEST_F(VaultControllerTest, WideVaultPlansBanksInRotation)
+{
+    // 128 banks: the ready mask spans two words.
+    EXPECT_EQ(joined(plannedBanks(128, 160)),
+              "120,121,122,125,126,1,2,3,4,5,6,8,10,11,12,15,16,17,18,19,"
+              "20,21,23,26,27,28,30,32,33,36,38,39,42,45,46,48,49,50,51,"
+              "53,54,55,58,61,62,64,65,66,68,69,70,71,72,73,74,75,76,78,"
+              "79,80,81,82,83,84,85,86,87,88,89,90,91,93,94,95,96,97,98,"
+              "99,100,101,102,104,106,107,110,111,112,114,116,117,118,119,"
+              "120,121,122,125,126,2,5,11,12,15,16,17,19,20,21,27,28,30,"
+              "32,33,42,48,49,51,54,55,61,66,70,72,84,86,87,88,91,93,96,"
+              "104,110,111,116,125,11,12,16,17,19,28,30,33,48,49,55,70,84,"
+              "86,87,88,93,96,104,110,16,17,19,84,86,96");
 }
 
 }  // namespace

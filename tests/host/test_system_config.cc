@@ -448,5 +448,19 @@ TEST(SystemConfig, BusyEffectiveConfigIsPinned)
     expectFixedPoint(in);
 }
 
+TEST(SystemConfig, WorkloadPortsSetInCodeIssueOnEveryPort)
+{
+    // The field, not only the host.workload_ports key, configures the
+    // ports: each of the first nine issues, the rest stay idle.
+    SystemConfig cfg;
+    cfg.host.numPorts = 10;
+    cfg.host.workloadPorts = 9;
+    System sys(cfg);
+    sys.run(5 * kMicrosecond);
+    for (PortId p = 0; p < 9; ++p)
+        EXPECT_GT(sys.portAt(0, p).issuedRequests(), 0u) << "port " << p;
+    EXPECT_EQ(sys.portAt(0, 9).issuedRequests(), 0u);
+}
+
 }  // namespace
 }  // namespace hmcsim

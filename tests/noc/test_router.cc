@@ -86,7 +86,7 @@ class RouterTest : public ::testing::Test
 TEST_F(RouterTest, ForwardsAcrossHop)
 {
     build();
-    r0_->acceptMessage(in0_, msg(4));
+    r0_->acceptMessage(in0_, msg(4), kernel_.now());
     kernel_.run();
     ASSERT_EQ(delivered_.size(), 1u);
     EXPECT_EQ(delivered_[0].flits, 4u);
@@ -98,7 +98,7 @@ TEST_F(RouterTest, ForwardsAcrossHop)
 TEST_F(RouterTest, LatencyCoversPipelineAndSerialization)
 {
     build();
-    r0_->acceptMessage(in0_, msg(1));
+    r0_->acceptMessage(in0_, msg(1), kernel_.now());
     kernel_.run();
     // Two router latencies, two channel traversals (serialization +
     // wire) -- inject channel is external here so only r0->r1 and the
@@ -112,7 +112,7 @@ TEST_F(RouterTest, FifoOrderAcrossHop)
 {
     build();
     for (PacketId i = 0; i < 20; ++i)
-        r0_->acceptMessage(in0_, msg(1 + i % 3, i));
+        r0_->acceptMessage(in0_, msg(1 + i % 3, i), kernel_.now());
     kernel_.run();
     ASSERT_EQ(delivered_.size(), 20u);
     for (PacketId i = 0; i < 20; ++i)
@@ -124,7 +124,7 @@ TEST_F(RouterTest, BlockedEndpointStallsThenDrains)
     build();
     endpointSpace_ = 0;
     for (PacketId i = 0; i < 5; ++i)
-        r0_->acceptMessage(in0_, msg(8, i));
+        r0_->acceptMessage(in0_, msg(8, i), kernel_.now());
     kernel_.run();
     EXPECT_TRUE(delivered_.empty());
     endpointSpace_ = 1u << 30;
@@ -141,7 +141,7 @@ TEST_F(RouterTest, CreditsBoundInFlightFlits)
     build(/*eject_queue_flits=*/16);
     endpointSpace_ = 0;
     for (PacketId i = 0; i < 50; ++i)
-        r0_->acceptMessage(in0_, msg(8, i));
+        r0_->acceptMessage(in0_, msg(8, i), kernel_.now());
     kernel_.run();
     EXPECT_TRUE(delivered_.empty());
     // r1 received at most its input buffer + eject queue worth.
@@ -161,7 +161,7 @@ TEST_F(RouterTest, MixedSizesConserveFlits)
     for (PacketId i = 0; i < 30; ++i) {
         const std::uint32_t f = 1 + (i * 7) % 16;
         flits += f;
-        r0_->acceptMessage(in0_, msg(f, i));
+        r0_->acceptMessage(in0_, msg(f, i), kernel_.now());
     }
     kernel_.run();
     EXPECT_EQ(delivered_.size(), 30u);
@@ -174,7 +174,7 @@ TEST_F(RouterTest, MixedSizesConserveFlits)
 TEST_F(RouterTest, StatsResetClearsCounters)
 {
     build();
-    r0_->acceptMessage(in0_, msg(2));
+    r0_->acceptMessage(in0_, msg(2), kernel_.now());
     kernel_.run();
     EXPECT_GT(r0_->messagesRouted(), 0u);
     r0_->resetStats();
@@ -185,7 +185,7 @@ TEST_F(RouterTest, StatsResetClearsCounters)
 TEST_F(RouterTest, InvalidWiringPanics)
 {
     build();
-    EXPECT_THROW(r0_->acceptMessage(99, msg(1)), PanicError);
+    EXPECT_THROW(r0_->acceptMessage(99, msg(1), kernel_.now()), PanicError);
     EXPECT_THROW(r0_->connectTo(nullptr), PanicError);
     Router::Eject bad;  // missing callbacks
     EXPECT_THROW(r0_->addOutputToEndpoint(7, bad), PanicError);
@@ -193,12 +193,33 @@ TEST_F(RouterTest, InvalidWiringPanics)
     EXPECT_THROW(r0_->setRoutes({12345}), PanicError);
 }
 
+TEST_F(RouterTest, FutureArrivalRoutesRouterLatencyLater)
+{
+    build();
+    const Tick arrival = 5000;
+    r0_->acceptMessage(in0_, msg(1), arrival);
+    kernel_.run();
+    ASSERT_EQ(delivered_.size(), 1u);
+    EXPECT_EQ(kernel_.now(), arrival + 2 * params_.routerLatency +
+                                 2 * (params_.flitPeriod +
+                                      params_.wireLatency));
+}
+
+TEST_F(RouterTest, ArrivalOutOfOrderPanics)
+{
+    build();
+    r0_->acceptMessage(in0_, msg(1, 1), 5000);
+    EXPECT_THROW(r0_->acceptMessage(in0_, msg(1, 2), 4000), PanicError);
+    kernel_.run(1000);
+    EXPECT_THROW(r0_->acceptMessage(in0_, msg(1, 3), 999), PanicError);
+}
+
 TEST_F(RouterTest, UnroutedDestinationPanics)
 {
     build();
     NocMessage m = msg(1);
     m.dst = 77;  // beyond the route table
-    r0_->acceptMessage(in0_, m);
+    r0_->acceptMessage(in0_, m, kernel_.now());
     EXPECT_THROW(kernel_.run(), PanicError);
 }
 

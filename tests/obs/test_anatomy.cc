@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include <algorithm>
 #include <memory>
 #include <sstream>
@@ -410,9 +412,12 @@ TEST(AnatomySystem, CollectsEveryCompletionWithZeroResidual)
 
 TEST(AnatomySystem, SamplerStartAlsoWindowsCongestion)
 {
+    const std::string csv =
+        ::testing::TempDir() + "anatomy_sampler_timeseries.csv";
     SystemConfig cfg;
     cfg.obs.anatomy = true;
     cfg.obs.sampleIntervalNs = 500;
+    cfg.obs.sampleCsvPath = csv;
     std::unique_ptr<System> sys;
     gupsScenario(cfg, nullptr, &sys);
 
@@ -429,6 +434,8 @@ TEST(AnatomySystem, SamplerStartAlsoWindowsCongestion)
     bool first = true;
     c->emitCounterTracks(os, first);
     EXPECT_NE(os.str().find("\"ph\":\"C\""), std::string::npos);
+    sys.reset();
+    EXPECT_EQ(std::remove(csv.c_str()), 0);
 }
 
 }  // namespace

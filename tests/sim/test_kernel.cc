@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/log.h"
 #include "sim/kernel.h"
 
@@ -114,6 +116,47 @@ TEST(Kernel, RunUntilStopSuppressesIdleAdvance)
     k.scheduleIn(10, [&] { k.stop(); });
     k.runUntil([] { return false; }, 500);
     EXPECT_EQ(k.now(), 10u);
+}
+
+TEST(Kernel, RelayTakesItsPlaceAtTheRelayTime)
+{
+    // A relay at 100 for an event at 300 orders like an event that an
+    // event at 100 scheduled: after events scheduled before 100 for
+    // 300, before those scheduled after it.
+    Kernel k;
+    std::vector<int> order;
+    k.scheduleRelay(100, 300, [&order] { order.push_back(1); });
+    k.scheduleAt(300, [&order] { order.push_back(0); });
+    k.scheduleAt(200, [&] {
+        k.scheduleAt(300, [&order] { order.push_back(2); });
+    });
+    const std::uint64_t executed = k.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(executed, 4u);  // the relay is not an event
+    EXPECT_EQ(k.eventsExecuted(), 4u);
+}
+
+TEST(Kernel, RelayBeyondTheHorizonWaitsForTheNextRun)
+{
+    // A run stopping before the relay time leaves the relay unresolved,
+    // so an event scheduled between runs still orders ahead of it.
+    Kernel k;
+    std::vector<int> order;
+    k.scheduleRelay(500, 600, [&order] { order.push_back(1); });
+    k.scheduleAt(1000, [] {});
+    k.run(400);
+    k.scheduleAt(600, [&order] { order.push_back(0); });
+    k.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(Kernel, RelayInThePastPanics)
+{
+    Kernel k;
+    k.scheduleAt(100, [] {});
+    k.run();
+    EXPECT_THROW(k.scheduleRelay(50, 200, [] {}), PanicError);
+    EXPECT_THROW(k.scheduleRelay(200, 150, [] {}), PanicError);
 }
 
 TEST(Kernel, ScheduleInOverflowPanics)

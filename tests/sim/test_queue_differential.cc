@@ -77,7 +77,23 @@ class ReferenceQueue
         std::push_heap(heap_.begin(), heap_.end(), later);
     }
 
+    /**
+     * What EventQueue::scheduleRelay stands for: an event at @p at
+     * (priority 0) that schedules @p fn at @p when.
+     */
+    EventSlot
+    scheduleRelay(Tick at, Tick when, std::function<void()> fn)
+    {
+        const EventSlot relay = reserve(at);
+        schedule(relay, [this, when, fn = std::move(fn)] {
+            schedule(when, fn);
+        });
+        return relay;
+    }
+
     bool empty() const { return heap_.empty(); }
+
+    Tick nextTime() const { return heap_.front().when; }
 
     Tick
     executeNext()
@@ -384,6 +400,72 @@ TEST(QueueDifferential, SparseJumpsWrapTheRing)
     ASSERT_GT(ref.back().first, 10u * 512u * 4096u);
     for (const Engine engine : kCalendars) {
         const auto cal = runSparse(engine);
+        ASSERT_EQ(ref.size(), cal.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+            ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
+        }
+    }
+}
+
+/**
+ * Relays, as the NoC routers use them for arrivals: a self-scheduling
+ * program in which some children are scheduled through a relay at a
+ * time between their parent and themselves.  The reference runs each
+ * relay as the event it replaces, so every real event must still fire
+ * in the same order.  Relays resolve in nextTime(), which the run
+ * loop calls before each executeNext().
+ */
+std::vector<std::pair<Tick, int>>
+runWithRelays(Engine engine)
+{
+    return withQueue(engine, [](auto &q) {
+        std::vector<std::pair<Tick, int>> trace;
+        int nextId = 0;
+        std::function<void(int, int, Tick)> fire = [&](int id, int depth,
+                                                       Tick when) {
+            trace.emplace_back(when, id);
+            if (depth >= 7)
+                return;
+            Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 11);
+            const int children = 1 + static_cast<int>(rng.next(2));
+            for (int c = 0; c < children; ++c) {
+                const int cid = nextId++;
+                // Delays on a 100 ps grid so relays, their events and
+                // plain events keep meeting on the same ticks.
+                const Tick delay = rng.next(5) == 0
+                                       ? 100000 + 100 * rng.next(99)
+                                       : 100 * rng.next(12);
+                const Tick cwhen = when + delay;
+                auto child = [&fire, cid, depth, cwhen] {
+                    fire(cid, depth + 1, cwhen);
+                };
+                if (rng.next(2) == 0)
+                    q.scheduleRelay(when + 100 * rng.next(delay / 100 + 1),
+                                    cwhen, child);
+                else
+                    q.schedule(cwhen, child);
+            }
+        };
+        for (int i = 0; i < 8; ++i) {
+            const int id = nextId++;
+            const Tick when = static_cast<Tick>(i) * 100;
+            q.schedule(when, [&fire, id, when] { fire(id, 0, when); });
+        }
+        while (!q.empty()) {
+            q.nextTime();
+            q.executeNext();
+        }
+        return trace;
+    });
+}
+
+TEST(QueueDifferential, RelaysFireLikeTheEventsTheyReplace)
+{
+    const auto ref = runWithRelays(Engine::Reference);
+    ASSERT_GT(ref.size(), 300u);
+    for (const Engine engine : kCalendars) {
+        const auto cal = runWithRelays(engine);
         ASSERT_EQ(ref.size(), cal.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
             ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
