@@ -107,8 +107,8 @@ PACKET_FACTORY_FILES = {
     os.path.join("src", "hmc", "packet_pool.cc"),
 }
 
-STD_FUNCTION_DIRS = (os.path.join("src", "sim") + os.sep,
-                     os.path.join("src", "hmc") + os.sep)
+STD_FUNCTION_DIRS = tuple(
+    os.path.join("src", d) + os.sep for d in ("sim", "hmc", "noc", "chain"))
 
 # Dirs whose files are order-sensitive even without a visible
 # schedule() call (they mutate stats / drive the event core).

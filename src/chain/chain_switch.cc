@@ -61,13 +61,25 @@ ChainSwitch::setPort(ChainHop kind, LinkId l, SerdesLink *link,
     Port &p = ports_[kindIndex(kind)][l];
     p.link = link;
     p.outDir = out_dir;
+    p.kind = kind;
+    p.lane = l;
     if (consume_rx) {
-        const LinkDir in_dir = out_dir == LinkDir::HostToCube
-            ? LinkDir::CubeToHost
-            : LinkDir::HostToCube;
-        link->setOnRxAvailable(in_dir,
+        link->setOnRxAvailable(inDir(p),
                                [this, kind, l] { drainInRx(kind, l); });
     }
+}
+
+LinkDir
+ChainSwitch::inDir(const Port &p)
+{
+    return p.outDir == LinkDir::HostToCube ? LinkDir::CubeToHost
+                                           : LinkDir::HostToCube;
+}
+
+bool
+ChainSwitch::isLocal(const HmcPacket &pkt) const
+{
+    return pkt.isRequest() && pkt.cube == cubeId();
 }
 
 ChainPortLoad
@@ -138,10 +150,51 @@ ChainSwitch::tryForward(LinkId l, const HmcPacketPtr &pkt)
     if (d.hop == ChainHop::Local)
         panic("ChainSwitch::tryForward: packet is local to cube " +
               std::to_string(cubeId()));
-    if (!enqueue(d.hop, l, pkt))
+    if (!enqueue(d.hop, l, pkt)) {
+        // The device drains the Up port's RX: account its refused head
+        // there, and remember which queue it waits on.
+        Port &up = port(ChainHop::Up, l);
+        noteQueueFull(up);
+        up.waitHop = d.hop;
         return false;
+    }
     commit(d, pkt);
     return true;
+}
+
+void
+ChainSwitch::onDeviceRxBlocked(LinkId l)
+{
+    if (policy_.readsLoads()) {
+        dev_.armLinkInjects();
+        return;
+    }
+    Port &up = port(ChainHop::Up, l);
+    const LinkDir in_dir = inDir(up);
+    if (isLocal(*up.link->rxPeek(in_dir)))
+        up.waitHop = ChainHop::Local;
+    // The device's drain does not evaluate this RX's HOL memo; the
+    // switch does, at its wakes.  A packet that joined behind the
+    // blocked head and could move right now is evaluated at the next
+    // wake on any lane -- where retrying every drain used to evaluate
+    // it -- so every lane's pool stays armed until then.  One that
+    // cannot move yet can start to only through a pop or a return on
+    // this lane, which wake it anyway.
+    if (!up.holPending && up.holCountedAt != up.link->rxPopped(in_dir) &&
+        scanBehind(up, in_dir, l, true)) {
+        up.holPending = true;
+        dev_.armLinkInjects();
+    }
+}
+
+void
+ChainSwitch::noteQueueFull(Port &p)
+{
+    const std::uint64_t pops = p.link->rxPopped(inDir(p));
+    if (p.fullCountedAt != pops) {
+        p.fullCountedAt = pops;
+        queueFullStalls_.inc();
+    }
 }
 
 void
@@ -160,10 +213,8 @@ bool
 ChainSwitch::enqueue(ChainHop kind, LinkId l, const HmcPacketPtr &pkt)
 {
     Port &p = port(kind, l);
-    if (p.q.size() >= params_.forwardQueuePackets) {
-        queueFullStalls_.inc();
+    if (p.q.size() >= params_.forwardQueuePackets)
         return false;
-    }
     // Store-and-forward: the packet was fully received upstream; it
     // traverses the switch in passThroughLatency and then competes for
     // the output link's tokens.
@@ -207,16 +258,32 @@ ChainSwitch::pump(Port &p)
         p.q.pop_front();
         popped = true;
     }
-    if (popped)
-        kickSources();
+    if (!popped)
+        return;
+    // Forward-queue space freed: the drains waiting on it may move.
+    if (policy_.readsLoads()) {
+        for (LinkId l = 0; l < dev_.numLinks(); ++l)
+            dev_.kickLinkRx(l);
+        drainAllInRx();
+        return;
+    }
+    Port &up = ports_[kindIndex(ChainHop::Up)][p.lane];
+    if (up.waitHop == p.kind && up.link->rxAvailable(inDir(up)))
+        dev_.kickLinkRx(p.lane);
+    wakeLane(p.lane, p.kind);
 }
 
 void
-ChainSwitch::pumpAll()
+ChainSwitch::pumpReady()
 {
+    // A port whose head is not ready yet has a kick posted, so only
+    // ports with a ready head can move: the ones transmitting on the
+    // direction whose tokens came back, and any ready head that never
+    // got a kick of its own because one for a later packet was pending
+    // (scheduleKick keeps one kick per port).
     for (auto &kind : ports_) {
         for (Port &p : kind) {
-            if (p.link)
+            if (!p.q.empty() && p.q.front().readyAt <= now())
                 pump(p);
         }
     }
@@ -231,6 +298,44 @@ ChainSwitch::couldProgress(const ChainRouteDecision &d, LinkId l) const
     return load.wired && load.queueFreePackets > 0;
 }
 
+bool
+ChainSwitch::scanBehind(Port &p, LinkDir in_dir, LinkId l, bool probe)
+{
+    const std::uint64_t pops = p.link->rxPopped(in_dir);
+    if (p.behindPops != pops) {
+        p.behindPops = pops;
+        p.behindScanned = 1;
+        p.behindMinLocal = kNoLocal;
+        p.behindViews.clear();
+    }
+    // Fold in the packets that arrived since the last look.
+    bool movable = false;
+    const std::size_t waiting = p.link->rxQueued(in_dir);
+    for (; p.behindScanned < waiting; ++p.behindScanned) {
+        const HmcPacket &behind = *p.link->rxPeekAt(in_dir, p.behindScanned);
+        if (isLocal(behind)) {
+            if (behind.flits() < p.behindMinLocal) {
+                p.behindMinLocal = behind.flits();
+                movable = movable ||
+                    (probe && dev_.canInjectLocal(l, p.behindMinLocal));
+            }
+            continue;
+        }
+        const ChainPacketView v = view(behind);
+        const auto same = [&v](const ChainPacketView &w) {
+            return w.dest == v.dest && w.toHost == v.toHost &&
+                w.misroutes == v.misroutes && w.dirLock == v.dirLock;
+        };
+        if (std::none_of(p.behindViews.begin(), p.behindViews.end(), same)) {
+            p.behindViews.push_back(v);
+            movable = movable ||
+                (probe &&
+                 couldProgress(policy_.route(cubeId(), v, l, *this), l));
+        }
+    }
+    return movable;
+}
+
 void
 ChainSwitch::noteRxHolStall(Port &p, LinkDir in_dir, LinkId l)
 {
@@ -240,31 +345,11 @@ ChainSwitch::noteRxHolStall(Port &p, LinkDir in_dir, LinkId l)
     // studies can tell the two apart.  One count per blocked-head
     // episode: retry kicks on the same stuck head do not inflate it
     // (a pop -- by this drain or the device's -- starts a new one).
+    p.holPending = false;
     const std::uint64_t pops = p.link->rxPopped(in_dir);
     if (p.holCountedAt == pops)
         return;
-    if (p.behindPops != pops) {
-        p.behindPops = pops;
-        p.behindScanned = 1;
-        p.behindMinLocal = kNoLocal;
-        p.behindViews.clear();
-    }
-    // Fold in the packets that arrived since the last look.
-    const std::size_t waiting = p.link->rxQueued(in_dir);
-    for (; p.behindScanned < waiting; ++p.behindScanned) {
-        const HmcPacket &behind = *p.link->rxPeekAt(in_dir, p.behindScanned);
-        if (behind.isRequest() && behind.cube == cubeId()) {
-            p.behindMinLocal = std::min(p.behindMinLocal, behind.flits());
-            continue;
-        }
-        const ChainPacketView v = view(behind);
-        const auto same = [&v](const ChainPacketView &w) {
-            return w.dest == v.dest && w.toHost == v.toHost &&
-                w.misroutes == v.misroutes && w.dirLock == v.dirLock;
-        };
-        if (std::none_of(p.behindViews.begin(), p.behindViews.end(), same))
-            p.behindViews.push_back(v);
-    }
+    scanBehind(p, in_dir, l, false);
     // Re-route each distinct view against the live loads.
     bool movable = p.behindMinLocal != kNoLocal &&
         dev_.canInjectLocal(l, p.behindMinLocal);
@@ -281,18 +366,15 @@ void
 ChainSwitch::drainInRx(ChainHop kind, LinkId l)
 {
     Port &p = port(kind, l);
-    const LinkDir in_dir = p.outDir == LinkDir::HostToCube
-        ? LinkDir::CubeToHost
-        : LinkDir::HostToCube;
+    const LinkDir in_dir = inDir(p);
     while (p.link->rxAvailable(in_dir)) {
         const HmcPacketPtr &head = p.link->rxPeek(in_dir);
-        if (head->isRequest() && head->cube == cubeId()) {
+        if (isLocal(*head)) {
             // Pop before injecting, mirroring HmcDevice::drainLinkRx:
             // the RX token return must take its slot ahead of the
             // injection's events.
             if (!dev_.canInjectLocal(l, head->flits())) {
-                noteRxHolStall(p, in_dir, l);
-                dev_.armLinkInjects();
+                blocked(p, l, ChainHop::Local);
                 return;  // onLocalInjectSpace retries
             }
             HmcPacketPtr pkt = p.link->rxPop(in_dir);
@@ -304,14 +386,53 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
         }
         const ChainRouteDecision d = decide(l, *head);
         if (!enqueue(d.hop, l, head)) {
-            noteRxHolStall(p, in_dir, l);
-            // pump() kicks us when the queue drains, and so does any
-            // link endpoint's inject-space callback.
-            dev_.armLinkInjects();
-            return;
+            noteQueueFull(p);
+            blocked(p, l, d.hop);
+            return;  // pump() retries when the queue drains
         }
         commit(d, head);
         p.link->rxPop(in_dir);
+    }
+}
+
+void
+ChainSwitch::blocked(Port &p, LinkId l, ChainHop wait)
+{
+    noteRxHolStall(p, inDir(p), l);
+    p.waitHop = wait;
+    // A load-reading route may change at any wake: every drain is
+    // retried on every lane's inject-space callback, so arm them all.
+    if (policy_.readsLoads())
+        dev_.armLinkInjects();
+}
+
+void
+ChainSwitch::wakeLane(LinkId l, ChainHop freed)
+{
+    // Under load-blind routes a head waits on its own lane's resources
+    // only: retry, in drain order, the lane-l drains whose head waits
+    // on the freed one (a forward queue of kind `freed`, or the inject
+    // pool when it is Local), and evaluate the HOL memo of every other
+    // blocked drain whose "movable" this can turn true.  That is every
+    // blocked lane-l drain plus the device-drained RX queues that got
+    // an arrival behind their head since the last wake (see
+    // onDeviceRxBlocked); a switch-drained RX evaluates its own
+    // arrivals.  The Up ports come first, as the device's drains did.
+    for (std::size_t k = 0; k < kPortKinds; ++k) {
+        for (LinkId lane = 0; lane < dev_.numLinks(); ++lane) {
+            Port &p = ports_[k][lane];
+            if (!p.link || (lane != l && !p.holPending))
+                continue;
+            const LinkDir in_dir = inDir(p);
+            if (!p.link->rxAvailable(in_dir)) {
+                p.holPending = false;
+                continue;
+            }
+            if (lane == l && p.kind != ChainHop::Up && p.waitHop == freed)
+                drainInRx(p.kind, l);
+            else
+                noteRxHolStall(p, in_dir, lane);
+        }
     }
 }
 
@@ -329,18 +450,12 @@ ChainSwitch::drainAllInRx()
 }
 
 void
-ChainSwitch::kickSources()
+ChainSwitch::onLocalInjectSpace(LinkId l)
 {
-    // Forward-queue space freed: upstream RX buffers may drain again.
-    for (LinkId l = 0; l < dev_.numLinks(); ++l)
-        dev_.kickLinkRx(l);
-    drainAllInRx();
-}
-
-void
-ChainSwitch::onLocalInjectSpace(LinkId)
-{
-    drainAllInRx();
+    if (policy_.readsLoads())
+        drainAllInRx();
+    else
+        wakeLane(l, ChainHop::Local);
 }
 
 bool

@@ -19,6 +19,22 @@
  * per-packet misroute budget, direction lock -- only when the chosen
  * output queue accepts the packet.
  *
+ * Retries go only to what waits.  A drain stopped by its RX head
+ * records what the head waits on.  Under a load-blind (static) route
+ * that is the output queue that refused it or its own lane's NoC
+ * inject pool, and a pop from a forward queue or a return to a lane's
+ * inject pool retries only the same-lane drains waiting on it, in the
+ * order the device's and the switch's drains always ran.  A
+ * load-reading (adaptive) route re-decides against lazily folded token
+ * counts, so there every pop and every inject-pool return retries
+ * every drain, and a blocked drain arms every lane's pool.  The same
+ * wakes evaluate the head-of-line memo (noteRxHolStall) of the drains
+ * that stay blocked, at every moment "movable" can turn true: a pop on
+ * the lane, a return to the lane's pool, or an arrival behind the head
+ * (for the device-drained RX, at the first wake after that arrival,
+ * where the all-drains retry evaluated it).  A tokens-free callback
+ * pumps only ports whose head is ready.
+ *
  * Port classes (see ChainRouteTable): Up = this cube's own links toward
  * the host, Down = the next cube's links, Wrap = the ring-closing
  * links, Host = dedicated host-attachment links at a multi-host entry
@@ -75,11 +91,16 @@ class ChainSwitch : public Component, public ChainLoadProvider
      */
     bool tryForward(LinkId l, const HmcPacketPtr &pkt);
 
-    /** Retry pending transmissions on every output port. */
-    void pumpAll();
+    /** Link tokens freed: retry the output ports with a ready head. */
+    void pumpReady();
 
-    /** NoC injection credits freed: retry Local deliveries. */
+    /** Lane @p l's NoC injection credits freed: retry the drains
+     *  waiting on them. */
     void onLocalInjectSpace(LinkId l);
+
+    /** The device's drain of lane @p l's link RX stopped at a blocked
+     *  head (after a refused tryForward or a NoC-credit failure). */
+    void onDeviceRxBlocked(LinkId l);
 
     /** Reserve tokens for a locally ejected response (rewired NoC). */
     bool tryReserveEject(LinkId l, std::uint32_t flits);
@@ -150,15 +171,28 @@ class ChainSwitch : public Component, public ChainLoadProvider
     struct Port {
         SerdesLink *link = nullptr;
         LinkDir outDir = LinkDir::HostToCube;
+        ChainHop kind = ChainHop::Local;
+        LinkId lane = 0;
         std::deque<Pending> q;
         /** Flits across q (the policy's occupancy signal). */
         std::uint32_t qFlits = 0;
         bool kickScheduled = false;
 
-        // ----- head-of-line accounting of this port's RX queue -----
-        // All keyed on the link's RX pop count: the queue is a FIFO,
-        // so while nothing pops, the head and every packet already
-        // scanned behind it stay put and only new arrivals join.
+        // ----- the blocked head of this port's RX queue -----
+        // (Up ports: the device-drained link RX.)  All keyed on the
+        // link's RX pop count: the queue is a FIFO, so while nothing
+        // pops, the head and every packet already scanned behind it
+        // stay put and only new arrivals join.
+
+        /** What the head waits on under a load-blind route: the kind
+         *  of the (same-lane) queue that refused it, or Local for the
+         *  lane's NoC inject pool. */
+        ChainHop waitHop = ChainHop::Local;
+        /** RX pop count at which queue_full_stalls counted the head. */
+        std::uint64_t fullCountedAt = kNever;
+        /** Up ports: a packet joined behind the device-drained blocked
+         *  head since the memo below was last evaluated. */
+        bool holPending = false;
 
         /** RX pop count at which the current blocked head's episode
          *  was counted; any pop starts a new episode. */
@@ -206,6 +240,9 @@ class ChainSwitch : public Component, public ChainLoadProvider
     PacketTracer *tracer_ = nullptr;
 
     Port &port(ChainHop kind, LinkId l);
+    /** The direction whose RX the port's link delivers to us. */
+    static LinkDir inDir(const Port &p);
+    bool isLocal(const HmcPacket &pkt) const;
     ChainPacketView view(const HmcPacket &pkt) const;
     ChainRouteDecision decide(LinkId l, const HmcPacket &pkt) const;
     void commit(const ChainRouteDecision &d, const HmcPacketPtr &pkt);
@@ -214,7 +251,13 @@ class ChainSwitch : public Component, public ChainLoadProvider
     void pump(Port &p);
     void drainInRx(ChainHop kind, LinkId l);
     void drainAllInRx();
-    void kickSources();
+    /** Count @p p's RX head as refused, once per head. */
+    void noteQueueFull(Port &p);
+    /** The drain of @p p stopped at a head waiting on @p wait. */
+    void blocked(Port &p, LinkId l, ChainHop wait);
+    /** Load-blind wake: lane @p l's queue of kind @p freed popped, or
+     *  (Local) its inject pool got credits back. */
+    void wakeLane(LinkId l, ChainHop freed);
     /**
      * Count a drain stopped by HOL blocking if any packet waiting
      * behind the head could progress on a different output; at most
@@ -223,6 +266,9 @@ class ChainSwitch : public Component, public ChainLoadProvider
      * the scan over until the RX queue next pops.
      */
     void noteRxHolStall(Port &p, LinkDir in_dir, LinkId l);
+    /** Fold the packets that joined behind @p p's RX head into its
+     *  memo; with @p probe, true if one of them could move now. */
+    bool scanBehind(Port &p, LinkDir in_dir, LinkId l, bool probe);
     bool couldProgress(const ChainRouteDecision &d, LinkId l) const;
 };
 

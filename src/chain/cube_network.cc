@@ -65,6 +65,8 @@ CubeNetwork::wireChain()
         });
         dev->setInjectSpaceHook(
             [sw](LinkId l) { sw->onLocalInjectSpace(l); });
+        dev->setRxBlockedHook(
+            [sw](LinkId l) { sw->onDeviceRxBlocked(l); });
     }
 
     for (CubeId c = 0; c < n; ++c) {
@@ -183,7 +185,7 @@ CubeNetwork::combineTokenCallbacks()
 {
     // Several producers can share one link direction (NoC ejection +
     // pass-through pump); freed tokens must wake all of them.  The
-    // kicks are pure retries, so over-notifying is safe.
+    // switch pumps only ports with a ready head (see pumpReady).
     const std::uint32_t n = numCubes();
     for (CubeId c = 0; c < n; ++c) {
         for (LinkId l = 0; l < cfg_.numLinks; ++l) {
@@ -195,7 +197,7 @@ CubeNetwork::combineTokenCallbacks()
             // CubeToHost: this cube's ejection and Up-forwarding.
             lk.setOnTokensFree(LinkDir::CubeToHost, [dev, sw, l] {
                 dev->kickEject(l);
-                sw->pumpAll();
+                sw->pumpReady();
             });
             // HostToCube: the upstream switch's Down-forwarding and,
             // on rings, the upstream cube's rewired ejection.  Cube
@@ -204,7 +206,7 @@ CubeNetwork::combineTokenCallbacks()
                 lk.setOnTokensFree(LinkDir::HostToCube,
                                    [up_dev, up_sw, l] {
                     up_dev->kickEject(l);
-                    up_sw->pumpAll();
+                    up_sw->pumpReady();
                 });
             }
         }
@@ -217,11 +219,11 @@ CubeNetwork::combineTokenCallbacks()
         ChainSwitch *swN = switches_.back().get();
         lk.setOnTokensFree(LinkDir::HostToCube, [dev0, sw0, l] {
             dev0->kickEject(l);
-            sw0->pumpAll();
+            sw0->pumpReady();
         });
         lk.setOnTokensFree(LinkDir::CubeToHost, [devN, swN, l] {
             devN->kickEject(l);
-            swN->pumpAll();
+            swN->pumpReady();
         });
     }
     for (HostId h = 0; h < hostLinks_.size(); ++h) {
@@ -233,7 +235,7 @@ CubeNetwork::combineTokenCallbacks()
             // HostToCube sender is the polling host controller, which
             // needs no callback.
             lk->setOnTokensFree(LinkDir::CubeToHost,
-                                [sw] { sw->pumpAll(); });
+                                [sw] { sw->pumpReady(); });
         }
     }
 }

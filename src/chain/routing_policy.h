@@ -115,6 +115,14 @@ class ChainRoutingPolicy
     virtual const char *name() const = 0;
 
     /**
+     * True when route() reads the live loads.  A refused packet's
+     * route then changes with lazily folded token counts, so the
+     * switch retries it on every wake; a load-blind route waits only
+     * on the output queue that refused it.
+     */
+    virtual bool readsLoads() const = 0;
+
+    /**
      * Pick the output port for a packet at cube @p at, lane @p lane.
      * Pure: commits nothing; the caller applies the decision's side
      * effects once the chosen queue accepts the packet.
@@ -137,6 +145,8 @@ class StaticChainRouting : public ChainRoutingPolicy
     using ChainRoutingPolicy::ChainRoutingPolicy;
 
     const char *name() const override { return "static"; }
+
+    bool readsLoads() const override { return false; }
 
     ChainRouteDecision route(CubeId at, const ChainPacketView &pkt,
                              LinkId lane, const ChainLoadProvider &loads)
@@ -175,6 +185,8 @@ class AdaptiveChainRouting : public ChainRoutingPolicy
                          const AdaptiveRoutingParams &params);
 
     const char *name() const override { return "adaptive"; }
+
+    bool readsLoads() const override { return true; }
 
     const AdaptiveRoutingParams &params() const { return params_; }
 

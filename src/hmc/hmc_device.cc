@@ -210,9 +210,10 @@ HmcDevice::tryInjectLocal(LinkId arrival_link, const HmcPacketPtr &pkt)
 void
 HmcDevice::drainLinkRx(LinkId l)
 {
-    // Chained, the switch drains this RX too (its Up port), retrying
-    // from every link endpoint's inject-space callback: a blocked
-    // drain arms them all (armLinkInjects).
+    // Chained, a blocked drain tells the switch, which evaluates this
+    // RX's head-of-line memo (its Up port) and retries the drain when
+    // the refusing queue pops; the lane's inject-space callback retries
+    // a NoC-credit stall.
     SerdesLink &lk = *links_[l];
     while (lk.rxAvailable(LinkDir::HostToCube)) {
         const HmcPacketPtr &head = lk.rxPeek(LinkDir::HostToCube);
@@ -228,7 +229,8 @@ HmcDevice::drainLinkRx(LinkId l)
                       " arrived at cube " + std::to_string(cubeId_) +
                       " with no chain forwarder wired");
             if (!forwarder_(l, head)) {
-                armLinkInjects();
+                if (rxBlockedHook_)
+                    rxBlockedHook_(l);
                 return;  // switch kicks us when space frees
             }
             lk.rxPop(LinkDir::HostToCube);
@@ -237,8 +239,8 @@ HmcDevice::drainLinkRx(LinkId l)
         // Pop before injecting: the RX token return must take its slot
         // ahead of the injection's events.
         if (!net_->canInject(linkEndpoint(l), head->flits())) {
-            if (forwarder_)
-                armLinkInjects();
+            if (rxBlockedHook_)
+                rxBlockedHook_(l);
             return;  // onInjectSpace re-enters
         }
         HmcPacketPtr pkt = lk.rxPop(LinkDir::HostToCube);

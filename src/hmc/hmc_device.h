@@ -77,7 +77,8 @@ class HmcDevice : public Component
      * Handler for packets this cube must pass through (requests for
      * another cube, or responses transiting toward the host).  Returns
      * false when the switch cannot take the packet right now; the
-     * caller leaves it in the RX buffer and retries on kickLinkRx().
+     * caller leaves it in the RX buffer and the switch retries it with
+     * kickLinkRx() once the refusing queue pops.
      */
     using ForwardFn = InlineFunction<bool(LinkId, const HmcPacketPtr &)>;
 
@@ -91,7 +92,8 @@ class HmcDevice : public Component
     /**
      * Arm every link endpoint's inject-space callback for its next
      * credit return.  That callback retries the chain switch's RX
-     * drains too, so a drain blocked on anything calls this.
+     * drains too: the switch calls this when a drain must be retried
+     * on any lane's return (see ChainSwitch).
      */
     void armLinkInjects();
 
@@ -113,6 +115,13 @@ class HmcDevice : public Component
      *  callback runs. */
     void setInjectSpaceHook(InlineFunction<void(LinkId)> fn);
 
+    /** Called when the drain of a link's RX stops at a head that can
+     *  neither be forwarded nor injected yet. */
+    void setRxBlockedHook(InlineFunction<void(LinkId)> fn)
+    {
+        rxBlockedHook_ = std::move(fn);
+    }
+
   private:
     HmcConfig cfg_;
     CubeId cubeId_;
@@ -123,6 +132,7 @@ class HmcDevice : public Component
     std::unique_ptr<PowerModel> power_;
     ForwardFn forwarder_;
     InlineFunction<void(LinkId)> injectSpaceHook_;
+    InlineFunction<void(LinkId)> rxBlockedHook_;
 
     /** Move request packets from a link's RX buffer into the NoC. */
     void drainLinkRx(LinkId l);

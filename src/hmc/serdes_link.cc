@@ -1,5 +1,7 @@
 #include "hmc/serdes_link.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "common/units.h"
 #include "obs/observability.h"
@@ -110,34 +112,78 @@ SerdesLink::transmit(LinkDir d, const HmcPacketPtr &pkt, Tick earliest)
         return;
     }
 
-    kernel().scheduleAt(deliverAt, [this, d, pkt] { arrive(d, pkt); });
+    dd.rxQ.push_back(RxEntry{kernel().reserveIn(deliverAt - now()), pkt});
+    dd.nextLanding = std::min(dd.nextLanding, deliverAt);
+    if (dd.rxArmed)
+        postArrival(d, dd.rxQ.back());
 }
 
 void
-SerdesLink::arrive(LinkDir d, const HmcPacketPtr &pkt)
+SerdesLink::postArrival(LinkDir d, RxEntry &e)
+{
+    e.posted = true;
+    kernel().scheduleAt(e.arrival, [this, d] {
+        fold(d);
+        Direction &dd = dir(d);
+        if (dd.onRxAvailable)
+            dd.onRxAvailable();
+    });
+}
+
+const SerdesLink::Direction &
+SerdesLink::fold(LinkDir d) const
+{
+    const Direction &dd = dir(d);
+    if (dd.nextLanding > now())
+        return dd;
+    for (; dd.landed < dd.rxQ.size(); ++dd.landed) {
+        const RxEntry &e = dd.rxQ[dd.landed];
+        const Tick at = e.arrival.when;
+        if (!kernel().passed(e.arrival)) {
+            dd.nextLanding = at;
+            return dd;
+        }
+        HmcPacket &pkt = *e.pkt;
+        // Requests stamp the cube-arrival decomposition timestamps in
+        // whichever direction the hop runs (ring counter-clockwise
+        // legs use CubeToHost): every hop overwrites cubeArriveAt, so
+        // the last write is the destination cube, while chainIngressAt
+        // keeps the first.  Responses' timestamps were fixed at their
+        // origin cube.
+        if (pkt.isRequest()) {
+            pkt.cubeArriveAt = at;
+            if (pkt.chainIngressAt == 0)
+                pkt.chainIngressAt = at;
+        } else if (pkt.isResponse()) {
+            // Every return hop overwrites, so the last write is the
+            // issuing host's link RX -- the end of the fabric's share
+            // of the response path (what remains is host-side
+            // deserialize/drain).
+            pkt.respHostLinkAt = at;
+        }
+        if (tracer_ && tracer_->wants(pkt))
+            tracer_->record(at, pkt, TraceStage::LinkRx, kTraceNoWhere,
+                            id_);
+    }
+    dd.nextLanding = kTickNever;
+    return dd;
+}
+
+void
+SerdesLink::setRxArmed(LinkDir d, bool armed)
 {
     Direction &dd = dir(d);
-    // Requests stamp the cube-arrival decomposition timestamps in
-    // whichever direction the hop runs (ring counter-clockwise legs
-    // use CubeToHost): every hop overwrites cubeArriveAt, so the last
-    // write is the destination cube, while chainIngressAt keeps the
-    // first.  Responses' timestamps were fixed at their origin cube.
-    if (pkt->isRequest()) {
-        pkt->cubeArriveAt = now();
-        if (pkt->chainIngressAt == 0)
-            pkt->chainIngressAt = now();
-    } else if (pkt->isResponse()) {
-        // Every return hop overwrites, so the last write is the issuing
-        // host's link RX -- the end of the fabric's share of the
-        // response path (what remains is host-side deserialize/drain).
-        pkt->respHostLinkAt = now();
+    armed = armed || tracer_;
+    if (armed == dd.rxArmed)
+        return;
+    dd.rxArmed = armed;
+    if (!armed)
+        return;
+    fold(d);
+    for (std::size_t i = dd.landed; i < dd.rxQ.size(); ++i) {
+        if (!dd.rxQ[i].posted)
+            postArrival(d, dd.rxQ[i]);
     }
-    if (tracer_ && tracer_->wants(*pkt))
-        tracer_->record(now(), *pkt, TraceStage::LinkRx, kTraceNoWhere,
-                        id_);
-    dd.rxQ.push_back(pkt);
-    if (dd.onRxAvailable)
-        dd.onRxAvailable();
 }
 
 void
@@ -152,33 +198,18 @@ SerdesLink::setOnRxAvailable(LinkDir d, InlineFunction<void()> fn)
     dir(d).onRxAvailable = std::move(fn);
 }
 
-bool
-SerdesLink::rxAvailable(LinkDir d) const
-{
-    return !dir(d).rxQ.empty();
-}
-
 const HmcPacketPtr &
 SerdesLink::rxPeek(LinkDir d) const
 {
-    if (dir(d).rxQ.empty())
-        panic("SerdesLink::rxPeek: RX buffer empty");
-    return dir(d).rxQ.front();
-}
-
-std::size_t
-SerdesLink::rxQueued(LinkDir d) const
-{
-    return dir(d).rxQ.size();
+    return rxPeekAt(d, 0);
 }
 
 const HmcPacketPtr &
 SerdesLink::rxPeekAt(LinkDir d, std::size_t i) const
 {
-    const Direction &dd = dir(d);
-    if (i >= dd.rxQ.size())
+    if (i >= landed(d))
         panic("SerdesLink::rxPeekAt: index out of range");
-    return dd.rxQ[i];
+    return dir(d).rxQ[i].pkt;
 }
 
 std::uint32_t
@@ -202,11 +233,12 @@ SerdesLink::tokenCapacity(LinkDir d) const
 HmcPacketPtr
 SerdesLink::rxPop(LinkDir d)
 {
-    Direction &dd = dir(d);
-    if (dd.rxQ.empty())
+    if (landed(d) == 0)
         panic("SerdesLink::rxPop: RX buffer empty");
-    HmcPacketPtr pkt = dd.rxQ.front();
+    Direction &dd = dir(d);
+    HmcPacketPtr pkt = std::move(dd.rxQ.front().pkt);
     dd.rxQ.pop_front();
+    --dd.landed;
     ++dd.rxPops;
     dd.tokens.refundIn(params_.tokenReturnLatency, pkt->flits());
     return pkt;

@@ -5,6 +5,19 @@
  * PHY/SerDes pipeline latency, enforces token-based flow control
  * against the remote RX buffer, and can inject CRC failures that are
  * healed by link-layer retry (at a bandwidth and latency cost).
+ *
+ * An RX arrival is not necessarily an event.  When a transmission
+ * reserves the channel, the packet joins the RX queue as an entry
+ * timestamped with its arrival slot (Kernel::reserveIn); every RX
+ * reader first folds in the entries whose slot has passed, stamping
+ * each packet's arrival times (cubeArriveAt, chainIngressAt,
+ * respHostLinkAt) with the slot's time.  Channel reservations are
+ * FIFO, so insertion order is arrival order, CRC retries included (a
+ * retried packet joins when its retransmission reserves the channel).
+ * An arrival event -- which runs the receiver's callback -- is posted
+ * into the entry's slot only while the receiver is armed
+ * (setRxArmed): cube-side drains always are, the host clock only while
+ * it sleeps past its next edge.
  */
 
 #ifndef HMCSIM_HMC_SERDES_LINK_H_
@@ -113,14 +126,22 @@ class SerdesLink : public Component
 
     // ----- receive side -----
 
-    /** Fired when a packet lands in the RX buffer. */
+    /** Fired when a packet lands in the RX buffer (armed only). */
     void setOnRxAvailable(LinkDir dir, InlineFunction<void()> fn);
 
-    bool rxAvailable(LinkDir dir) const;
+    /**
+     * Post an arrival event (running the callback) for every packet
+     * landing while armed -- the default; a receiver that reads the
+     * RX on its own schedule disarms, and arming posts the events of
+     * the packets still in flight.  Tracing keeps every event.
+     */
+    void setRxArmed(LinkDir dir, bool armed);
+
+    bool rxAvailable(LinkDir d) const { return landed(d) != 0; }
     const HmcPacketPtr &rxPeek(LinkDir dir) const;
 
-    /** Packets waiting in the RX buffer of @p dir. */
-    std::size_t rxQueued(LinkDir dir) const;
+    /** Packets waiting in the RX buffer of @p d. */
+    std::size_t rxQueued(LinkDir d) const { return landed(d); }
 
     /** Peek the @p i-th waiting RX packet (0 = head); used by the
      *  chain switch's head-of-line-blocking accounting. */
@@ -170,6 +191,12 @@ class SerdesLink : public Component
     void resetOwnStats() override;
 
   private:
+    struct RxEntry {
+        EventSlot arrival;
+        HmcPacketPtr pkt;
+        bool posted = false;
+    };
+
     struct Direction {
         Direction(Kernel &kernel, const std::string &name,
                   Tick flit_period, Tick wire_latency,
@@ -178,8 +205,15 @@ class SerdesLink : public Component
         Channel chan;
         CreditPool tokens;
         std::uint32_t reserved = 0;
-        std::deque<HmcPacketPtr> rxQ;
+        /** Landed and in-flight packets in arrival order; the first
+         *  `landed` have had their arrival applied (see fold). */
+        mutable std::deque<RxEntry> rxQ;
+        mutable std::size_t landed = 0;
+        /** Arrival time of the first entry not landed (kTickNever:
+         *  none), so a read with nothing due costs one compare. */
+        mutable Tick nextLanding = kTickNever;
         std::uint64_t rxPops = 0;
+        bool rxArmed = true;
         InlineFunction<void()> onRxAvailable;
         Counter packets;
         Counter flits;
@@ -206,7 +240,18 @@ class SerdesLink : public Component
     }
 
     void transmit(LinkDir d, const HmcPacketPtr &pkt, Tick earliest);
-    void arrive(LinkDir d, const HmcPacketPtr &pkt);
+    /** Land the RX entries of @p d whose arrival slot has passed. */
+    const Direction &fold(LinkDir d) const;
+
+    /** Packets landed in @p d's RX buffer (folding only when one is
+     *  due: the common read is one compare). */
+    std::size_t
+    landed(LinkDir d) const
+    {
+        const Direction &dd = dir(d);
+        return dd.nextLanding > kernel().now() ? dd.landed : fold(d).landed;
+    }
+    void postArrival(LinkDir d, RxEntry &e);
 };
 
 }  // namespace hmcsim

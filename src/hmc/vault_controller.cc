@@ -9,6 +9,33 @@
 
 namespace hmcsim {
 
+namespace {
+
+void
+setBit(std::vector<std::uint64_t> &mask, BankId b, bool on)
+{
+    const std::uint64_t bit = std::uint64_t(1) << (b & 63);
+    if (on)
+        mask[b >> 6] |= bit;
+    else
+        mask[b >> 6] &= ~bit;
+}
+
+}  // namespace
+
+template <typename F>
+void
+VaultController::forEachLazyBank(F &&fn)
+{
+    // fn clears only the bit it is given, so a word read once still
+    // holds the banks left to visit.
+    for (std::size_t w = 0; w < lazyBanks_.size(); ++w) {
+        for (std::uint64_t bits = lazyBanks_[w]; bits != 0; bits &= bits - 1)
+            fn(static_cast<BankId>(
+                (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits))));
+    }
+}
+
 VaultController::VaultController(Kernel &kernel, Component *parent,
                                  std::string name, VaultId vault,
                                  NodeId endpoint, Network &net,
@@ -20,7 +47,8 @@ VaultController::VaultController(Kernel &kernel, Component *parent,
       endpoint_(endpoint), net_(net), map_(map), params_(params),
       mem_(kernel, this, "mem", timing, num_banks),
       refresh_(params.trefi, num_banks), banks_(num_banks),
-      readyBanks_((num_banks + 63) / 64, 0)
+      readyBanks_((num_banks + 63) / 64, 0),
+      lazyBanks_(readyBanks_.size(), 0)
 {
     if (Observability *o = kernel.obs())
         tracer_ = o->fullTracer();
@@ -65,6 +93,12 @@ VaultController::deliverRequest(const NocMessage &msg)
     const Tick ready = now() + params_.frontendLatency;
     inputQ_.emplace_back(ready, pkt);
     kernel().scheduleAt(ready, [this] { processInput(); });
+    // A bank-free slot at the ready time fires before this entry's
+    // event, so its processInput() takes the entry: post it.
+    forEachLazyBank([this, ready](BankId b) {
+        if (busy(b) && banks_[b].free.when() == ready)
+            postBankFree(b);
+    });
 }
 
 void
@@ -73,15 +107,20 @@ VaultController::processInput()
     while (!inputQ_.empty()) {
         const auto &[ready, pkt] = inputQ_.front();
         if (ready > now())
-            return;  // the event scheduled at `ready` resumes us
+            break;  // the event scheduled at `ready` resumes us
         const DecodedAddr d = map_.decode(pkt->addr);
         BankState &bank = banks_[d.bank];
-        if (bank.q.size() >= params_.bankQueueDepth)
-            return;  // head-of-line block; trySchedule() drains banks
+        if (bank.q.size() >= params_.bankQueueDepth) {
+            // Head-of-line block; trySchedule() drains banks.
+            setInputBlocked(true);
+            return;
+        }
         const std::uint32_t flits = pkt->flits();
         bank.q.push_back(pkt);
-        if (!bank.busy)
+        if (!busy(d.bank))
             setReady(d.bank, true);
+        else
+            postBankFree(d.bank);  // its event plans this request
         ++bankQOccupancy_;
         peakBankQ_ = std::max(peakBankQ_, bankQOccupancy_);
         inputQ_.pop_front();
@@ -89,6 +128,45 @@ VaultController::processInput()
         net_.kickEject(endpoint_);
         trySchedule(d.bank);
     }
+    setInputBlocked(false);
+}
+
+void
+VaultController::setInputBlocked(bool blocked)
+{
+    inputBlocked_ = blocked;
+    // Every bank-free event retries the input: post them all.
+    if (blocked)
+        forEachLazyBank([this](BankId b) { postBankFree(b); });
+}
+
+
+bool
+VaultController::busy(BankId b)
+{
+    // A slot that passed unposted found the bank queue empty: freeing
+    // the bank is all its event would have done.
+    if (banks_[b].free.due(kernel()))
+        setBit(lazyBanks_, b, false);
+    return banks_[b].free.held();
+}
+
+void
+VaultController::postBankFree(BankId b)
+{
+    if (busy(b) && banks_[b].free.lazy()) {
+        setBit(lazyBanks_, b, false);
+        banks_[b].free.post(kernel(), [this, b] { bankFree(b); });
+    }
+}
+
+void
+VaultController::bankFree(BankId b)
+{
+    banks_[b].free.fired();
+    setReady(b, !banks_[b].q.empty());
+    trySchedule(b);
+    processInput();
 }
 
 std::size_t
@@ -112,11 +190,7 @@ VaultController::pickRequest(const BankState &bank) const
 void
 VaultController::setReady(BankId b, bool ready)
 {
-    const std::uint64_t bit = std::uint64_t(1) << (b & 63);
-    if (ready)
-        readyBanks_[b >> 6] |= bit;
-    else
-        readyBanks_[b >> 6] &= ~bit;
+    setBit(readyBanks_, b, ready);
 }
 
 void
@@ -155,7 +229,7 @@ void
 VaultController::trySchedule(BankId b)
 {
     BankState &bank = banks_[b];
-    if (bank.busy || bank.q.empty())
+    if (busy(b) || bank.q.empty())
         return;
 
     // The scheduler pipeline plans at most one request per
@@ -183,16 +257,12 @@ VaultController::trySchedule(BankId b)
                                                      : HmcCmd::WriteResponse,
                             pkt->dataBytes);
     if (respUsedFlits_ + respReservedFlits_ + resp_flits >
-        params_.responseQueueFlits) {
-        bank.waitingForResponseSpace = true;
+        params_.responseQueueFlits)
         return;  // retried when a response drains
-    }
-    bank.waitingForResponseSpace = false;
     respReservedFlits_ += resp_flits;
 
     bank.q.erase(bank.q.begin() + static_cast<std::ptrdiff_t>(idx));
     --bankQOccupancy_;
-    bank.busy = true;
     setReady(b, false);
     pkt->dramStartAt = now();
     nextPlanAllowed_ = now() + effectiveRequestCycle();
@@ -213,12 +283,10 @@ VaultController::trySchedule(BankId b)
     // The bank's command sequence is committed at the column command;
     // the next request for this bank may be planned from then on (its
     // own timing constraints keep it legal).
-    kernel().scheduleAt(std::max(now(), res.colTime), [this, b] {
-        banks_[b].busy = false;
-        setReady(b, !banks_[b].q.empty());
-        trySchedule(b);
-        processInput();
-    });
+    bank.free.reserve(kernel(), std::max(now(), res.colTime) - now());
+    setBit(lazyBanks_, b, true);
+    if (!bank.q.empty() || inputBlocked_)
+        postBankFree(b);
 
     const Tick jitter =
         params_.jitterPerFlit * ((pkt->dataBytes + kFlitBytes - 1) /
@@ -285,6 +353,16 @@ void
 VaultController::onInjectSpace()
 {
     tryInjectResponses();
+}
+
+bool
+VaultController::idle() const
+{
+    const bool banks_idle = std::none_of(
+        banks_.begin(), banks_.end(),
+        [this](const BankState &bank) { return bank.free.heldAt(kernel()); });
+    return banks_idle && inputQ_.empty() && bankQOccupancy_ == 0 &&
+        respQ_.empty() && respReservedFlits_ == 0;
 }
 
 void

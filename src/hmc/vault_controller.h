@@ -11,6 +11,16 @@
  * Backpressure chain: NoC ejection stalls when the input queue is
  * full; dispatch stalls when a bank queue is full (head-of-line);
  * scheduling stalls when the response queue cannot hold the reply.
+ *
+ * A bank is busy from its plan until its column command; that
+ * bank-free time is a LazySlot, folded by the first reader once it
+ * passes.  An event goes into the slot only when it would do more than
+ * free the bank: when a request waits in the bank's queue (its
+ * trySchedule() plans it), when the input head is head-of-line blocked
+ * (its processInput() retries it, which matters when a response drain
+ * freed bank-queue space without retrying the input), or when an input
+ * entry becomes ready at exactly the slot's time, ahead of its own
+ * frontend event (its processInput() takes that entry first).
  */
 
 #ifndef HMCSIM_HMC_VAULT_CONTROLLER_H_
@@ -26,6 +36,7 @@
 #include "hmc/hmc_config.h"
 #include "hmc/packet.h"
 #include "noc/network.h"
+#include "sim/lazy_slot.h"
 
 namespace hmcsim {
 
@@ -109,6 +120,9 @@ class VaultController : public Component
     /** Peak total occupancy of the bank queues (requests). */
     std::uint32_t peakBankQueueOccupancy() const { return peakBankQ_; }
 
+    /** No busy bank, and empty input, bank and response queues. */
+    bool idle() const;
+
   protected:
     void listStats(StatList &s) const override;
     void resetOwnStats() override;
@@ -116,8 +130,8 @@ class VaultController : public Component
   private:
     struct BankState {
         std::deque<HmcPacketPtr> q;
-        bool busy = false;
-        bool waitingForResponseSpace = false;
+        /** Held while the bank is busy (see the file comment). */
+        LazySlot free;
     };
 
     VaultId vault_;
@@ -136,6 +150,11 @@ class VaultController : public Component
     /** One bit per bank, set while the bank is idle with requests
      *  queued: the banks tryScheduleAll() has work for. */
     std::vector<std::uint64_t> readyBanks_;
+    /** One bit per bank whose bank-free slot is held without an event
+     *  (a passed one clears when the bank is next read). */
+    std::vector<std::uint64_t> lazyBanks_;
+    /** The input head waits on a full bank queue. */
+    bool inputBlocked_ = false;
     std::uint32_t bankQOccupancy_ = 0;
     std::uint32_t peakBankQ_ = 0;
 
@@ -162,6 +181,14 @@ class VaultController : public Component
     void scheduleReady(std::uint32_t from, std::uint32_t to);
     void trySchedule(BankId b);
     void setReady(BankId b, bool ready);
+    /** Run @p fn on every bank with a lazy bank-free slot. */
+    template <typename F> void forEachLazyBank(F &&fn);
+    /** Fold bank @p b's bank-free slot; true while it is busy. */
+    bool busy(BankId b);
+    /** Post bank @p b's bank-free event unless it is posted or passed. */
+    void postBankFree(BankId b);
+    void bankFree(BankId b);
+    void setInputBlocked(bool blocked);
     void finishRequest(const HmcPacketPtr &pkt);
     void tryInjectResponses();
     std::size_t pickRequest(const BankState &bank) const;

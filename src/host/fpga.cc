@@ -154,6 +154,22 @@ Fpga::postTick(Tick edge)
         if (g == gen_)
             tickAll();
     });
+    syncRxArm();
+}
+
+void
+Fpga::syncRxArm()
+{
+    // A response arrival wakes the clock only while it sleeps past its
+    // next edge; otherwise the tick due there reads the RX itself, so
+    // the arrival needs no event.  Before start() every arrival keeps
+    // its event (nothing else would step the run onto it).
+    const bool armed = !running_ || plannedEdge_ != nextEdge_;
+    if (armed == rxArmed_)
+        return;
+    rxArmed_ = armed;
+    for (SerdesLink *lk : attach_.links)
+        lk->setRxArmed(LinkDir::CubeToHost, armed);
 }
 
 void
@@ -206,6 +222,7 @@ Fpga::plan()
     }
     if (n == Port::kNoSelfWake) {
         plannedEdge_ = kTickNever;
+        syncRxArm();
         return;
     }
     if (n == 1) {
@@ -213,6 +230,7 @@ Fpga::plan()
         return;
     }
     plannedEdge_ = now() + n * clock_.period();
+    syncRxArm();
     const Tick at = plannedEdge_ - clock_.period();
     // A relay a wake left pending may already serve this edge.
     if (relayAt_ == at)
@@ -241,6 +259,7 @@ Fpga::replayTo(Tick edge)
         p->skipCycles(n);
     ctrl_->skipCycles(n);
     nextEdge_ = edge;
+    syncRxArm();
 }
 
 void

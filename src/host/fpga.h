@@ -81,6 +81,8 @@ class Fpga : public Component
     /** Generation of the live tick event; older ones are dropped when
      *  they fire. */
     std::uint64_t gen_ = 0;
+    /** Whether the host links post response-arrival events. */
+    bool rxArmed_ = true;
 
     void tickAll();
     void plan();
@@ -88,6 +90,7 @@ class Fpga : public Component
     void postTick(Tick edge);
     void replayTo(Tick edge);
     void wakeAt(Tick edge);
+    void syncRxArm();
     void onPortActivity(bool activating);
     void adopt(Port &port);
     void rebindController();

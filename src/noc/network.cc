@@ -107,8 +107,8 @@ Network::rewireEndpoint(NodeId ep, EndpointOps ops)
     ops_[ep] = std::move(ops);
 }
 
-const Network::EndpointOps &
-Network::opsFor(NodeId ep) const
+Network::EndpointOps &
+Network::opsFor(NodeId ep)
 {
     if (ep >= ops_.size() || !opsSet_[ep])
         panic("Network: endpoint " + std::to_string(ep) +

@@ -10,7 +10,6 @@
 #define HMCSIM_NOC_NETWORK_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,10 +27,12 @@ class Network : public Component
     /** Callbacks each endpoint registers before traffic flows. */
     struct EndpointOps {
         /** Reserve delivery space; false blocks the ejection port. */
-        std::function<bool(std::uint32_t flits)> tryReserve;
+        InlineFunction<bool(std::uint32_t flits)> tryReserve;
 
-        /** Deliver a message (space already reserved). */
-        std::function<void(const NocMessage &)> deliver;
+        /** Deliver a message (space already reserved).  Twice the
+         *  default capture: harnesses that stand in for the endpoints
+         *  (tests, perfbench's NoC harness) capture their state here. */
+        InlineFunction<void(const NocMessage &), 64> deliver;
 
         /**
          * Injection credits returned after a failed canInject() (or an
@@ -133,7 +134,7 @@ class Network : public Component
     Counter delivered_;
     Counter flitsDelivered_;
 
-    const EndpointOps &opsFor(NodeId ep) const;
+    EndpointOps &opsFor(NodeId ep);
     void onDelivered(NodeId ep, const NocMessage &msg);
 };
 

@@ -88,7 +88,7 @@ Router::acceptMessage(int input, const NocMessage &msg, Tick arrival)
     // message's event, so its input scan takes the message: post it.
     for (std::size_t o = 0; o < outputs_.size() && lazySlots_ != 0; ++o) {
         const Output &out = *outputs_[o];
-        if (out.sending && !out.serDonePosted && out.serDone.when == ready)
+        if (out.serDone.lazy() && out.serDone.when() == ready)
             postSerDone(o);
     }
 }
@@ -113,7 +113,7 @@ Router::processInput(std::size_t i)
             return;
         }
         out.q.push(msg);
-        if (out.sending && !out.serDonePosted)
+        if (out.serDone.lazy())
             postSerDone(o);
         messages_.inc();
         flits_.inc(msg.flits);
@@ -148,7 +148,7 @@ Router::tryDrain(std::size_t o)
 {
     Output &out = *outputs_[o];
     fold(out);
-    if (out.sending || out.q.empty())
+    if (out.serDone.held() || out.q.empty())
         return;
     const NocMessage &head = out.q.front();
     if (out.dstRouter) {
@@ -162,10 +162,8 @@ Router::tryDrain(std::size_t o)
         }
         out.blockedOnEject = false;
     }
-    out.sending = true;
     const Channel::Times t = out.chan->reserve(head.flits, now());
-    out.serDone = kernel().reserveIn(t.serDone - now());
-    out.serDonePosted = false;
+    out.serDone.reserve(kernel(), t.serDone - now());
     ++lazySlots_;
     // Post the slot if its event would do more than the fold: drain
     // another queued message, or scan inputs that are blocked or whose
@@ -201,9 +199,8 @@ Router::tryDrain(std::size_t o)
 void
 Router::fold(Output &out)
 {
-    if (out.sending && !out.serDonePosted && kernel().passed(out.serDone)) {
+    if (out.serDone.due(kernel())) {
         out.q.pop();
-        out.sending = false;
         ++inputRR_;
         --lazySlots_;
     }
@@ -214,11 +211,10 @@ Router::postSerDone(std::size_t o)
 {
     Output &out = *outputs_[o];
     fold(out);
-    if (!out.sending || out.serDonePosted)
+    if (!out.serDone.lazy())
         return;
-    out.serDonePosted = true;
     --lazySlots_;
-    kernel().scheduleAt(out.serDone, [this, o] { outputSerDone(o); });
+    out.serDone.post(kernel(), [this, o] { outputSerDone(o); });
 }
 
 void
@@ -228,9 +224,8 @@ Router::outputSerDone(std::size_t o)
     for (std::size_t k = 0; k < outputs_.size() && lazySlots_ != 0; ++k)
         fold(*outputs_[k]);
     Output &out = *outputs_[o];
+    out.serDone.fired();
     out.q.pop();
-    out.sending = false;
-    out.serDonePosted = false;
     tryDrain(o);
     // Output-queue space freed: unblock HOL-stalled inputs.  The scan
     // starts at a rotating index; a fixed order would give one input

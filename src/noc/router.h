@@ -39,12 +39,12 @@
 #define HMCSIM_NOC_ROUTER_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "common/stats.h"
 #include "noc/buffer.h"
 #include "noc/channel.h"
@@ -52,6 +52,7 @@
 #include "power/power_probe.h"
 #include "sim/component.h"
 #include "sim/credit_pool.h"
+#include "sim/lazy_slot.h"
 
 namespace hmcsim {
 
@@ -95,10 +96,10 @@ class Router : public Component
          * Reserve space for a message of given flits; returning false
          * blocks the output until kickEject().
          */
-        std::function<bool(std::uint32_t)> tryReserve;
+        InlineFunction<bool(std::uint32_t)> tryReserve;
 
         /** Final delivery (reservation already made). */
-        std::function<void(const NocMessage &)> deliver;
+        InlineFunction<void(const NocMessage &)> deliver;
     };
 
     Router(Kernel &kernel, Component *parent, std::string name,
@@ -196,12 +197,10 @@ class Router : public Component
         std::optional<CreditPool> credits;
         NodeId ejectEp = kNodeInvalid;
         Eject eject;
-        bool sending = false;
         bool blockedOnEject = false;
-        /** While sending: when the channel frees (see the file
-         *  comment), and whether an event is posted in that slot. */
-        EventSlot serDone;
-        bool serDonePosted = false;
+        /** Held while sending: when the channel frees (see the file
+         *  comment). */
+        LazySlot serDone;
     };
 
     std::uint32_t id_;

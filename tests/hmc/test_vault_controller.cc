@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -64,6 +66,7 @@ class VaultControllerTest : public ::testing::Test
         link_ops.deliver = [this](const NocMessage &m) {
             responses_.push_back(
                 std::static_pointer_cast<HmcPacket>(m.payload));
+            responseTimes_.push_back(kernel_.now());
         };
         net_->setEndpoint(0, std::move(link_ops));
     }
@@ -124,6 +127,49 @@ class VaultControllerTest : public ::testing::Test
         return order;
     }
 
+    struct Send {
+        Tick at;
+        BankId bank;
+        RowId row;
+    };
+
+    /**
+     * Inject each read of @p sends at its tick and run to completion;
+     * return "bank:plan/response" per request in plan order (times in
+     * ps).  The bank-free slot's posting rules decide these times.
+     */
+    std::string
+    servePlan(const VaultController::Params &params,
+              const std::vector<Send> &sends)
+    {
+        build(params);
+        responses_.clear();
+        responseTimes_.clear();
+        for (const Send &s : sends) {
+            kernel_.run(s.at);
+            sendRead(s.bank, s.row);
+        }
+        kernel_.run();
+        EXPECT_EQ(responses_.size(), sends.size());
+        std::vector<std::pair<Tick, std::string>> plans;
+        for (std::size_t i = 0; i < responses_.size(); ++i) {
+            const HmcPacketPtr &r = responses_[i];
+            plans.emplace_back(
+                r->dramStartAt,
+                std::to_string(map_->decode(r->addr).bank) + ":" +
+                    std::to_string(r->dramStartAt) + "/" +
+                    std::to_string(responseTimes_[i]));
+        }
+        std::stable_sort(plans.begin(), plans.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        std::string out;
+        for (const auto &pl : plans)
+            out += (out.empty() ? "" : " ") + pl.second;
+        return out;
+    }
+
     Kernel kernel_;
     HmcConfig cfg_;
     std::unique_ptr<AddressMap> map_;
@@ -131,6 +177,7 @@ class VaultControllerTest : public ::testing::Test
     std::unique_ptr<Network> net_;
     std::unique_ptr<VaultController> vc_;
     std::vector<HmcPacketPtr> responses_;
+    std::vector<Tick> responseTimes_;
 };
 
 TEST_F(VaultControllerTest, ReadProducesMatchingResponse)
@@ -335,6 +382,45 @@ TEST_F(VaultControllerTest, WideVaultPlansBanksInRotation)
               "32,33,42,48,49,51,54,55,61,66,70,72,84,86,87,88,91,93,96,"
               "104,110,111,116,125,11,12,16,17,19,28,30,33,48,49,55,70,84,"
               "86,87,88,93,96,104,110,16,17,19,84,86,96");
+}
+
+// The bank-free slot is posted only when its event would do more than
+// free the bank.  One case per posting rule; the plan orders and times
+// were recorded from the controller that posted an event for every
+// bank-free.
+
+TEST_F(VaultControllerTest, BankFreeSlotPostedForRequestOnBusyBank)
+{
+    // The second read reaches bank 5 while the first keeps it busy:
+    // the bank-free event plans it.
+    EXPECT_EQ(servePlan({}, {{0, 5, 1}, {0, 5, 2}, {30000, 5, 3}}),
+              "5:8800/49500 5:22550/82000 5:55050/114500");
+}
+
+TEST_F(VaultControllerTest, BankFreeSlotPostedForBlockedInputHead)
+{
+    // One-deep bank queues behind a one-response queue: the third read
+    // finds bank 1's queue full (head-of-line).  The response drain
+    // plans bank 1's queued read without retrying the input; the next
+    // bank-free event's input scan moves the blocked head.
+    VaultController::Params p;
+    p.bankQueueDepth = 1;
+    p.responseQueueFlits = 3;
+    EXPECT_EQ(servePlan(p, {{0, 0, 1}, {0, 1, 1}, {0, 1, 2}}),
+              "0:8800/49500 1:41500/82200 1:74200/114900");
+}
+
+TEST_F(VaultControllerTest, BankFreeSlotPostedForSameTickReadyInput)
+{
+    // Bank 0's bank-free slot (its read planned at 8.8 ns) is at
+    // 22.55 ns, which is also when the scheduler's pacing lets the
+    // next plan go (bank 5 planned at 16.15 ns) and so when bank 6's
+    // paced plan retries.  Bank 3's read becomes ready at exactly
+    // 22.55 ns, ahead of its own frontend event: the bank-free event's
+    // input scan plans it before the retry plans bank 6.
+    EXPECT_EQ(servePlan({}, {{0, 0, 1}, {7350, 5, 1}, {8150, 6, 1},
+                             {13750, 3, 1}}),
+              "0:8800/49500 5:16150/56850 3:22550/63250 6:28950/69650");
 }
 
 }  // namespace

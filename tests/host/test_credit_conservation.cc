@@ -8,7 +8,9 @@
  * flight, and no host controller counts one outstanding to any cube.
  * A return lost or doubled by the lazy return/fold/wake path leaves a
  * pool short of its capacity (or panics past it); a response lost in
- * the fabric leaves a tag held.
+ * the fabric leaves a tag held.  Every SerDes RX buffer is empty and
+ * every vault controller idle too: a wake that a narrowed wait set
+ * lost strands a packet in an RX buffer or a request in a vault.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "common/config.h"
 #include "hmc/hmc_device.h"
 #include "hmc/serdes_link.h"
+#include "hmc/vault_controller.h"
 #include "host/system.h"
 #include "host/workload/workload_port.h"
 #include "noc/network.h"
@@ -38,6 +41,7 @@ struct PoolTally {
     std::uint64_t nocConsumed = 0;
     std::uint64_t linkFlits = 0;
     std::size_t workloadPorts = 0;
+    std::size_t vaults = 0;
 };
 
 void
@@ -47,6 +51,8 @@ expectFullPools(const Component &c, PoolTally &t)
         for (const LinkDir d : {LinkDir::HostToCube, LinkDir::CubeToHost}) {
             EXPECT_EQ(lk->tokensFree(d), lk->tokenCapacity(d))
                 << lk->path() << " dir " << static_cast<unsigned>(d);
+            EXPECT_EQ(lk->rxQueued(d), 0u)
+                << lk->path() << " RX dir " << static_cast<unsigned>(d);
             ++t.linkDirs;
             t.linkFlits += lk->flitsSent(d);
         }
@@ -60,6 +66,9 @@ expectFullPools(const Component &c, PoolTally &t)
             ++t.routerOutputs;
             t.nocConsumed += p->totalConsumed();
         }
+    } else if (const auto *vc = dynamic_cast<const VaultController *>(&c)) {
+        EXPECT_TRUE(vc->idle()) << vc->path();
+        ++t.vaults;
     } else if (const auto *net = dynamic_cast<const Network *>(&c)) {
         for (NodeId ep = 0; ep < net->numEndpoints(); ++ep) {
             const CreditPool &p = net->injectCredits(ep);
@@ -115,6 +124,7 @@ drainAndCheck(const Keys &keys)
     expectFullPools(*root, t);
     EXPECT_GT(t.linkFlits, 0u);
     EXPECT_GT(t.nocConsumed, 0u);
+    EXPECT_EQ(t.vaults, 16u * sys.numCubes());
     expectAllTagsReturned(sys, t);
     EXPECT_EQ(t.workloadPorts, 9u * sys.numHosts());
     return t;
@@ -142,6 +152,23 @@ TEST(CreditConservation, EightCubeRing)
                        {"host.workload.write_fraction", "0.25"},
                        {"host.workload_ports", "9"}});
     // 8 cubes x 2 links plus 2 ring-closing links, both directions.
+    EXPECT_EQ(t.linkDirs, 36u);
+}
+
+TEST(CreditConservation, StaticRingWithOnePacketQueuesAndFewTokens)
+{
+    // Every lane sees head-of-line and token blocking: the narrowed
+    // static wait sets must wake every stalled drain.
+    const PoolTally t =
+        drainAndCheck({{"hmc.num_cubes", "8"},
+                       {"hmc.chain_topology", "ring"},
+                       {"hmc.chain_forward_queue_packets", "1"},
+                       {"hmc.link_tokens", "18"},
+                       {"hmc.power_enabled", "false"},
+                       {"host.workload", "gups"},
+                       {"host.workload.request_bytes", "128"},
+                       {"host.workload.write_fraction", "0.5"},
+                       {"host.workload_ports", "9"}});
     EXPECT_EQ(t.linkDirs, 36u);
 }
 

@@ -31,6 +31,7 @@ EXPECTED = {
     ("naked-packet-new", "src/hmc/bad_packet_new.cc", 19),
     ("unordered-iter", "src/hmc/bad_unordered.cc", 14),
     ("std-function", "src/sim/bad_std_function.cc", 7),
+    ("std-function", "src/noc/bad_std_function.cc", 7),
     ("std-function", "src/sim/bad_waiver.cc", 8),
     ("waiver", "src/sim/bad_waiver.cc", 7),
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -53,7 +54,8 @@ class RouterTest : public ::testing::Test
             reserved_ -= m.flits;
             delivered_.push_back(m);
         };
-        const int eject_out = r1_->addOutputToEndpoint(kEndpoint, ej);
+        const int eject_out =
+            r1_->addOutputToEndpoint(kEndpoint, std::move(ej));
 
         // Routes: 6 endpoint slots, endpoint 5 is the interesting one.
         r0_->setRoutes(std::vector<int>(kEndpoint + 1, out0_));
@@ -188,7 +190,7 @@ TEST_F(RouterTest, InvalidWiringPanics)
     EXPECT_THROW(r0_->acceptMessage(99, msg(1), kernel_.now()), PanicError);
     EXPECT_THROW(r0_->connectTo(nullptr), PanicError);
     Router::Eject bad;  // missing callbacks
-    EXPECT_THROW(r0_->addOutputToEndpoint(7, bad), PanicError);
+    EXPECT_THROW(r0_->addOutputToEndpoint(7, std::move(bad)), PanicError);
     EXPECT_THROW(r0_->setRoutes({-1}), PanicError);
     EXPECT_THROW(r0_->setRoutes({12345}), PanicError);
 }
