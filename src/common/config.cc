@@ -92,18 +92,6 @@ Config::getU64(const std::string &key, std::uint64_t fallback) const
     return out;
 }
 
-std::int64_t
-Config::getI64(const std::string &key, std::int64_t fallback) const
-{
-    const std::string *v = find(key);
-    if (!v)
-        return fallback;
-    std::int64_t out = 0;
-    if (!parseI64(*v, out))
-        fatal("config: key '" + key + "' is not an integer");
-    return out;
-}
-
 double
 Config::getDouble(const std::string &key) const
 {

@@ -46,7 +46,6 @@ class Config
     std::uint64_t getU64(const std::string &key) const;
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback) const;
-    std::int64_t getI64(const std::string &key, std::int64_t fallback) const;
     double getDouble(const std::string &key) const;
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key) const;

@@ -69,14 +69,10 @@ collectResult(System &sys, Tick window_ticks)
         hs.entryCube = sys.hostEntryCube(h);
         SampleStats host_read;
         for (PortId p = 0; p < sys.fpga(h).numPorts(); ++p) {
-            const Port &port = sys.portAt(h, p);
-            double offered = 0.0;
-            if (const auto *wp =
-                    dynamic_cast<const WorkloadPort *>(&port)) {
-                offered = wp->offeredRequests();
-                r.totalOfferedRequests += offered;
-                hs.offeredRequests += offered;
-            }
+            const WorkloadPort &port = sys.portAt(h, p);
+            const double offered = port.offeredRequests();
+            r.totalOfferedRequests += offered;
+            hs.offeredRequests += offered;
             const Monitor &m = port.monitor();
             if (m.accesses() == 0)
                 continue;

@@ -16,14 +16,13 @@ Fpga::Fpga(Kernel &kernel, Component *parent, std::string name,
 {
     cfg_.validate();
     ctrl_ = std::make_unique<HmcHostController>(kernel, this, "controller",
-                                                cfg_, attach_);
+                                                cfg_, attach_, ports_);
     for (PortId p = 0; p < cfg_.numPorts; ++p) {
         ports_.push_back(std::make_unique<WorkloadPort>(
             kernel, this, "port" + std::to_string(p), p, cfg_,
             defaultPortParams(p)));
         adopt(*ports_.back());
     }
-    rebindController();
     const Tick period = clock_.period();
     for (SerdesLink *lk : attach_.links) {
         lk->setOnRxAvailable(LinkDir::CubeToHost, [this] {
@@ -51,7 +50,7 @@ Fpga::defaultPortParams(PortId p) const
     return buildWorkloadParams(spec, *attach_.map, cfg_, p);
 }
 
-Port &
+WorkloadPort &
 Fpga::port(PortId p)
 {
     if (p >= ports_.size())
@@ -60,21 +59,11 @@ Fpga::port(PortId p)
 }
 
 void
-Fpga::adopt(Port &port)
+Fpga::adopt(WorkloadPort &port)
 {
     port.setOnActivityChange([this](bool activating) {
         onPortActivity(activating);
     });
-}
-
-void
-Fpga::rebindController()
-{
-    std::vector<Port *> table;
-    table.reserve(ports_.size());
-    for (auto &p : ports_)
-        table.push_back(p.get());
-    ctrl_->setPorts(std::move(table));
 }
 
 WorkloadPort &
@@ -99,7 +88,6 @@ Fpga::configureWorkloadPort(PortId p, WorkloadPort::Params params)
             obs->onComponentReplaced(ref.path());
     }
     ref.setActive(true);
-    rebindController();
     return ref;
 }
 
@@ -220,7 +208,7 @@ Fpga::plan()
             break;
         n = std::min(n, p->cyclesToWork());
     }
-    if (n == Port::kNoSelfWake) {
+    if (n == WorkloadPort::kNoSelfWake) {
         plannedEdge_ = kTickNever;
         syncRxArm();
         return;

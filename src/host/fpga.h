@@ -12,9 +12,6 @@
 #ifndef HMCSIM_HOST_FPGA_H_
 #define HMCSIM_HOST_FPGA_H_
 
-#include <memory>
-#include <vector>
-
 #include "host/hmc_host_controller.h"
 #include "host/workload/workload_build.h"
 #include "host/workload/workload_port.h"
@@ -31,7 +28,7 @@ class Fpga : public Component
     const HostConfig &config() const { return cfg_; }
     const ClockDomain &clock() const { return clock_; }
 
-    Port &port(PortId p);
+    WorkloadPort &port(PortId p);
     std::uint32_t numPorts() const { return cfg_.numPorts; }
 
     /**
@@ -65,7 +62,7 @@ class Fpga : public Component
     HostConfig cfg_;
     HostAttach attach_;
     ClockDomain clock_;
-    std::vector<std::unique_ptr<WorkloadPort>> ports_;
+    PortTable ports_;
     std::unique_ptr<HmcHostController> ctrl_;
     bool running_ = false;
     /** False when a wake could not keep the free-running order (see
@@ -92,8 +89,7 @@ class Fpga : public Component
     void wakeAt(Tick edge);
     void syncRxArm();
     void onPortActivity(bool activating);
-    void adopt(Port &port);
-    void rebindController();
+    void adopt(WorkloadPort &port);
     WorkloadPort::Params defaultPortParams(PortId p) const;
 };
 

@@ -12,9 +12,10 @@ namespace hmcsim {
 HmcHostController::HmcHostController(Kernel &kernel, Component *parent,
                                      std::string name,
                                      const HostConfig &cfg,
-                                     HostAttach attach)
+                                     HostAttach attach,
+                                     const PortTable &ports)
     : Component(kernel, parent, std::move(name)), cfg_(cfg),
-      attach_(std::move(attach)), portArb_(cfg.numPorts),
+      attach_(std::move(attach)), ports_(ports), portArb_(cfg.numPorts),
       sendHeadroom_(cfg.requestsPerCyclePerLink *
                     HmcPacket::flitsFor(HmcCmd::Write, 128)),
       sentPerCube_(attach_.numCubes), outstanding_(attach_.numCubes, 0),
@@ -32,18 +33,8 @@ HmcHostController::HmcHostController(Kernel &kernel, Component *parent,
 }
 
 void
-HmcHostController::setPorts(std::vector<Port *> ports)
-{
-    if (ports.size() != cfg_.numPorts)
-        panic("HmcHostController: port table size mismatch");
-    ports_ = std::move(ports);
-}
-
-void
 HmcHostController::tick()
 {
-    if (ports_.empty())
-        panic("HmcHostController: tick before setPorts");
     tickRequests();
     tickResponses();
 }
@@ -64,14 +55,14 @@ HmcHostController::cyclesToWork() const
         if (lk->tokensFree(LinkDir::HostToCube) < sendHeadroom_)
             return 1;
     }
-    return Port::kNoSelfWake;
+    return WorkloadPort::kNoSelfWake;
 }
 
 bool
 HmcHostController::anyRequest() const
 {
     return std::any_of(ports_.begin(), ports_.end(),
-                       [](const Port *p) { return p->hasRequest(); });
+                       [](const auto &p) { return p->hasRequest(); });
 }
 
 void

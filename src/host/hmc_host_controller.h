@@ -17,20 +17,22 @@
 #ifndef HMCSIM_HOST_HMC_HOST_CONTROLLER_H_
 #define HMCSIM_HOST_HMC_HOST_CONTROLLER_H_
 
+#include <memory>
 #include <vector>
 
-#include "hmc/hmc_device.h"
+#include "hmc/address_map.h"
+#include "hmc/serdes_link.h"
 #include "host/host_config.h"
-#include "host/port.h"
+#include "host/workload/workload_port.h"
 #include "noc/arbiter.h"
 
 namespace hmcsim {
 
 /**
  * What the host controller is wired to: the SerDes links it drives,
- * the shared address geometry, and the cubes behind them.  Assembled
- * by System from either a bare HmcDevice (classic single-cube) or a
- * chain::CubeNetwork.
+ * the shared address geometry, and which cube each link reaches.
+ * Assembled by System from either a bare HmcDevice (classic
+ * single-cube) or a chain::CubeNetwork.
  */
 struct HostAttach {
     const AddressMap *map = nullptr;
@@ -41,8 +43,6 @@ struct HostAttach {
     std::vector<SerdesLink *> links;
     /** Cube behind each link; kCubeAll when the link reaches all. */
     std::vector<CubeId> linkCube;
-    /** Per-cube device handles (stats/power collection). */
-    std::vector<HmcDevice *> cubes;
     /**
      * Congestion-aware chain-entry selection
      * (hmc.chain_routing=adaptive): each issue slot picks the entry
@@ -52,20 +52,24 @@ struct HostAttach {
     bool adaptiveEntry = false;
 };
 
+/** The owning fabric's port table, indexed by PortId. */
+using PortTable = std::vector<std::unique_ptr<WorkloadPort>>;
+
 class HmcHostController : public Component
 {
   public:
+    /** @p ports is the owning Fpga's table: the controller reads the
+     *  live entries, so replacing a port needs no rebinding. */
     HmcHostController(Kernel &kernel, Component *parent, std::string name,
-                      const HostConfig &cfg, HostAttach attach);
-
-    /** (Re)bind the port table; called whenever a port is replaced. */
-    void setPorts(std::vector<Port *> ports);
+                      const HostConfig &cfg, HostAttach attach,
+                      const PortTable &ports);
 
     /** Advance one FPGA cycle: issue requests, drain responses. */
     void tick();
 
-    /** Port::cyclesToWork for the controller: 1 while it can issue or
-     *  drain, else Port::kNoSelfWake (a response wakes it). */
+    /** WorkloadPort::cyclesToWork for the controller: 1 while it can
+     *  issue or drain, else WorkloadPort::kNoSelfWake (a response
+     *  wakes it). */
     std::uint64_t cyclesToWork() const;
 
     /** Apply @p n skipped no-op ticks: refill the deserializer. */
@@ -94,7 +98,7 @@ class HmcHostController : public Component
   private:
     HostConfig cfg_;
     HostAttach attach_;
-    std::vector<Port *> ports_;
+    const PortTable &ports_;
     /** One arbiter shared by all links: a global round-robin pointer
      *  keeps the nine ports' grant shares equal. */
     RoundRobinArbiter portArb_;

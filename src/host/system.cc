@@ -173,7 +173,6 @@ System::makeAttach(HostId h)
             a.links.push_back(&cube_->link(l));
             a.linkCube.push_back(kCubeAll);
         }
-        a.cubes.push_back(cube_.get());
         return a;
     }
     for (LinkId l = 0; l < chain_->numHostLinks(); ++l) {
@@ -185,8 +184,6 @@ System::makeAttach(HostId h)
     a.adaptiveEntry =
         chain_->routingMode() == ChainRoutingMode::Adaptive &&
         chain_->routes().topology() != ChainTopology::Star;
-    for (CubeId c = 0; c < numCubes(); ++c)
-        a.cubes.push_back(&chain_->cube(c));
     return a;
 }
 

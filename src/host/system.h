@@ -102,10 +102,10 @@ class System
     const AddressMap &addressMap() const;
 
     /** Port @p p of host 0 (the classic single-host accessor). */
-    Port &port(PortId p) { return fpga().port(p); }
+    WorkloadPort &port(PortId p) { return fpga().port(p); }
 
     /** Port @p p of host @p h. */
-    Port &portAt(HostId h, PortId p) { return fpga(h).port(p); }
+    WorkloadPort &portAt(HostId h, PortId p) { return fpga(h).port(p); }
 
     WorkloadPort &
     configureWorkloadPort(PortId p, WorkloadPort::Params params)

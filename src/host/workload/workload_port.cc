@@ -6,13 +6,16 @@
 #include "common/units.h"
 #include "host/workload/sources.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
+#include "sim/kernel.h"
 
 namespace hmcsim {
 
 WorkloadPort::WorkloadPort(Kernel &kernel, Component *parent,
                            std::string name, PortId id,
                            const HostConfig &cfg, Params params)
-    : Port(kernel, parent, std::move(name), id, cfg),
+    : Component(kernel, parent, std::move(name)), id_(id),
+      fifoDepth_(cfg.portFifoDepth), monitor_(cfg.fixedLatencyNs),
       source_(std::move(params.source)), kind_(params.kind),
       inject_(params.inject), drainRate_(params.drainFlitsPerCycle),
       window_(inject_.window != 0 ? inject_.window : cfg.tagsPerPort),
@@ -26,6 +29,89 @@ WorkloadPort::WorkloadPort(Kernel &kernel, Component *parent,
         fatal("WorkloadPort: no traffic source");
     inject_.validate();
     batchRemaining_ = inject_.batchSize;
+    if (Observability *o = kernel.obs()) {
+        tracer_ = o->fullTracer();
+        lifeTracer_ = o->tracer();
+        anatomy_ = o->anatomy();
+    }
+}
+
+std::uint32_t
+WorkloadPort::headFlits() const
+{
+    if (fifo_.empty())
+        panic("WorkloadPort::headFlits on empty FIFO");
+    return fifo_.front()->flits();
+}
+
+Addr
+WorkloadPort::headAddr() const
+{
+    if (fifo_.empty())
+        panic("WorkloadPort::headAddr on empty FIFO");
+    return fifo_.front()->addr;
+}
+
+HmcPacketPtr
+WorkloadPort::popRequest()
+{
+    if (fifo_.empty())
+        panic("WorkloadPort::popRequest on empty FIFO");
+    HmcPacketPtr pkt = fifo_.front();
+    fifo_.pop_front();
+    return pkt;
+}
+
+void
+WorkloadPort::pushRequest(const HmcPacketPtr &pkt)
+{
+    if (fifoFull())
+        panic("WorkloadPort::pushRequest: FIFO overflow");
+    pkt->createdAt = now();
+    pkt->port = id_;
+    if (tracer_ && tracer_->wants(*pkt))
+        tracer_->record(now(), *pkt, TraceStage::Inject, kTraceNoWhere,
+                        id_);
+    fifo_.push_back(pkt);
+    issued_.inc();
+}
+
+void
+WorkloadPort::traceComplete(const HmcPacket &pkt) const
+{
+    if (anatomy_)
+        anatomy_->onComplete(pkt);
+    if (!lifeTracer_ || !lifeTracer_->wants(pkt))
+        return;
+    if (lifeTracer_->mode() == TraceMode::Summary)
+        lifeTracer_->recordLifecycle(pkt, id_);
+    else
+        lifeTracer_->record(now(), pkt, TraceStage::Eject, kTraceNoWhere,
+                            id_);
+}
+
+std::uint64_t
+WorkloadPort::transactionBytes(const HmcPacket &resp)
+{
+    // Request + response wire bytes, reconstructed from the response:
+    // the pair (cmd, dataBytes) determines both packet sizes.
+    const HmcCmd req_cmd = resp.cmd == HmcCmd::ReadResponse
+        ? HmcCmd::Read
+        : HmcCmd::Write;
+    const std::uint32_t req_flits =
+        HmcPacket::flitsFor(req_cmd, resp.dataBytes);
+    return static_cast<std::uint64_t>(req_flits + resp.flits()) *
+        kFlitBytes;
+}
+
+void
+WorkloadPort::setActive(bool active)
+{
+    if (active == active_)
+        return;
+    if (onActivityChange_)
+        onActivityChange_(active);
+    active_ = active;
 }
 
 bool
@@ -232,7 +318,8 @@ WorkloadPort::idle() const
 void
 WorkloadPort::listStats(StatList &s) const
 {
-    Port::listStats(s);
+    s.counter("issued", issued_);
+    monitor_.listStats(s);
     s.level("outstanding_now", outstanding_);
     if (openLoop()) {
         s.level("offered_requests", offered_);
@@ -243,11 +330,11 @@ WorkloadPort::listStats(StatList &s) const
 void
 WorkloadPort::resetOwnStats()
 {
-    Port::resetOwnStats();
+    monitor_.resetUnlisted();
     offered_ = 0.0;
 }
 
-// ----- legacy GUPS firmware spec mapping -----
+// ----- GUPS firmware spec mapping -----
 
 WorkloadPort::Params
 workloadFromGupsPortSpec(const GupsPortSpec &spec, const HostConfig &cfg)

@@ -109,15 +109,6 @@ EnergyModel::dramLayerAttributedPj(std::uint32_t layer) const
 }
 
 double
-EnergyModel::dramAttributedPj() const
-{
-    double total = 0.0;
-    for (double e : layerPj_)
-        total += e;
-    return total;
-}
-
-double
 EnergyModel::logicStaticW() const
 {
     return params_.serdesIdleW + params_.logicIdleW;

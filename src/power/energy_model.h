@@ -62,9 +62,6 @@ class EnergyModel : public PowerProbe
      */
     double dramLayerAttributedPj(std::uint32_t layer) const;
 
-    /** Sum of the per-layer attributed energies, pJ. */
-    double dramAttributedPj() const;
-
     std::uint32_t numDramLayers() const
     {
         return static_cast<std::uint32_t>(layerPj_.size());

@@ -89,11 +89,9 @@ expectAllTagsReturned(System &sys, PoolTally &t)
     for (HostId h = 0; h < sys.numHosts(); ++h) {
         Fpga &fpga = sys.fpga(h);
         for (PortId p = 0; p < fpga.numPorts(); ++p) {
-            const auto *wp = dynamic_cast<const WorkloadPort *>(&fpga.port(p));
-            if (!wp)
-                continue;
-            EXPECT_EQ(wp->tags().inUse(), 0u) << wp->path();
-            EXPECT_EQ(wp->inFlight(), 0u) << wp->path();
+            const WorkloadPort &wp = fpga.port(p);
+            EXPECT_EQ(wp.tags().inUse(), 0u) << wp.path();
+            EXPECT_EQ(wp.inFlight(), 0u) << wp.path();
             ++t.workloadPorts;
         }
         for (CubeId c = 0; c < sys.numCubes(); ++c)

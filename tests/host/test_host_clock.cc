@@ -220,7 +220,7 @@ TEST(HostClock, SkipsEventsOnTheFig7Stream)
 TEST(HostClock, ReactivatedPortIssuesOnTheNextEdge)
 {
     System sys(configFor("host.workload=gups host.workload.window=8", 1));
-    Port &port = sys.port(0);
+    WorkloadPort &port = sys.port(0);
     sys.run(2 * kMicrosecond);
     port.setActive(false);
     ASSERT_TRUE(sys.runUntilIdle(10 * kMicrosecond));

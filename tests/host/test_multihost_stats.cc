@@ -122,5 +122,70 @@ TEST(MultiHostStats, ResultCarriesPerHostBreakdown)
     EXPECT_EQ(sent, r.hosts[0].requestsSent + r.hosts[1].requestsSent);
 }
 
+/**
+ * Stride reads confined to cube @p c (cube_high interleave: each cube
+ * owns one contiguous address range).
+ */
+WorkloadSpec
+strideInCube(const System &sys, CubeId c, std::uint64_t stride)
+{
+    WorkloadSpec w;
+    w.type = "stride";
+    w.strideBytes = stride;
+    w.strideBase = c * sys.addressMap().capacity();
+    w.strideSpanBytes = sys.addressMap().capacity();
+    return w;
+}
+
+/**
+ * Host 0 reads cube 0, host 1 reads its entry cube 2: the two hosts
+ * share no link, switch or vault.  With @p replace, host 1's port 0
+ * is drained and replaced mid-run.
+ */
+void
+runTwoHosts(System &sys, bool replace)
+{
+    for (PortId p = 0; p < 2; ++p)
+        sys.configureWorkloadAt(0, p, strideInCube(sys, 0, 64 + 64 * p));
+    sys.configureWorkloadAt(1, 0, strideInCube(sys, 2, 64));
+    sys.run(3 * kMicrosecond);
+    if (replace) {
+        sys.portAt(1, 0).setActive(false);
+        sys.run(2 * kMicrosecond);
+        ASSERT_TRUE(sys.portAt(1, 0).idle());
+        sys.configureWorkloadAt(1, 0, strideInCube(sys, 2, 256));
+    } else {
+        sys.run(2 * kMicrosecond);
+    }
+    sys.run(3 * kMicrosecond);
+}
+
+TEST(MultiHostStats, ReplacingAPortOfHostOneLeavesHostZeroAlone)
+{
+    System base(dualHostRing());
+    runTwoHosts(base, false);
+    System sys(dualHostRing());
+    runTwoHosts(sys, true);
+
+    // Host 1's controller serves the replacement port: every request
+    // it issued in its 3 us came back to it.
+    const WorkloadPort &fresh = sys.portAt(1, 0);
+    EXPECT_GT(fresh.monitor().reads(), 0u);
+    EXPECT_EQ(fresh.monitor().reads() + fresh.inFlight(),
+              fresh.issuedRequests());
+    const HmcHostController &ctrl = sys.fpga(1).controller();
+    EXPECT_EQ(ctrl.requestsSent() - ctrl.responsesDelivered(),
+              fresh.inFlight());
+
+    // Host 0's ports issue exactly as in the run without it.
+    for (PortId p = 0; p < sys.fpga(0).numPorts(); ++p) {
+        const WorkloadPort &got = sys.portAt(0, p);
+        const WorkloadPort &want = base.portAt(0, p);
+        EXPECT_EQ(got.issuedRequests(), want.issuedRequests()) << p;
+        EXPECT_EQ(got.monitor().reads(), want.monitor().reads()) << p;
+    }
+    EXPECT_GT(sys.portAt(0, 1).issuedRequests(), 0u);
+}
+
 }  // namespace
 }  // namespace hmcsim

@@ -174,8 +174,7 @@ TEST_F(PortsTest, ReplacingAPortWithRequestsInFlightIsFatal)
     // Its responses would reach the replacement's tag pool.
     sys_.configureWorkload(0, gups(64));
     sys_.run(3500 * kNanosecond);
-    const std::uint32_t in_flight =
-        static_cast<const WorkloadPort &>(sys_.port(0)).inFlight();
+    const std::uint32_t in_flight = sys_.port(0).inFlight();
     ASSERT_GT(in_flight, 0u);
     try {
         sys_.configureWorkload(0, gups(64));

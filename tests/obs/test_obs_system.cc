@@ -226,7 +226,8 @@ TEST(ObsSystem, ChromeJsonDumpFromLiveSystem)
 
 TEST(ObsSystem, SamplerWritesTimeSeriesCsv)
 {
-    const std::string path = "obs_test_timeseries.csv";
+    const std::string path =
+        ::testing::TempDir() + "obs_test_timeseries.csv";
     std::remove(path.c_str());
     {
         SystemConfig cfg;
@@ -287,7 +288,8 @@ TEST(ObsSystem, SamplerRowSpanningAStatsResetIsNeverNegative)
     // measure() resets the stats between two sampler fires; the row at
     // t = 4000 ns must report counts since the reset, not the reset
     // counters minus the pre-reset snapshot.
-    const std::string path = "obs_test_reset_timeseries.csv";
+    const std::string path =
+        ::testing::TempDir() + "obs_test_reset_timeseries.csv";
     std::remove(path.c_str());
     {
         System sys(configWith(
@@ -307,7 +309,8 @@ TEST(ObsSystem, SamplerRowSpanningAPortReplacementIsNeverNegative)
     // 4000 ns; the replacement's stats start from zero, so the row at
     // t = 4000 ns must count from the replacement, not subtract the
     // old port's totals.
-    const std::string path = "obs_test_replace_timeseries.csv";
+    const std::string path =
+        ::testing::TempDir() + "obs_test_replace_timeseries.csv";
     std::remove(path.c_str());
     {
         System sys(configWith(

@@ -73,7 +73,7 @@ runMultiHostConservation(const SystemConfig &cfg, std::uint64_t seed)
     for (HostId h = 0; h < sys.numHosts(); ++h) {
         std::uint64_t issued = 0;
         for (PortId p = 0; p < kActivePorts; ++p) {
-            const Port &port = sys.portAt(h, p);
+            const WorkloadPort &port = sys.portAt(h, p);
             // Every request this port issued came back to THIS port
             // of THIS host -- a response delivered to any other
             // (host, port) would leave these unequal (and panic in
@@ -95,8 +95,7 @@ runMultiHostConservation(const SystemConfig &cfg, std::uint64_t seed)
         // is empty again; a cross-host delivery would have released a
         // foreign pool's tag (panic) or leaked one here.
         for (PortId p = 0; p < kActivePorts; ++p) {
-            const auto &wp =
-                dynamic_cast<const WorkloadPort &>(sys.portAt(h, p));
+            const WorkloadPort &wp = sys.portAt(h, p);
             EXPECT_EQ(wp.tags().inUse(), 0u)
                 << "host " << h << " port " << p;
             EXPECT_GT(wp.tags().peakInUse(), 0u)
