@@ -1,7 +1,5 @@
 #include "chain/chain_switch.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "obs/observability.h"
 #include "sim/kernel.h"
@@ -151,11 +149,9 @@ ChainSwitch::tryForward(LinkId l, const HmcPacketPtr &pkt)
         panic("ChainSwitch::tryForward: packet is local to cube " +
               std::to_string(cubeId()));
     if (!enqueue(d.hop, l, pkt)) {
-        // The device drains the Up port's RX: account its refused head
-        // there, and remember which queue it waits on.
-        Port &up = port(ChainHop::Up, l);
-        noteQueueFull(up);
-        up.waitHop = d.hop;
+        // The device drains the Up port's RX and reports the stop
+        // (onDeviceRxBlocked); remember what its head waits on.
+        port(ChainHop::Up, l).waitMask = waitsOn(d);
         return false;
     }
     commit(d, pkt);
@@ -165,36 +161,10 @@ ChainSwitch::tryForward(LinkId l, const HmcPacketPtr &pkt)
 void
 ChainSwitch::onDeviceRxBlocked(LinkId l)
 {
-    if (policy_.readsLoads()) {
-        dev_.armLinkInjects();
-        return;
-    }
     Port &up = port(ChainHop::Up, l);
-    const LinkDir in_dir = inDir(up);
-    if (isLocal(*up.link->rxPeek(in_dir)))
-        up.waitHop = ChainHop::Local;
-    // The device's drain does not evaluate this RX's HOL memo; the
-    // switch does, at its wakes.  A packet that joined behind the
-    // blocked head and could move right now is evaluated at the next
-    // wake on any lane -- where retrying every drain used to evaluate
-    // it -- so every lane's pool stays armed until then.  One that
-    // cannot move yet can start to only through a pop or a return on
-    // this lane, which wake it anyway.
-    if (!up.holPending && up.holCountedAt != up.link->rxPopped(in_dir) &&
-        scanBehind(up, in_dir, l, true)) {
-        up.holPending = true;
-        dev_.armLinkInjects();
-    }
-}
-
-void
-ChainSwitch::noteQueueFull(Port &p)
-{
-    const std::uint64_t pops = p.link->rxPopped(inDir(p));
-    if (p.fullCountedAt != pops) {
-        p.fullCountedAt = pops;
-        queueFullStalls_.inc();
-    }
+    blocked(up, l,
+            isLocal(*up.link->rxPeek(inDir(up))) ? bit(ChainHop::Local)
+                                                 : up.waitMask);
 }
 
 void
@@ -258,19 +228,8 @@ ChainSwitch::pump(Port &p)
         p.q.pop_front();
         popped = true;
     }
-    if (!popped)
-        return;
-    // Forward-queue space freed: the drains waiting on it may move.
-    if (policy_.readsLoads()) {
-        for (LinkId l = 0; l < dev_.numLinks(); ++l)
-            dev_.kickLinkRx(l);
-        drainAllInRx();
-        return;
-    }
-    Port &up = ports_[kindIndex(ChainHop::Up)][p.lane];
-    if (up.waitHop == p.kind && up.link->rxAvailable(inDir(up)))
-        dev_.kickLinkRx(p.lane);
-    wakeLane(p.lane, p.kind);
+    if (popped)
+        wakeLane(p.lane, p.kind);  // forward-queue space freed
 }
 
 void
@@ -290,76 +249,21 @@ ChainSwitch::pumpReady()
 }
 
 bool
-ChainSwitch::couldProgress(const ChainRouteDecision &d, LinkId l) const
+ChainSwitch::behindCanMove(const Port &p, LinkId l) const
 {
-    if (d.hop == ChainHop::Local)
-        return true;  // checked against NoC credits by the caller
-    const ChainPortLoad load = portLoad(d.hop, l);
-    return load.wired && load.queueFreePackets > 0;
-}
-
-bool
-ChainSwitch::scanBehind(Port &p, LinkDir in_dir, LinkId l, bool probe)
-{
-    const std::uint64_t pops = p.link->rxPopped(in_dir);
-    if (p.behindPops != pops) {
-        p.behindPops = pops;
-        p.behindScanned = 1;
-        p.behindMinLocal = kNoLocal;
-        p.behindViews.clear();
+    // Head-of-line blocking, not plain backpressure: a packet already
+    // landed behind the refused head could move right now.  Reading the
+    // inject pool's credits does not arm it, unlike canInjectLocal.
+    const LinkDir in_dir = inDir(p);
+    const CreditPool &pool =
+        dev_.network().injectCredits(dev_.linkEndpoint(l));
+    for (std::size_t i = 1, n = p.link->rxQueued(in_dir); i < n; ++i) {
+        const HmcPacket &pkt = *p.link->rxPeekAt(in_dir, i);
+        if (isLocal(pkt) ? pool.available() >= pkt.flits()
+                         : portLoad(decide(l, pkt).hop, l).queueFreePackets)
+            return true;
     }
-    // Fold in the packets that arrived since the last look.
-    bool movable = false;
-    const std::size_t waiting = p.link->rxQueued(in_dir);
-    for (; p.behindScanned < waiting; ++p.behindScanned) {
-        const HmcPacket &behind = *p.link->rxPeekAt(in_dir, p.behindScanned);
-        if (isLocal(behind)) {
-            if (behind.flits() < p.behindMinLocal) {
-                p.behindMinLocal = behind.flits();
-                movable = movable ||
-                    (probe && dev_.canInjectLocal(l, p.behindMinLocal));
-            }
-            continue;
-        }
-        const ChainPacketView v = view(behind);
-        const auto same = [&v](const ChainPacketView &w) {
-            return w.dest == v.dest && w.toHost == v.toHost &&
-                w.misroutes == v.misroutes && w.dirLock == v.dirLock;
-        };
-        if (std::none_of(p.behindViews.begin(), p.behindViews.end(), same)) {
-            p.behindViews.push_back(v);
-            movable = movable ||
-                (probe &&
-                 couldProgress(policy_.route(cubeId(), v, l, *this), l));
-        }
-    }
-    return movable;
-}
-
-void
-ChainSwitch::noteRxHolStall(Port &p, LinkDir in_dir, LinkId l)
-{
-    // The head could not move.  If anything queued behind it routes to
-    // a *different* output that has space, this stall is head-of-line
-    // blocking, not plain backpressure -- account it so saturation
-    // studies can tell the two apart.  One count per blocked-head
-    // episode: retry kicks on the same stuck head do not inflate it
-    // (a pop -- by this drain or the device's -- starts a new one).
-    p.holPending = false;
-    const std::uint64_t pops = p.link->rxPopped(in_dir);
-    if (p.holCountedAt == pops)
-        return;
-    scanBehind(p, in_dir, l, false);
-    // Re-route each distinct view against the live loads.
-    bool movable = p.behindMinLocal != kNoLocal &&
-        dev_.canInjectLocal(l, p.behindMinLocal);
-    for (std::size_t i = 0; !movable && i < p.behindViews.size(); ++i)
-        movable = couldProgress(
-            policy_.route(cubeId(), p.behindViews[i], l, *this), l);
-    if (movable) {
-        rxHolStalls_.inc();
-        p.holCountedAt = pops;
-    }
+    return false;
 }
 
 void
@@ -374,7 +278,7 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
             // the RX token return must take its slot ahead of the
             // injection's events.
             if (!dev_.canInjectLocal(l, head->flits())) {
-                blocked(p, l, ChainHop::Local);
+                blocked(p, l, bit(ChainHop::Local));
                 return;  // onLocalInjectSpace retries
             }
             HmcPacketPtr pkt = p.link->rxPop(in_dir);
@@ -386,9 +290,8 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
         }
         const ChainRouteDecision d = decide(l, *head);
         if (!enqueue(d.hop, l, head)) {
-            noteQueueFull(p);
-            blocked(p, l, d.hop);
-            return;  // pump() retries when the queue drains
+            blocked(p, l, waitsOn(d));
+            return;  // pump() retries when a queue it waits on pops
         }
         commit(d, head);
         p.link->rxPop(in_dir);
@@ -396,66 +299,43 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
 }
 
 void
-ChainSwitch::blocked(Port &p, LinkId l, ChainHop wait)
+ChainSwitch::blocked(Port &p, LinkId l, std::uint8_t wait)
 {
-    noteRxHolStall(p, inDir(p), l);
-    p.waitHop = wait;
-    // A load-reading route may change at any wake: every drain is
-    // retried on every lane's inject-space callback, so arm them all.
-    if (policy_.readsLoads())
-        dev_.armLinkInjects();
+    p.waitMask = wait;
+    // Account each head once, at its first refusal, so retries -- on
+    // whatever wake -- count nothing.
+    const std::uint64_t pops = p.link->rxPopped(inDir(p));
+    if (p.refusedAt == pops)
+        return;
+    p.refusedAt = pops;
+    if (!(wait & bit(ChainHop::Local)))
+        queueFullStalls_.inc();
+    if (behindCanMove(p, l))
+        rxHolStalls_.inc();
 }
 
 void
 ChainSwitch::wakeLane(LinkId l, ChainHop freed)
 {
-    // Under load-blind routes a head waits on its own lane's resources
-    // only: retry, in drain order, the lane-l drains whose head waits
-    // on the freed one (a forward queue of kind `freed`, or the inject
-    // pool when it is Local), and evaluate the HOL memo of every other
-    // blocked drain whose "movable" this can turn true.  That is every
-    // blocked lane-l drain plus the device-drained RX queues that got
-    // an arrival behind their head since the last wake (see
-    // onDeviceRxBlocked); a switch-drained RX evaluates its own
-    // arrivals.  The Up ports come first, as the device's drains did.
+    // A head waits on its own lane's resources only: retry, in drain
+    // order, the lane-l drains whose head waits on the freed one.  The
+    // Up port's RX is the device's, and its drain runs first.
     for (std::size_t k = 0; k < kPortKinds; ++k) {
-        for (LinkId lane = 0; lane < dev_.numLinks(); ++lane) {
-            Port &p = ports_[k][lane];
-            if (!p.link || (lane != l && !p.holPending))
-                continue;
-            const LinkDir in_dir = inDir(p);
-            if (!p.link->rxAvailable(in_dir)) {
-                p.holPending = false;
-                continue;
-            }
-            if (lane == l && p.kind != ChainHop::Up && p.waitHop == freed)
-                drainInRx(p.kind, l);
-            else
-                noteRxHolStall(p, in_dir, lane);
-        }
-    }
-}
-
-void
-ChainSwitch::drainAllInRx()
-{
-    static constexpr ChainHop kKinds[] = {ChainHop::Up, ChainHop::Down,
-                                          ChainHop::Wrap, ChainHop::Host};
-    for (const ChainHop kind : kKinds) {
-        for (LinkId l = 0; l < dev_.numLinks(); ++l) {
-            if (ports_[kindIndex(kind)][l].link)
-                drainInRx(kind, l);
-        }
+        Port &p = ports_[k][l];
+        if (!p.link || !(p.waitMask & bit(freed)) ||
+            !p.link->rxAvailable(inDir(p)))
+            continue;
+        if (p.kind == ChainHop::Up)
+            dev_.kickLinkRx(l);
+        else
+            drainInRx(p.kind, l);
     }
 }
 
 void
 ChainSwitch::onLocalInjectSpace(LinkId l)
 {
-    if (policy_.readsLoads())
-        drainAllInRx();
-    else
-        wakeLane(l, ChainHop::Local);
+    wakeLane(l, ChainHop::Local);
 }
 
 bool

@@ -19,21 +19,18 @@
  * per-packet misroute budget, direction lock -- only when the chosen
  * output queue accepts the packet.
  *
- * Retries go only to what waits.  A drain stopped by its RX head
- * records what the head waits on.  Under a load-blind (static) route
- * that is the output queue that refused it or its own lane's NoC
- * inject pool, and a pop from a forward queue or a return to a lane's
- * inject pool retries only the same-lane drains waiting on it, in the
- * order the device's and the switch's drains always ran.  A
- * load-reading (adaptive) route re-decides against lazily folded token
- * counts, so there every pop and every inject-pool return retries
- * every drain, and a blocked drain arms every lane's pool.  The same
- * wakes evaluate the head-of-line memo (noteRxHolStall) of the drains
- * that stay blocked, at every moment "movable" can turn true: a pop on
- * the lane, a return to the lane's pool, or an arrival behind the head
- * (for the device-drained RX, at the first wake after that arrival,
- * where the all-drains retry evaluated it).  A tokens-free callback
- * pumps only ports whose head is ready.
+ * Retries go only to what waits, under either policy.  A drain
+ * stopped by its RX head records what the head waits on: the same-lane
+ * output queues its route compared (the refusing one, plus the
+ * alternative an adaptive route weighed it against), or its own lane's
+ * NoC inject pool for a local request.  A pop from a forward queue or
+ * a return to a lane's inject pool retries only the same-lane drains
+ * waiting on it, in the order the device's and the switch's drains
+ * always ran.  A head is accounted once, at its first refusal: a full
+ * queue counts a queue_full_stall, and a packet already landed behind
+ * it that could move right then counts an rx_hol_stall.  Retries count
+ * nothing, so no wake can change either statistic.  A tokens-free
+ * callback pumps only ports whose head is ready.
  *
  * Port classes (see ChainRouteTable): Up = this cube's own links toward
  * the host, Down = the next cube's links, Wrap = the ring-closing
@@ -129,13 +126,7 @@ class ChainSwitch : public Component, public ChainLoadProvider
     ChainPortLoad portLoad(ChainHop kind, LinkId l) const override;
 
     // ----- statistics -----
-    std::uint64_t forwardedRequests() const { return fwdRequests_.value(); }
-    std::uint64_t forwardedResponses() const
-    {
-        return fwdResponses_.value();
-    }
     std::uint64_t forwardedFlits() const { return fwdFlits_.value(); }
-    std::uint64_t localInjects() const { return localInjects_.value(); }
 
     /** Adaptive choices of the non-preferred minimal direction. */
     std::uint64_t adaptiveDeviations() const
@@ -146,10 +137,11 @@ class ChainSwitch : public Component, public ChainLoadProvider
     /** Non-minimal (long-way-around) forwards committed here. */
     std::uint64_t misroutes() const { return misroutes_.value(); }
 
-    /** Head-of-line blocking episodes: a stalled RX head wedging
-     *  traffic behind it that could progress on a different output.
-     *  Counted once per episode (re-drains of the same stuck head do
-     *  not inflate the count). */
+    /** Head-of-line blocking: RX heads that, when first refused, had
+     *  a packet landed behind them that could move right then (a local
+     *  request the lane's inject pool admits, or a transit packet whose
+     *  route has a free queue slot).  Retries of the same head and
+     *  later arrivals behind it count nothing. */
     std::uint64_t rxHolStalls() const { return rxHolStalls_.value(); }
 
   protected:
@@ -157,7 +149,21 @@ class ChainSwitch : public Component, public ChainLoadProvider
 
   private:
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
-    static constexpr std::uint32_t kNoLocal = ~std::uint32_t{0};
+
+    /** Bit of @p hop in Port::waitMask. */
+    static constexpr std::uint8_t
+    bit(ChainHop hop)
+    {
+        return static_cast<std::uint8_t>(1u << static_cast<unsigned>(hop));
+    }
+
+    /** What a transit head refused under @p d waits on: every output
+     *  its route compared. */
+    static std::uint8_t
+    waitsOn(const ChainRouteDecision &d)
+    {
+        return bit(d.hop) | (d.alt == ChainHop::Local ? 0 : bit(d.alt));
+    }
 
     struct Pending {
         Tick readyAt = 0;
@@ -179,35 +185,15 @@ class ChainSwitch : public Component, public ChainLoadProvider
         bool kickScheduled = false;
 
         // ----- the blocked head of this port's RX queue -----
-        // (Up ports: the device-drained link RX.)  All keyed on the
-        // link's RX pop count: the queue is a FIFO, so while nothing
-        // pops, the head and every packet already scanned behind it
-        // stay put and only new arrivals join.
+        // (Up ports: the device-drained link RX.)
 
-        /** What the head waits on under a load-blind route: the kind
-         *  of the (same-lane) queue that refused it, or Local for the
-         *  lane's NoC inject pool. */
-        ChainHop waitHop = ChainHop::Local;
-        /** RX pop count at which queue_full_stalls counted the head. */
-        std::uint64_t fullCountedAt = kNever;
-        /** Up ports: a packet joined behind the device-drained blocked
-         *  head since the memo below was last evaluated. */
-        bool holPending = false;
-
-        /** RX pop count at which the current blocked head's episode
-         *  was counted; any pop starts a new episode. */
-        std::uint64_t holCountedAt = kNever;
-        /** RX pop count the memo below describes. */
-        std::uint64_t behindPops = kNever;
-        /** Queue index the behind-head scan resumes from. */
-        std::size_t behindScanned = 1;
-        /** Smallest local request behind the head (kNoLocal: none);
-         *  NoC injection admits by credits >= flits, so it decides
-         *  whether any local request could move. */
-        std::uint32_t behindMinLocal = kNoLocal;
-        /** Distinct routing views of the transiting packets behind the
-         *  head; a route is a function of the view and live loads. */
-        std::vector<ChainPacketView> behindViews;
+        /** What the head waits on: bit 1 << ChainHop of each same-lane
+         *  output queue its route compared, or of Local for the lane's
+         *  NoC inject pool. */
+        std::uint8_t waitMask = bit(ChainHop::Local);
+        /** RX pop count at which the head was first refused.  The
+         *  queue is a FIFO, so while nothing pops the head stays put. */
+        std::uint64_t refusedAt = kNever;
     };
 
     static constexpr std::size_t kPortKinds = 4;  // Up, Down, Wrap, Host
@@ -250,26 +236,14 @@ class ChainSwitch : public Component, public ChainLoadProvider
     void scheduleKick(Port &p, Tick at);
     void pump(Port &p);
     void drainInRx(ChainHop kind, LinkId l);
-    void drainAllInRx();
-    /** Count @p p's RX head as refused, once per head. */
-    void noteQueueFull(Port &p);
-    /** The drain of @p p stopped at a head waiting on @p wait. */
-    void blocked(Port &p, LinkId l, ChainHop wait);
-    /** Load-blind wake: lane @p l's queue of kind @p freed popped, or
-     *  (Local) its inject pool got credits back. */
+    /** The drain of @p p stopped at a head waiting on @p wait (a
+     *  waitMask); account the head if this is its first refusal. */
+    void blocked(Port &p, LinkId l, std::uint8_t wait);
+    /** True if a packet landed behind @p p's RX head could move now. */
+    bool behindCanMove(const Port &p, LinkId l) const;
+    /** Lane @p l's queue of kind @p freed popped, or (Local) its inject
+     *  pool got credits back: retry the drains waiting on it. */
     void wakeLane(LinkId l, ChainHop freed);
-    /**
-     * Count a drain stopped by HOL blocking if any packet waiting
-     * behind the head could progress on a different output; at most
-     * once per blocked-head episode.  Costs O(arrivals since the last
-     * call + distinct views behind the head): the Port memo carries
-     * the scan over until the RX queue next pops.
-     */
-    void noteRxHolStall(Port &p, LinkDir in_dir, LinkId l);
-    /** Fold the packets that joined behind @p p's RX head into its
-     *  memo; with @p probe, true if one of them could move now. */
-    bool scanBehind(Port &p, LinkDir in_dir, LinkId l, bool probe);
-    bool couldProgress(const ChainRouteDecision &d, LinkId l) const;
 };
 
 }  // namespace hmcsim

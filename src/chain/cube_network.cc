@@ -98,50 +98,36 @@ CubeNetwork::wireChain()
                             LinkDir::CubeToHost, /*consume_rx=*/true);
         }
 
-        if (multi_host) {
-            // Responses can head for any host's entry cube, so every
-            // cube's local ejection becomes a per-packet route through
-            // the switch.  The NoC's switch allocation cannot see the
-            // packet, so admission is unconditional; boundedness comes
-            // from the hosts' tag pools (see ejectRoutedFromNoc).
-            HmcDevice *dev = cubes_[c].get();
-            for (LinkId l = 0; l < cfg_.numLinks; ++l) {
-                Network::EndpointOps ops;
+        // Multi-host, every cube's local ejection becomes a per-packet
+        // route through the switch: responses can head for any host's
+        // entry cube.  The NoC's switch allocation cannot see the
+        // packet, so admission is unconditional; boundedness comes from
+        // the hosts' tag pools (see ejectRoutedFromNoc).  Single-host
+        // ring cubes on the far side eject local responses down/around
+        // instead of retracing the request path.
+        if (!multi_host && routes_.towardHost(c) == ChainHop::Up)
+            continue;
+        HmcDevice *dev = cubes_[c].get();
+        for (LinkId l = 0; l < cfg_.numLinks; ++l) {
+            Network::EndpointOps ops;
+            if (multi_host) {
                 ops.tryReserve = [](std::uint32_t) { return true; };
                 ops.deliver = [sw, l](const NocMessage &msg) {
-                    auto pkt =
-                        std::static_pointer_cast<HmcPacket>(msg.payload);
-                    sw->ejectRoutedFromNoc(l, pkt);
+                    sw->ejectRoutedFromNoc(
+                        l, std::static_pointer_cast<HmcPacket>(msg.payload));
                 };
-                ops.onInjectSpace = [dev, sw, l] {
-                    dev->kickLinkRx(l);
-                    sw->onLocalInjectSpace(l);
-                };
-                dev->network().rewireEndpoint(dev->linkEndpoint(l),
-                                              std::move(ops));
-            }
-        } else if (routes_.towardHost(c) != ChainHop::Up) {
-            // Single-host ring cubes on the far side eject local
-            // responses down/around instead of retracing the request
-            // path.
-            HmcDevice *dev = cubes_[c].get();
-            for (LinkId l = 0; l < cfg_.numLinks; ++l) {
-                Network::EndpointOps ops;
+            } else {
                 ops.tryReserve = [sw, l](std::uint32_t flits) {
                     return sw->tryReserveEject(l, flits);
                 };
                 ops.deliver = [sw, l](const NocMessage &msg) {
-                    auto pkt =
-                        std::static_pointer_cast<HmcPacket>(msg.payload);
-                    sw->ejectFromNoc(l, pkt);
+                    sw->ejectFromNoc(
+                        l, std::static_pointer_cast<HmcPacket>(msg.payload));
                 };
-                ops.onInjectSpace = [dev, sw, l] {
-                    dev->kickLinkRx(l);
-                    sw->onLocalInjectSpace(l);
-                };
-                dev->network().rewireEndpoint(dev->linkEndpoint(l),
-                                              std::move(ops));
             }
+            ops.onInjectSpace = [sw, l] { sw->onLocalInjectSpace(l); };
+            dev->network().rewireEndpoint(dev->linkEndpoint(l),
+                                          std::move(ops));
         }
     }
 
@@ -186,45 +172,33 @@ CubeNetwork::combineTokenCallbacks()
     // Several producers can share one link direction (NoC ejection +
     // pass-through pump); freed tokens must wake all of them.  The
     // switch pumps only ports with a ready head (see pumpReady).
+    const auto ejectThenPump = [this](CubeId c, LinkId l) {
+        HmcDevice *dev = cubes_[c].get();
+        ChainSwitch *sw = switches_[c].get();
+        return [dev, sw, l] {
+            dev->kickEject(l);
+            sw->pumpReady();
+        };
+    };
     const std::uint32_t n = numCubes();
     for (CubeId c = 0; c < n; ++c) {
         for (LinkId l = 0; l < cfg_.numLinks; ++l) {
             SerdesLink &lk = cubes_[c]->link(l);
-            HmcDevice *dev = cubes_[c].get();
-            ChainSwitch *sw = switches_[c].get();
-            ChainSwitch *up_sw = c > 0 ? switches_[c - 1].get() : nullptr;
-            HmcDevice *up_dev = c > 0 ? cubes_[c - 1].get() : nullptr;
             // CubeToHost: this cube's ejection and Up-forwarding.
-            lk.setOnTokensFree(LinkDir::CubeToHost, [dev, sw, l] {
-                dev->kickEject(l);
-                sw->pumpReady();
-            });
+            lk.setOnTokensFree(LinkDir::CubeToHost, ejectThenPump(c, l));
             // HostToCube: the upstream switch's Down-forwarding and,
             // on rings, the upstream cube's rewired ejection.  Cube
             // 0's upstream is the polling host controller.
-            if (up_sw) {
+            if (c > 0)
                 lk.setOnTokensFree(LinkDir::HostToCube,
-                                   [up_dev, up_sw, l] {
-                    up_dev->kickEject(l);
-                    up_sw->pumpReady();
-                });
-            }
+                                   ejectThenPump(c - 1, l));
         }
     }
     for (LinkId l = 0; l < static_cast<LinkId>(wrapLinks_.size()); ++l) {
-        SerdesLink &lk = *wrapLinks_[l];
-        HmcDevice *dev0 = cubes_.front().get();
-        ChainSwitch *sw0 = switches_.front().get();
-        HmcDevice *devN = cubes_.back().get();
-        ChainSwitch *swN = switches_.back().get();
-        lk.setOnTokensFree(LinkDir::HostToCube, [dev0, sw0, l] {
-            dev0->kickEject(l);
-            sw0->pumpReady();
-        });
-        lk.setOnTokensFree(LinkDir::CubeToHost, [devN, swN, l] {
-            devN->kickEject(l);
-            swN->pumpReady();
-        });
+        wrapLinks_[l]->setOnTokensFree(LinkDir::HostToCube,
+                                       ejectThenPump(0, l));
+        wrapLinks_[l]->setOnTokensFree(LinkDir::CubeToHost,
+                                       ejectThenPump(n - 1, l));
     }
     for (HostId h = 0; h < hostLinks_.size(); ++h) {
         if (hostLinks_[h].empty())

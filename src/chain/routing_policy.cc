@@ -110,8 +110,10 @@ AdaptiveChainRouting::route(CubeId at, const ChainPacketView &pkt,
         // Genuine minimal tie: either direction is shortest, so
         // switching needs no direction lock -- one step shortens the
         // taken side and downstream minimal routing keeps going.
+        d.alt = other;
         if (other_wins) {
             d.hop = other;
+            d.alt = preferred;
             d.deviated = true;
         }
         return d;
@@ -121,9 +123,11 @@ AdaptiveChainRouting::route(CubeId at, const ChainPacketView &pkt,
     // severe congestion, within the per-packet misroute budget.
     if (params_.maxMisroutes == 0 || pkt.misroutes >= params_.maxMisroutes)
         return d;
+    d.alt = other;
     if (pref_score < params_.misrouteThresholdFlits || !other_wins)
         return d;
     d.hop = other;
+    d.alt = preferred;
     d.misrouted = true;
     d.dirLock = preferred_is_cw ? kChainDirCcw : kChainDirCw;
     return d;

@@ -100,6 +100,9 @@ struct ChainRouteDecision {
     bool misrouted = false;
     /** Direction lock to stamp on the packet when committed. */
     std::uint8_t dirLock = kChainDirNone;
+    /** The other output whose load the decision compared against hop
+     *  (Local: none).  A refused packet waits on both. */
+    ChainHop alt = ChainHop::Local;
 };
 
 class ChainRoutingPolicy
@@ -113,14 +116,6 @@ class ChainRoutingPolicy
     virtual ~ChainRoutingPolicy() = default;
 
     virtual const char *name() const = 0;
-
-    /**
-     * True when route() reads the live loads.  A refused packet's
-     * route then changes with lazily folded token counts, so the
-     * switch retries it on every wake; a load-blind route waits only
-     * on the output queue that refused it.
-     */
-    virtual bool readsLoads() const = 0;
 
     /**
      * Pick the output port for a packet at cube @p at, lane @p lane.
@@ -145,8 +140,6 @@ class StaticChainRouting : public ChainRoutingPolicy
     using ChainRoutingPolicy::ChainRoutingPolicy;
 
     const char *name() const override { return "static"; }
-
-    bool readsLoads() const override { return false; }
 
     ChainRouteDecision route(CubeId at, const ChainPacketView &pkt,
                              LinkId lane, const ChainLoadProvider &loads)
@@ -185,8 +178,6 @@ class AdaptiveChainRouting : public ChainRoutingPolicy
                          const AdaptiveRoutingParams &params);
 
     const char *name() const override { return "adaptive"; }
-
-    bool readsLoads() const override { return true; }
 
     const AdaptiveRoutingParams &params() const { return params_; }
 

@@ -108,9 +108,10 @@ HmcDevice::HmcDevice(Kernel &kernel, Component *parent, std::string name,
             lk->send(LinkDir::CubeToHost, pkt);
         };
         ops.onInjectSpace = [this, l] {
-            drainLinkRx(l);
             if (injectSpaceHook_)
                 injectSpaceHook_(l);
+            else
+                drainLinkRx(l);
         };
         net_->setEndpoint(ep, std::move(ops));
 
@@ -191,13 +192,6 @@ HmcDevice::canInjectLocal(LinkId arrival_link, std::uint32_t flits)
     return net_->canInject(linkEndpoint(arrival_link), flits);
 }
 
-void
-HmcDevice::armLinkInjects()
-{
-    for (LinkId l = 0; l < cfg_.numLinks; ++l)
-        net_->armInject(linkEndpoint(l));
-}
-
 bool
 HmcDevice::tryInjectLocal(LinkId arrival_link, const HmcPacketPtr &pkt)
 {
@@ -210,10 +204,10 @@ HmcDevice::tryInjectLocal(LinkId arrival_link, const HmcPacketPtr &pkt)
 void
 HmcDevice::drainLinkRx(LinkId l)
 {
-    // Chained, a blocked drain tells the switch, which evaluates this
-    // RX's head-of-line memo (its Up port) and retries the drain when
-    // the refusing queue pops; the lane's inject-space callback retries
-    // a NoC-credit stall.
+    // Chained, a blocked drain tells the switch, which accounts the
+    // refused head (its Up port) and retries the drain when a queue the
+    // head waits on pops; the lane's inject-space callback retries a
+    // NoC-credit stall.
     SerdesLink &lk = *links_[l];
     while (lk.rxAvailable(LinkDir::HostToCube)) {
         const HmcPacketPtr &head = lk.rxPeek(LinkDir::HostToCube);

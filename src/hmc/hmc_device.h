@@ -78,7 +78,7 @@ class HmcDevice : public Component
      * another cube, or responses transiting toward the host).  Returns
      * false when the switch cannot take the packet right now; the
      * caller leaves it in the RX buffer and the switch retries it with
-     * kickLinkRx() once the refusing queue pops.
+     * kickLinkRx() once a queue the packet waits on pops.
      */
     using ForwardFn = InlineFunction<bool(LinkId, const HmcPacketPtr &)>;
 
@@ -90,14 +90,6 @@ class HmcDevice : public Component
     bool canInjectLocal(LinkId arrival_link, std::uint32_t flits);
 
     /**
-     * Arm every link endpoint's inject-space callback for its next
-     * credit return.  That callback retries the chain switch's RX
-     * drains too: the switch calls this when a drain must be retried
-     * on any lane's return (see ChainSwitch).
-     */
-    void armLinkInjects();
-
-    /**
      * Inject a request addressed to this cube into the local NoC as if
      * it had arrived on link @p arrival_link (ring wrap/up arrivals
      * enter through the pass-through switch, not the link RX).
@@ -105,14 +97,16 @@ class HmcDevice : public Component
      */
     bool tryInjectLocal(LinkId arrival_link, const HmcPacketPtr &pkt);
 
-    /** Retry draining a link's RX buffer (forward-queue space freed). */
+    /** Retry draining a link's RX buffer (what its head waits on
+     *  freed). */
     void kickLinkRx(LinkId l) { drainLinkRx(l); }
 
     /** Retry a blocked NoC ejection at a link endpoint. */
     void kickEject(LinkId l) { net_->kickEject(linkEndpoint(l)); }
 
-    /** Called (additionally) whenever a link endpoint's inject-space
-     *  callback runs. */
+    /** Called instead of the link RX drain whenever a link endpoint's
+     *  inject-space callback runs: a chain switch retries what waits on
+     *  the credits, this RX's drain included. */
     void setInjectSpaceHook(InlineFunction<void(LinkId)> fn);
 
     /** Called when the drain of a link's RX stops at a head that can

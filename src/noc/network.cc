@@ -124,14 +124,6 @@ Network::canInject(NodeId ep, std::uint32_t flits)
     return injectPorts_[ep].credits.canConsume(flits);
 }
 
-void
-Network::armInject(NodeId ep)
-{
-    if (ep >= injectPorts_.size())
-        panic("Network::armInject: endpoint out of range");
-    injectPorts_[ep].credits.arm();
-}
-
 const CreditPool &
 Network::injectCredits(NodeId ep) const
 {

@@ -35,9 +35,9 @@ class Network : public Component
         InlineFunction<void(const NocMessage &), 64> deliver;
 
         /**
-         * Injection credits returned after a failed canInject() (or an
-         * armInject()); the endpoint may retry.  Runs in the return's
-         * slot; returns nobody waits for call nothing.
+         * Injection credits returned after a failed canInject(); the
+         * endpoint may retry.  Runs in the return's slot; returns
+         * nobody waits for call nothing.
          */
         InlineFunction<void()> onInjectSpace;
     };
@@ -60,13 +60,6 @@ class Network : public Component
      * answer arms onInjectSpace for the next credit return.
      */
     bool canInject(NodeId ep, std::uint32_t flits);
-
-    /**
-     * Arm @p ep's onInjectSpace for the next credit return without
-     * asking for credits: for endpoints whose inject-space callback
-     * also retries work blocked on something else.
-     */
-    void armInject(NodeId ep);
 
     /** Injection credit pool of endpoint @p ep. */
     const CreditPool &injectCredits(NodeId ep) const;

@@ -17,9 +17,7 @@
  * canConsume() arms the pool; while armed with returns pending it holds
  * exactly one wake event, in the front return's own slot.  The wake
  * folds, disarms and runs the availability callback, which re-arms by
- * failing canConsume() again if its sender is still blocked.  A sender
- * whose callback also retries work blocked on something else arms the
- * pool by hand (arm()) whenever that work fails.
+ * failing canConsume() again if its sender is still blocked.
  */
 
 #ifndef HMCSIM_SIM_CREDIT_POOL_H_

@@ -170,6 +170,27 @@ TEST(CreditConservation, StaticRingWithOnePacketQueuesAndFewTokens)
     EXPECT_EQ(t.linkDirs, 36u);
 }
 
+TEST(CreditConservation, AdaptiveRingWithEagerMisroutes)
+{
+    // Hair-trigger ties and misroutes: a refused head's route compares
+    // two outputs, so it must wait on both of them.
+    const PoolTally t =
+        drainAndCheck({{"hmc.num_cubes", "8"},
+                       {"hmc.chain_topology", "ring"},
+                       {"hmc.chain_routing", "adaptive"},
+                       {"hmc.chain_forward_queue_packets", "1"},
+                       {"hmc.link_tokens", "16"},
+                       {"hmc.chain_adaptive_threshold_flits", "0"},
+                       {"hmc.chain_adaptive_misroute_threshold_flits", "1"},
+                       {"hmc.chain_adaptive_max_misroutes", "4"},
+                       {"hmc.power_enabled", "false"},
+                       {"host.workload", "gups"},
+                       {"host.workload.request_bytes", "128"},
+                       {"host.workload.write_fraction", "0.5"},
+                       {"host.workload_ports", "9"}});
+    EXPECT_EQ(t.linkDirs, 36u);
+}
+
 TEST(CreditConservation, TwoHostAdaptiveRingWithOnePacketQueues)
 {
     const PoolTally t =
